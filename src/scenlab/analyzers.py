@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional, Sequence
 
 from .core import ConstraintTuple, ScenarioSystem, hoeffding_radius
@@ -75,10 +75,13 @@ class ShatterCheckReport:
         if self.counterexample is not None:
             out["counterexample"] = [encode_constraint(z)
                                      for z in self.counterexample]
-            out["satisfied_subset"] = sorted(
-                encode_constraint(z) for z in self.satisfied_subset)
-            out["sampled_set"] = sorted(
-                encode_constraint(z) for z in self.sampled_set)
+            # Sets are emitted in candidate order (encodings do not sort).
+            out["satisfied_subset"] = [encode_constraint(z)
+                                       for z in self.candidates
+                                       if z in self.satisfied_subset]
+            out["sampled_set"] = [encode_constraint(z)
+                                  for z in self.candidates
+                                  if z in self.sampled_set]
         return out
 
 
@@ -222,16 +225,8 @@ class CompressionSchemeReport:
     permutations: bool
 
     def to_jsonable(self, encode_constraint=repr) -> dict:
-        return {
-            "system": self.system,
-            "base_set": [encode_constraint(z) for z in self.base_set],
-            "tuple_length_bound": self.tuple_length_bound,
-            "capacity": self.capacity,
-            "distinct_decisions": self.distinct_decisions,
-            "compressed_input_bound": self.compressed_input_bound,
-            "impossible": self.impossible,
-            "permutations": self.permutations,
-        }
+        return {**asdict(self),
+                "base_set": [encode_constraint(z) for z in self.base_set]}
 
 
 def certify_no_compression_scheme(system: ScenarioSystem,
@@ -255,11 +250,10 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     decisions = set()
     for r in range(k + 1):
         for subset in itertools.combinations(base, r):
-            if permutations:
-                for perm in itertools.permutations(subset):
-                    decisions.add(system.decision_key(system.decide(perm)))
-            else:
-                decisions.add(system.decision_key(system.decide(subset)))
+            orderings = itertools.permutations(subset) if permutations \
+                else (subset,)
+            for vz in orderings:
+                decisions.add(system.decision_key(system.decide(vz)))
 
     bound = sum(math.comb(k, r) for r in range(min(capacity, k) + 1))
     return CompressionSchemeReport(
@@ -291,11 +285,7 @@ class RangeShatterReport:
 
     def to_jsonable(self) -> dict:
         return {
-            "k": self.k,
-            "subsets_checked": self.subsets_checked,
-            "subsets_realized": self.subsets_realized,
-            "vc_lower_bound": self.vc_lower_bound,
-            "all_realized": self.all_realized,
+            **asdict(self),
             "decision_mismatches": [sorted(u) for u, _ in self.decision_mismatches],
             "membership_disagreements": [
                 {"subset": sorted(u), "index": i}
@@ -363,18 +353,9 @@ class AdversarialPacReport:
     min_risk: float
 
     def to_jsonable(self) -> dict:
-        return {
-            "system": self.system,
-            "candidate_count": self.candidate_count,
-            "N": self.n,
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "q_hat": self.q_hat,
-            "ci_radius": self.ci_radius,
-            "mean_risk": self.mean_risk,
-            "min_risk": self.min_risk,
-        }
+        out = asdict(self)
+        out["N"] = out.pop("n")
+        return out
 
 
 def adversarial_pac_experiment(system: ScenarioSystem,

@@ -6,8 +6,13 @@ wall-clock time.  Curves additionally serialize to CSV.  Exit status: 0 when
 all asserted properties pass, 1 when a property check fails (the
 counterexample is serialized in the report), 2 on usage errors.
 
+System keys (``--system``, ``demo --example``) and the demos themselves
+come from :mod:`scenlab.registry`; nothing here names a system.
+
 A flat ``key = value`` config file may supply defaults for any flag of the
-chosen subcommand; command-line flags override file values.
+chosen subcommand; its values pass the same type and choice checks as flags,
+and boolean flags take ``true`` or ``false``.  Command-line flags override
+file values.
 """
 
 from __future__ import annotations
@@ -20,21 +25,8 @@ from pathlib import Path
 
 from . import analyzers, codecs, core
 from .analyzers import BoundQuery
-from .counterexamples import ExclusionConstraint
-from .pathplan import (
-    Scene,
-    alg1_shortest_path,
-    alg2_compression,
-    alg2_shortest_parabola,
-    band_shatter_candidates,
-    path_system_alg1,
-    path_system_alg2,
-)
-from .registry import get_bundle
-from .rng import stream
-
-DEMO_EXAMPLES = ("convex-vc", "sum-no-scheme", "min-no-map",
-                 "interval-not-pac", "path-alg1", "path-alg2")
+from .pathplan import Scene, alg1_shortest_path, alg2_shortest_parabola
+from .registry import SYSTEMS, get_bundle
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -81,8 +73,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         subparsers[name] = sp
         return sp
 
-    sp = add("demo", help="run a named counterexample demonstration")
-    sp.add_argument("--example", required=True, choices=DEMO_EXAMPLES)
+    sp = add("demo", help="run the demonstration of a registry system")
+    sp.add_argument("--example", required=True, choices=list(SYSTEMS))
     sp.add_argument("--k", type=int, default=4)
     sp.add_argument("--capacity", type=int, default=1)
     sp.add_argument("--eps", type=float, default=0.25)
@@ -133,13 +125,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _apply_config(config: dict, subparser: argparse.ArgumentParser) -> None:
+    """Install config values as defaults, checked like the flags they set."""
     known = {a.dest: a for a in subparser._actions}
     defaults = {}
     for key, value in config.items():
         if key not in known:
             raise ValueError(f"config key {key!r} unknown for this command")
         action = known[key]
-        defaults[key] = action.type(value) if action.type else value
+        if action.nargs == 0:  # a store_true flag
+            if value not in ("true", "false"):
+                raise ValueError(f"config key {key!r} takes true or false, "
+                                 f"not {value!r}")
+            value = value == "true"
+        elif action.type:
+            value = action.type(value)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                             f"(choose from {list(action.choices)})")
+        defaults[key] = value
         action.required = False
     subparser.set_defaults(**defaults)
 
@@ -150,65 +153,8 @@ def _apply_config(config: dict, subparser: argparse.ArgumentParser) -> None:
 
 
 def _run_demo(args) -> tuple[dict, bool]:
-    scene = Scene()
-    if args.example == "convex-vc":
-        report = analyzers.verify_range_shattering_witness(args.k)
-        return {"range_shattering": report.to_jsonable()}, report.passed
-
-    if args.example == "sum-no-scheme":
-        base = [ExclusionConstraint(1 << j) for j in range(args.k)]
-        report = analyzers.certify_no_compression_scheme(
-            get_bundle("sum-no-scheme").system, base, args.capacity)
-        return {"scheme_counting": report.to_jsonable(codecs.encode_constraint)}, \
-            report.impossible
-
-    if args.example == "min-no-map":
-        d = args.capacity
-        vz = tuple(ExclusionConstraint(a) for a in range(d + 1))
-        indices = analyzers.find_compression_subtuple(
-            get_bundle("min-no-map").system, vz, d)
-        verdict = {
-            "tuple": [codecs.encode_constraint(z) for z in vz],
-            "capacity": d,
-            "subtuple_indices": list(indices) if indices is not None else None,
-            "none_certificate": indices is None,
-        }
-        return {"map_search": verdict}, indices is None
-
-    if args.example == "interval-not-pac":
-        bundle = get_bundle("interval-not-pac")
-        curve = core.pac_curve(bundle.system, bundle.distribution, args.eps,
-                               [args.N], args.trials, seed=args.seed)
-        q = curve.rows[0].q_hat
-        return {"pac_curve": curve.to_jsonable(),
-                "q_hat": q, "theoretical_lower_bound": 0.5}, q >= 0.5
-
-    if args.example == "path-alg2":
-        bundle = get_bundle("path-alg2")
-        mismatches = []
-        for trial in range(args.trials):
-            rng = stream(args.seed, trial)
-            n = int(rng.integers(0, args.max_n + 1))
-            vz = bundle.distribution.sample_tuple(rng, n)
-            indices = alg2_compression(scene, vz)
-            sub = tuple(vz[i] for i in indices)
-            if alg2_shortest_parabola(scene, sub) != alg2_shortest_parabola(scene, vz):
-                mismatches.append(trial)
-        return {"compression_idempotence": {
-            "trials": args.trials, "max_n": args.max_n,
-            "mismatched_trials": mismatches}}, not mismatches
-
-    # path-alg1: band shattering plus the adversarial experiment
-    system = path_system_alg1(scene)
-    shatter = analyzers.check_shattered(system, band_shatter_candidates(args.k),
-                                        max_len=args.k)
-    adversarial = analyzers.adversarial_pac_experiment(
-        system, band_shatter_candidates(2 * args.k), n=args.k,
-        epsilon=args.eps, trials=args.trials, seed=args.seed)
-    passed = (shatter.shattered and adversarial.q_hat == 1.0
-              and adversarial.min_risk >= 0.5)
-    return {"shatter": shatter.to_jsonable(codecs.encode_constraint),
-            "adversarial": adversarial.to_jsonable()}, passed
+    bundle = get_bundle(args.example)
+    return bundle.demo(bundle, args)
 
 
 def _run_risk_curve(args) -> tuple[dict, bool]:
@@ -309,11 +255,10 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     echo = {k: v for k, v in vars(args).items()
-            if k not in ("command", "out") and v is not None
-            and not callable(v)}
+            if k not in ("command", "out") and v is not None}
     report = {
         "command": args.command,
-        "config": _jsonable_config(echo),
+        "config": echo,
         "seed": getattr(args, "seed", None),
         "passed": passed,
         "verdicts": verdicts,
@@ -325,17 +270,6 @@ def main(argv=None) -> int:
     else:
         print(text)
     return 0 if passed else 1
-
-
-def _jsonable_config(mapping: dict) -> dict:
-    out = {}
-    for key, value in mapping.items():
-        try:
-            json.dumps(value)
-        except TypeError:
-            value = repr(value)
-        out[key] = value
-    return out
 
 
 if __name__ == "__main__":

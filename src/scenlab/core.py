@@ -19,8 +19,8 @@ import csv
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -92,13 +92,7 @@ class RiskEstimate:
                 min(1.0, self.estimate + self.confidence_radius))
 
     def to_jsonable(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "confidence_radius": self.confidence_radius,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-            "analytic": self.analytic,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -142,14 +136,9 @@ class PacCurve:
         return buf.getvalue()
 
     def to_jsonable(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "seed": self.seed,
-            "nested_mc": self.nested_mc,
-            "rows": [{"N": r.n, "q_hat": r.q_hat, "ci_radius": r.ci_radius}
-                     for r in self.rows],
-        }
+        return {**asdict(self),
+                "rows": [{"N": r.n, "q_hat": r.q_hat, "ci_radius": r.ci_radius}
+                         for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -277,6 +266,23 @@ def check_stability(system: ScenarioSystem,
     return PropertyReport(system.name, "stability", trials, trials, seed, "pass")
 
 
+def _violation_rate(system: ScenarioSystem,
+                    x: Any,
+                    dist: ConstraintDistribution,
+                    rng: np.random.Generator,
+                    samples: int) -> float:
+    """Risk of ``x``: exact when ``dist`` is analytic, else the fraction of
+    ``samples`` fresh draws from ``rng`` that ``x`` violates."""
+    if dist.analytic_violation is not None:
+        v = dist.analytic_violation(x)
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"analytic violation {v} outside [0, 1]")
+        return v
+    violations = sum(1 for _ in range(samples)
+                     if not system.satisfies(x, dist.sample(rng)))
+    return violations / samples
+
+
 def violation_probability_mc(system: ScenarioSystem,
                              x: Any,
                              dist: ConstraintDistribution,
@@ -289,16 +295,10 @@ def violation_probability_mc(system: ScenarioSystem,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if dist.analytic_violation is not None:
-        v = dist.analytic_violation(x)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"analytic violation {v} outside [0, 1]")
-        return RiskEstimate(v, 0.0, samples, seed, analytic=True)
-    rng = stream(seed, 0)
-    violations = sum(1 for _ in range(samples)
-                     if not system.satisfies(x, dist.sample(rng)))
-    return RiskEstimate(violations / samples, hoeffding_radius(samples),
-                        samples, seed)
+    analytic = dist.analytic_violation is not None
+    risk = _violation_rate(system, x, dist, stream(seed, 0), samples)
+    radius = 0.0 if analytic else hoeffding_radius(samples)
+    return RiskEstimate(risk, radius, samples, seed, analytic=analytic)
 
 
 def _risk_of_trial(system: ScenarioSystem,
@@ -309,13 +309,8 @@ def _risk_of_trial(system: ScenarioSystem,
                    trial: int,
                    inner_samples: int) -> float:
     rng = stream(seed, n_index, trial)
-    vz = dist.sample_tuple(rng, n)
-    x = system.decide(vz)
-    if dist.analytic_violation is not None:
-        return dist.analytic_violation(x)
-    violations = sum(1 for _ in range(inner_samples)
-                     if not system.satisfies(x, dist.sample(rng)))
-    return violations / inner_samples
+    x = system.decide(dist.sample_tuple(rng, n))
+    return _violation_rate(system, x, dist, rng, inner_samples)
 
 
 def pac_curve(system: ScenarioSystem,
@@ -330,9 +325,10 @@ def pac_curve(system: ScenarioSystem,
     risk above ``epsilon``.
 
     Each trial samples ``vz ~ dist^N`` on its own stream, so the result is
-    independent of ``threads``.  Without an analytic evaluator the risk is
-    estimated by nested Monte Carlo and the curve is flagged ``nested_mc``
-    (wider, unreported uncertainty on each inner estimate).
+    independent of ``threads``.  Analytic risks outside [0, 1] raise
+    ``ValueError``.  Without an analytic evaluator the risk is estimated by
+    nested Monte Carlo and the curve is flagged ``nested_mc`` (wider,
+    unreported uncertainty on each inner estimate).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")

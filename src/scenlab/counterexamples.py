@@ -26,9 +26,10 @@ from .geometry import (
     POINT_TOL,
     clip_band,
     clip_polygon,
+    coords_equal,
+    coords_key,
     max_x_vertex,
     point_in_convex,
-    points_equal,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,8 +155,8 @@ convex_system = ScenarioSystem(
     name="convex-vc",
     decide=alg_convex_maxx1,
     satisfies=convex_satisfies,
-    decisions_equal=lambda a, b: points_equal(a, b, POINT_TOL),
-    decision_key=lambda x: (round(x[0] / POINT_TOL), round(x[1] / POINT_TOL)),
+    decisions_equal=coords_equal,
+    decision_key=coords_key,
 )
 
 

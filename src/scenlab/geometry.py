@@ -27,6 +27,19 @@ def points_equal(p: Point, q: Point, tol: float = POINT_TOL) -> bool:
     return abs(p[0] - q[0]) <= tol and abs(p[1] - q[1]) <= tol
 
 
+def coords_equal(a: Sequence[float], b: Sequence[float]) -> bool:
+    """Decision equality on coordinate vectors: same length and every
+    coordinate within ``POINT_TOL``."""
+    return len(a) == len(b) and all(abs(p - q) <= POINT_TOL
+                                    for p, q in zip(a, b))
+
+
+def coords_key(a: Sequence[float]) -> tuple[int, ...]:
+    """Hashable bucket of a coordinate vector on the ``POINT_TOL`` grid,
+    used for distinct-decision counting alongside :func:`coords_equal`."""
+    return tuple(round(c / POINT_TOL) for c in a)
+
+
 def signed_edge_distance(a: Point, b: Point, p: Point) -> float:
     """Signed distance of p from the directed line a->b (positive = left)."""
     length = math.hypot(b[0] - a[0], b[1] - a[1])

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import ConstraintDistribution, ScenarioSystem
-from .geometry import POINT_TOL, Point, segments_conflict
+from .geometry import (POINT_TOL, Point, coords_equal, coords_key,
+                       segments_conflict)
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
@@ -114,17 +115,6 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
 # ---------------------------------------------------------------------------
 
 
-def _visibility_nodes(scene: Scene, vz: tuple) -> list[Point]:
-    nodes = [START, TARGET, ORIGIN]
-    seen = set(nodes)
-    for z in vz:
-        tip = barrier_tip(z, scene.barrier_length)
-        if tip not in seen:
-            seen.add(tip)
-            nodes.append(tip)
-    return nodes
-
-
 def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     """Shortest path from I to T avoiding all sampled barriers.
 
@@ -133,8 +123,8 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     deterministically by node index (I, T, O, then tips in sample order).
     A feasible path always exists over the barrier tips.
     """
-    nodes = _visibility_nodes(scene, vz)
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
+    nodes = list(dict.fromkeys([START, TARGET, ORIGIN, *tips]))
     n = len(nodes)
 
     def visible(i: int, j: int) -> bool:
@@ -180,16 +170,17 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 # ---------------------------------------------------------------------------
 
 
+def _clearance_heights(scene: Scene, vz: tuple) -> list[float]:
+    return [clearance_height(z.theta, scene.barrier_length) for z in vz]
+
+
 def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
     """Lowest parabola clearing every sampled barrier tip.
 
     Arc length is strictly increasing in the height, so the minimal feasible
     height is the shortest parabola.
     """
-    if not vz:
-        return Parabola(0.0)
-    return Parabola(max(0.0, max(clearance_height(z.theta, scene.barrier_length)
-                                 for z in vz)))
+    return Parabola(max([0.0, *_clearance_heights(scene, vz)]))
 
 
 def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
@@ -201,7 +192,7 @@ def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
     """
     if not vz:
         return ()
-    heights = [clearance_height(z.theta, scene.barrier_length) for z in vz]
+    heights = _clearance_heights(scene, vz)
     return (heights.index(max(heights)),)
 
 
@@ -258,18 +249,18 @@ def band_shatter_candidates(k: int, halfwidth: float = 0.1) -> tuple[BarrierCons
 # ---------------------------------------------------------------------------
 
 
+def _polyline_coords(x: Polyline) -> tuple[float, ...]:
+    return tuple(c for p in x.vertices for c in p)
+
+
 def path_system_alg1(scene: Scene = Scene()) -> ScenarioSystem:
     return ScenarioSystem(
         name="path-alg1",
         decide=lambda vz: alg1_shortest_path(scene, vz),
         satisfies=lambda x, z: barrier_satisfied(scene, x, z),
-        decisions_equal=lambda a, b: (
-            len(a.vertices) == len(b.vertices)
-            and all(math.dist(p, q) <= POINT_TOL
-                    for p, q in zip(a.vertices, b.vertices))),
-        decision_key=lambda x: tuple(
-            (round(p[0] / POINT_TOL), round(p[1] / POINT_TOL))
-            for p in x.vertices),
+        decisions_equal=lambda a, b: coords_equal(_polyline_coords(a),
+                                                  _polyline_coords(b)),
+        decision_key=lambda x: coords_key(_polyline_coords(x)),
     )
 
 
@@ -278,8 +269,8 @@ def path_system_alg2(scene: Scene = Scene()) -> ScenarioSystem:
         name="path-alg2",
         decide=lambda vz: alg2_shortest_parabola(scene, vz),
         satisfies=lambda x, z: barrier_satisfied(scene, x, z),
-        decisions_equal=lambda a, b: abs(a.height - b.height) <= POINT_TOL,
-        decision_key=lambda x: round(x.height / POINT_TOL),
+        decisions_equal=lambda a, b: coords_equal((a.height,), (b.height,)),
+        decision_key=lambda x: coords_key((x.height,)),
     )
 
 

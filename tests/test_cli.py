@@ -6,6 +6,8 @@ import math
 import pytest
 
 from scenlab.cli import load_config, main
+from scenlab.codecs import decode_constraint, encode_constraint
+from scenlab.registry import get_bundle
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +103,25 @@ def test_shatter_subcommand(capsys):
     assert report["verdicts"]["shatter"]["verdict"] == "shattered_up_to_L"
 
 
+def test_shatter_counterexample_serializes_and_revalidates(capsys):
+    candidates = '[{"member":0.0},{"member":0.5},{"member":0.7}]'
+    code, report = run_cli(capsys, "shatter", "--system", "interval-not-pac",
+                           "--candidates", candidates)
+    assert code == 0
+    shatter = report["verdicts"]["shatter"]
+    assert shatter["verdict"] == "not_shattered"
+    # Re-deciding the serialized counterexample reproduces the serialized
+    # satisfied subset, listed in candidate order.
+    system = get_bundle("interval-not-pac").system
+    x = system.decide(tuple(decode_constraint(obj)
+                            for obj in shatter["counterexample"]))
+    realized = [encode_constraint(z)
+                for z in map(decode_constraint, shatter["candidates"])
+                if system.satisfies(x, z)]
+    assert realized == shatter["satisfied_subset"]
+    assert realized != shatter["sampled_set"]
+
+
 def test_compression_subcommand_requires_one_input(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["compression", "--system", "sum-no-scheme", "--capacity", "1"])
@@ -146,12 +167,29 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     code, report = run_cli(capsys, "demo", "--config", str(cfg), "--k", "4")
     assert report["config"]["k"] == 4
 
+    # Config values pass the same checks as flags: types, choices, and
+    # true/false for boolean flags.
+    counting = tmp_path / "counting.cfg"
+    for value, expected in (("false", False), ("true", True)):
+        counting.write_text("system = sum-no-scheme\ncapacity = 1\n"
+                            'base = [{"exclude": 1}, {"exclude": 2}]\n'
+                            f"permutations = {value}\n")
+        code, report = run_cli(capsys, "--config", str(counting), "compression")
+        assert code == 0 and report["config"]["permutations"] is expected
+        assert report["verdicts"]["scheme_counting"]["permutations"] is expected
+
     bad = tmp_path / "bad.cfg"
-    bad.write_text("no_such_key = 1\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(bad), "demo"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for text, command in (("no_such_key = 1\n", "demo"),
+                          ("example = path-alg9\n", "demo"),
+                          ("algo = 3\n", "pathplan"),
+                          ("k = four\n", "demo"),
+                          ("system = sum-no-scheme\ncapacity = 1\n"
+                           "base = []\npermutations = yes\n", "compression")):
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(bad), command])
+        assert exc.value.code == 2, text
+        capsys.readouterr()
 
 
 def test_load_config_parsing(tmp_path):

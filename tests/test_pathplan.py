@@ -243,3 +243,15 @@ def test_path_system_equality_and_keys():
     assert s1.decision_key(a) == s1.decision_key(Polyline((START, TARGET)))
     assert s2.decisions_equal(Parabola(0.1), Parabola(0.1 + 1e-12))
     assert not s2.decisions_equal(Parabola(0.1), Parabola(0.2))
+    # Vertex equality is per coordinate (as for the convex system): a shift of
+    # 0.9e-9 in both coordinates is within tolerance and stays in one key
+    # bucket, although its Euclidean length exceeds 1e-9; 2e-9 is not.
+    def via(v):
+        return Polyline((START, v, TARGET))
+    base = via((0.25 - 0.45e-9, 0.5 - 0.45e-9))
+    near = via((0.25 + 0.45e-9, 0.5 + 0.45e-9))
+    far = via((0.25 + 1.55e-9, 0.5 + 1.55e-9))
+    assert s1.decisions_equal(base, near)
+    assert s1.decision_key(base) == s1.decision_key(near)
+    assert not s1.decisions_equal(base, far)
+    assert s1.decision_key(base) != s1.decision_key(far)
