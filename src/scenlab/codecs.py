@@ -45,21 +45,39 @@ def encode_constraint(z: Any) -> dict:
     raise TypeError(f"unknown constraint type: {type(z).__name__}")
 
 
+def _integral(value: Any) -> int:
+    """An int, or an integral float such as 3.0; booleans and fractional or
+    non-numeric values are rejected rather than truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _real(value: Any) -> float:
+    """A JSON number as a float; booleans and non-numbers are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def decode_constraint(obj: dict) -> Any:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValueError(f"malformed constraint encoding: {obj!r}")
     key, value = next(iter(obj.items()))
     if key == "polygon":
-        m, i = value
-        return PolygonConstraint(int(m), int(i))
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ValueError(f"polygon takes a pair [m, i], got {value!r}")
+        return PolygonConstraint(_integral(value[0]), _integral(value[1]))
     if key == "band":
-        return BandConstraint(float(value))
+        return BandConstraint(_real(value))
     if key == "exclude":
-        return ExclusionConstraint(int(value))
+        return ExclusionConstraint(_integral(value))
     if key == "member":
-        return MembershipConstraint(float(value))
+        return MembershipConstraint(_real(value))
     if key == "theta":
-        return BarrierConstraint(float(value))
+        return BarrierConstraint(_real(value))
     raise ValueError(f"unknown constraint kind: {key!r}")
 
 
@@ -93,7 +111,7 @@ def decode_decision(obj: dict) -> Any:
     if key == "parabola":
         return Parabola(float(value))
     if key == "natural":
-        return int(value)
+        return _integral(value)
     if key == "point":
         return (float(value[0]), float(value[1]))
     raise ValueError(f"unknown decision kind: {key!r}")

@@ -66,12 +66,23 @@ class ConstraintDistribution:
 
     ``analytic_violation``, when provided, returns the exact risk of a
     decision under this measure and bypasses nested Monte Carlo entirely.
+
+    ``sample_many``, when provided, is a batch sampler: ``sample_many(rng, n)``
+    must return exactly the constraints that ``n`` calls of ``sample`` would
+    return and leave ``rng`` at exactly the same stream position, so seeded
+    outputs do not depend on whether a tuple was drawn in batch.
     """
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
+    sample_many: Optional[
+        Callable[[np.random.Generator, int], ConstraintTuple]] = None
 
     def sample_tuple(self, rng: np.random.Generator, n: int) -> ConstraintTuple:
+        if n < 0:
+            raise ValueError("tuple length must be >= 0")
+        if self.sample_many is not None:
+            return self.sample_many(rng, n)
         return tuple(self.sample(rng) for _ in range(n))
 
 
@@ -278,8 +289,10 @@ def _violation_rate(system: ScenarioSystem,
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"analytic violation {v} outside [0, 1]")
         return v
-    violations = sum(1 for _ in range(samples)
-                     if not system.satisfies(x, dist.sample(rng)))
+    # satisfies never touches rng, so drawing all samples first consumes the
+    # same stream as interleaving draws and checks.
+    violations = sum(1 for z in dist.sample_tuple(rng, samples)
+                     if not system.satisfies(x, z))
     return violations / samples
 
 
@@ -325,20 +338,25 @@ def pac_curve(system: ScenarioSystem,
     risk above ``epsilon``.
 
     Each trial samples ``vz ~ dist^N`` on its own stream, so the result is
-    independent of ``threads``.  Analytic risks outside [0, 1] raise
-    ``ValueError``.  Without an analytic evaluator the risk is estimated by
-    nested Monte Carlo and the curve is flagged ``nested_mc`` (wider,
-    unreported uncertainty on each inner estimate).
+    independent of ``threads``.  Negative N, ``threads`` < 1 and analytic
+    risks outside [0, 1] raise ``ValueError``.  Without an analytic
+    evaluator the risk is estimated by nested Monte Carlo and the curve is
+    flagged ``nested_mc`` (wider, unreported uncertainty on each inner
+    estimate).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if not n_list:
         raise ValueError("n_list must be non-empty")
     ns = sorted(set(int(n) for n in n_list))
     if len(ns) != len(n_list):
         raise ValueError("n_list entries must be distinct")
+    if ns[0] < 0:
+        raise ValueError("n_list entries must be >= 0")
 
     rows = []
     for n_index, n in enumerate(ns):

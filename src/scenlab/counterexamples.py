@@ -215,9 +215,16 @@ def geometric_exclusion_distribution(analytic: bool = True) -> ConstraintDistrib
     def sample(rng: np.random.Generator) -> ExclusionConstraint:
         return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
 
+    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+        # For p >= 1/3 numpy draws each geometric variate from one double,
+        # in batch as in scalar calls.
+        return tuple(map(ExclusionConstraint,
+                         (rng.geometric(0.5, size=n) - 1).tolist()))
+
     return ConstraintDistribution(
         sample=sample,
         analytic_violation=analytic_risk_sum_min if analytic else None,
+        sample_many=sample_many,
     )
 
 
@@ -304,7 +311,25 @@ def atom_plus_uniform(analytic: bool = True) -> ConstraintDistribution:
             return MembershipConstraint(0.0)
         return MembershipConstraint(1.0 - rng.random())  # uniform on (0, 1]
 
+    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+        # Replays the scalar stream: each double is a coin or, after a coin
+        # of 1/2 or more, the point.  Every unfinished constraint needs at
+        # least one more double, so drawing that many never overdraws.
+        out: list[MembershipConstraint] = []
+        coin_pending = True
+        while len(out) < n:
+            for u in rng.random(n - len(out)).tolist():
+                if not coin_pending:
+                    out.append(MembershipConstraint(1.0 - u))
+                    coin_pending = True
+                elif u < 0.5:
+                    out.append(MembershipConstraint(0.0))
+                else:
+                    coin_pending = False
+        return tuple(out)
+
     return ConstraintDistribution(
         sample=sample,
         analytic_violation=analytic_risk_interval if analytic else None,
+        sample_many=sample_many,
     )

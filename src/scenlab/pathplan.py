@@ -284,6 +284,15 @@ def uniform_barrier_distribution(scene: Scene = Scene(),
             theta = float(rng.uniform(0.0, math.pi))
         return BarrierConstraint(theta)
 
+    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+        # The scalar loop draws at least one angle per barrier, so drawing
+        # only the shortfall each round never reads past its stream position.
+        thetas: list[float] = []
+        while len(thetas) < n:
+            draws = rng.uniform(0.0, math.pi, size=n - len(thetas))
+            thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
+        return tuple(map(BarrierConstraint, thetas))
+
     violation = None
     if analytic:
         def violation(x: PathDecision) -> float:
@@ -291,4 +300,5 @@ def uniform_barrier_distribution(scene: Scene = Scene(),
                 raise ValueError("analytic risk only available for parabolas")
             return alg2_analytic_risk(x.height, scene.barrier_length)
 
-    return ConstraintDistribution(sample=sample, analytic_violation=violation)
+    return ConstraintDistribution(sample=sample, analytic_violation=violation,
+                                  sample_many=sample_many)

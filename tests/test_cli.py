@@ -95,6 +95,15 @@ def test_risk_curve_writes_csv_deterministically(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("system", ["convex-vc", "path-alg2"])
+def test_risk_curve_rejects_negative_n(system, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["risk-curve", "--system", system, "--eps", "0.1",
+              "--n-list=-1,3", "--trials", "2"])
+    assert exc.value.code == 2
+    assert "n_list" in capsys.readouterr().err
+
+
 def test_shatter_subcommand(capsys):
     code, report = run_cli(
         capsys, "shatter", "--system", "interval-not-pac",

@@ -89,3 +89,33 @@ def test_unknown_and_malformed_inputs():
         decode_decision({"mystery": 1})
     with pytest.raises(ValueError):
         decode_decision([1, 2])
+
+
+@pytest.mark.parametrize("obj", [
+    {"exclude": 1.7},
+    {"exclude": True},
+    {"exclude": "3"},
+    {"polygon": [3.5, 2]},
+    {"polygon": [3, False]},
+    {"polygon": [3]},
+    {"polygon": 3},
+    {"band": [1]},
+    {"member": True},
+    {"theta": "1.0"},
+])
+def test_malformed_constraint_values_are_rejected(obj):
+    with pytest.raises(ValueError):
+        decode_constraint(obj)
+
+
+@pytest.mark.parametrize("value", [2.5, True, None])
+def test_non_integral_naturals_are_rejected(value):
+    with pytest.raises(ValueError):
+        decode_decision({"natural": value})
+
+
+def test_integral_floats_still_decode():
+    assert decode_constraint({"exclude": 3.0}) == ExclusionConstraint(3)
+    assert decode_constraint({"polygon": [3.0, 2.0]}) == PolygonConstraint(3, 2)
+    back = decode_decision({"natural": 3.0})
+    assert back == 3 and type(back) is int

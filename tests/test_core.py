@@ -165,6 +165,12 @@ def test_pac_curve_validation_errors():
         pac_curve(max_system, dist, 0.5, [], 10)
     with pytest.raises(ValueError):
         pac_curve(max_system, dist, 0.5, [1, 1], 10)
+    with pytest.raises(ValueError):
+        pac_curve(max_system, dist, 0.5, [-1, 3], 10)
+    with pytest.raises(ValueError):
+        pac_curve(max_system, dist, 0.5, [1], 10, threads=0)
+    with pytest.raises(ValueError):
+        pac_curve(max_system, dist, 0.5, [1], 10, threads=-4)
     # Analytic risks are range-checked in curves, as in single estimates.
     bad = ConstraintDistribution(sample=one_threshold,
                                  analytic_violation=lambda x: 1.5)
