@@ -19,6 +19,7 @@ shortest round-tripping decimal form.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from .counterexamples import (
@@ -56,10 +57,30 @@ def _integral(value: Any) -> int:
 
 
 def _real(value: Any) -> float:
-    """A JSON number as a float; booleans and non-numbers are rejected."""
+    """A finite JSON number as a float; booleans, non-numbers, NaN and
+    infinities are rejected."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
+        try:
+            real = float(value)
+        except OverflowError:  # an int beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _pair(value: Any, what: str, element=_real) -> tuple:
+    """A two-element list, each element decoded by ``element``."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{what} takes a pair, got {value!r}")
+    return (element(value[0]), element(value[1]))
+
+
+def _list(value: Any, what: str) -> list:
+    """A JSON array; strings and other scalars are rejected."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} takes a list, got {value!r}")
+    return list(value)
 
 
 def decode_constraint(obj: dict) -> Any:
@@ -67,9 +88,7 @@ def decode_constraint(obj: dict) -> Any:
         raise ValueError(f"malformed constraint encoding: {obj!r}")
     key, value = next(iter(obj.items()))
     if key == "polygon":
-        if not isinstance(value, (list, tuple)) or len(value) != 2:
-            raise ValueError(f"polygon takes a pair [m, i], got {value!r}")
-        return PolygonConstraint(_integral(value[0]), _integral(value[1]))
+        return PolygonConstraint(*_pair(value, "polygon", _integral))
     if key == "band":
         return BandConstraint(_real(value))
     if key == "exclude":
@@ -103,15 +122,22 @@ def decode_decision(obj: dict) -> Any:
         raise ValueError(f"malformed decision encoding: {obj!r}")
     key, value = next(iter(obj.items()))
     if key == "open_unit_interval":
+        if value is not True:
+            raise ValueError(f"open_unit_interval takes true, got {value!r}")
         return IntervalDecision(None)
     if key == "finite_set":
-        return IntervalDecision(tuple(float(a) for a in value))
+        return IntervalDecision(tuple(_real(a)
+                                      for a in _list(value, "finite_set")))
     if key == "polyline":
-        return Polyline(tuple((float(x), float(y)) for x, y in value))
+        return Polyline(tuple(_pair(p, "polyline vertex")
+                              for p in _list(value, "polyline")))
     if key == "parabola":
-        return Parabola(float(value))
+        return Parabola(_real(value))
     if key == "natural":
-        return _integral(value)
+        n = _integral(value)
+        if n < 0:
+            raise ValueError(f"natural must be >= 0, got {value!r}")
+        return n
     if key == "point":
-        return (float(value[0]), float(value[1]))
+        return _pair(value, "point")
     raise ValueError(f"unknown decision kind: {key!r}")

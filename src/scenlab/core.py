@@ -51,6 +51,11 @@ class ScenarioSystem:
     ``decisions_equal`` declares the system's decision equality (exact by
     default; geometric systems use an absolute tolerance).  ``decision_key``
     maps a decision to a hashable value for exact distinct-decision counting.
+
+    ``satisfies_many``, when provided, is an array-native form of
+    ``satisfies`` for the nested Monte Carlo risk oracle:
+    ``satisfies_many(x, vz)`` must equal ``[satisfies(x, z) for z in vz]``
+    element for element, so risk estimates do not depend on it.
     """
 
     name: str
@@ -58,6 +63,8 @@ class ScenarioSystem:
     satisfies: Callable[[Any, Any], bool]
     decisions_equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
     decision_key: Callable[[Any], Any] = field(default=lambda x: x)
+    satisfies_many: Optional[
+        Callable[[Any, ConstraintTuple], Sequence[bool]]] = None
 
 
 @dataclass(frozen=True)
@@ -291,9 +298,12 @@ def _violation_rate(system: ScenarioSystem,
         return v
     # satisfies never touches rng, so drawing all samples first consumes the
     # same stream as interleaving draws and checks.
-    violations = sum(1 for z in dist.sample_tuple(rng, samples)
-                     if not system.satisfies(x, z))
-    return violations / samples
+    vz = dist.sample_tuple(rng, samples)
+    if system.satisfies_many is not None:
+        satisfied = system.satisfies_many(x, vz)
+    else:
+        satisfied = [system.satisfies(x, z) for z in vz]
+    return sum(1 for ok in satisfied if not ok) / samples
 
 
 def violation_probability_mc(system: ScenarioSystem,

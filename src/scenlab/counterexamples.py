@@ -151,13 +151,102 @@ def convex_satisfies(x: Point, z: ConvexConstraint,
     return point_in_convex(sigma_polygon(z.m, z.i), x, tol)
 
 
+def convex_satisfies_many(x: Point, vz: tuple,
+                          tol: float = POINT_TOL) -> list[bool]:
+    """``[convex_satisfies(x, z) for z in vz]``, testing polygon membership
+    once per distinct ``(m, i)``."""
+    inside: dict[tuple[int, int], bool] = {}
+    out = []
+    for z in vz:
+        if isinstance(z, BandConstraint):
+            out.append(x[1] >= z.y - tol)
+            continue
+        key = (z.m, z.i)
+        if key not in inside:
+            inside[key] = point_in_convex(sigma_polygon(z.m, z.i), x, tol)
+        out.append(inside[key])
+    return out
+
+
 convex_system = ScenarioSystem(
     name="convex-vc",
     decide=alg_convex_maxx1,
     satisfies=convex_satisfies,
     decisions_equal=coords_equal,
     decision_key=coords_key,
+    satisfies_many=convex_satisfies_many,
 )
+
+
+_UINT32 = 0xFFFFFFFF
+_POLYGON_CONSTRAINTS = {(m, i): PolygonConstraint(m, i)
+                        for m in range(1, 5) for i in range(1, m + 1)}
+
+
+def _raw_words(bitgen: np.random.BitGenerator, block: int):
+    """Endless raw 64-bit words of ``bitgen``, fetched ``block`` at a time."""
+    while True:
+        yield from bitgen.random_raw(block).tolist()
+
+
+def convex_mixture_distribution() -> ConstraintDistribution:
+    """Half a band at a uniform level in [0, 1), half a polygon sigma(m, i)
+    with m uniform on 1..4 and i uniform on 1..m."""
+    def sample(rng: np.random.Generator) -> ConvexConstraint:
+        if rng.random() < 0.5:
+            return BandConstraint(float(rng.random()))
+        m = int(rng.integers(1, 5))
+        i = int(rng.integers(1, m + 1))
+        return PolygonConstraint(m, i)
+
+    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+        # Replays the scalar stream from raw PCG64 words, decoded as numpy
+        # does: a double is the top 53 bits of a word; ``integers`` takes
+        # 32-bit halves, low half first, and the generator buffers the spare
+        # high half across double draws.  The generator is then moved to
+        # exactly where the scalar loop leaves it.
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            return tuple(sample(rng) for _ in range(n))
+        saved = bitgen.state
+        has_half, half = saved["has_uint32"], saved["uinteger"]
+        # A constraint takes at most two words unless Lemire rejects, so
+        # refills are rare; the state is restored below either way.
+        words = _raw_words(bitgen, 2 * n + 2)
+        used = 0
+
+        def below(bound: int) -> int:
+            # numpy's Lemire draw of rng.integers(0, bound) for bound >= 2.
+            nonlocal has_half, half, used
+            threshold = (_UINT32 + 1 - bound) % bound
+            while True:
+                if has_half:
+                    has_half, draw = 0, half
+                else:
+                    w = next(words)
+                    used += 1
+                    has_half, half, draw = 1, w >> 32, w & _UINT32
+                product = draw * bound
+                if product & _UINT32 >= threshold:
+                    return product >> 32
+
+        out = []
+        for _ in range(n):
+            used += 1
+            if (next(words) >> 11) * 2.0**-53 < 0.5:
+                used += 1
+                out.append(BandConstraint((next(words) >> 11) * 2.0**-53))
+                continue
+            m = 1 + below(4)
+            out.append(_POLYGON_CONSTRAINTS[m, 1 + below(m) if m > 1 else 1])
+        bitgen.state = saved
+        bitgen.advance(used)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bitgen.state = state
+        return tuple(out)
+
+    return ConstraintDistribution(sample=sample, sample_many=sample_many)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 Point = tuple[float, float]
 
 POINT_TOL = 1e-9  # absolute tolerance for point equality and membership
@@ -190,3 +192,44 @@ def segments_conflict(p: Point, q: Point, tip: Point,
     if hi < lo - tol / len2:
         return False
     return lo < 1.0 - tol / len2
+
+
+def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
+                      tip_lengths: np.ndarray,
+                      tol: float = POINT_TOL) -> np.ndarray:
+    """:func:`segments_conflict` of the segment p-q against every row of the
+    ``(n, 2)`` array ``tips``, whose Euclidean lengths are ``tip_lengths``.
+
+    Both branches are evaluated with the scalar operation order and
+    tolerances, lane by lane, and the general-position test picks one, so
+    the result is bit-for-bit that of the scalar predicate.  Lanes of the
+    branch not taken may divide by zero or overflow; those values are
+    discarded.
+    """
+    if not tip_lengths.all():
+        raise ValueError("barrier tip coincides with the origin")
+    d1 = (q[0] - p[0], q[1] - p[1])
+    tx, ty = tips[:, 0], tips[:, 1]
+    len1 = math.hypot(*d1)
+    len2 = tip_lengths
+    with np.errstate(all="ignore"):
+        denom = d1[0] * ty - d1[1] * tx
+        general = np.abs(denom) > tol * max(len1, 1.0) * np.maximum(len2, 1.0)
+        # General position: p + t*d1 = s*d2.
+        w = (-p[0], -p[1])
+        t = (w[0] * ty - w[1] * tx) / denom
+        s = (w[0] * d1[1] - w[1] * d1[0]) / denom
+        t_tol = tol / max(len1, tol)
+        s_tol = tol / len2
+        crosses = ((-t_tol <= t) & (t <= 1.0 + t_tol)
+                   & (-s_tol <= s) & (s <= 1.0 + s_tol))
+        grazes = ((np.abs(p[0] + t * d1[0] - tx) <= tol)
+                  & (np.abs(p[1] + t * d1[1] - ty) <= tol))
+        # Parallel: conflict only if collinear and overlapping beyond the tip.
+        collinear = ~(np.abs(tx * p[1] - ty * p[0]) / len2 > tol)
+        sp = (p[0] * tx + p[1] * ty) / (len2 * len2)
+        sq = (q[0] * tx + q[1] * ty) / (len2 * len2)
+        lo = np.maximum(np.minimum(sp, sq), 0.0)
+        hi = np.minimum(np.maximum(sp, sq), 1.0)
+        overlaps = ~(hi < lo - tol / len2) & (lo < 1.0 - tol / len2)
+    return np.where(general, crosses & ~grazes, collinear & overlaps)

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from .core import ConstraintDistribution, ScenarioSystem
 from .geometry import (POINT_TOL, Point, coords_equal, coords_key,
-                       segments_conflict)
+                       segment_conflicts, segments_conflict)
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
@@ -108,6 +108,25 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
             <= path.height + POINT_TOL
     return not any(segments_conflict(a, b, tip)
                    for a, b in zip(path.vertices, path.vertices[1:]))
+
+
+def barrier_satisfied_many(scene: Scene, path: PathDecision,
+                           vz: tuple) -> list[bool]:
+    """``[barrier_satisfied(scene, path, z) for z in vz]``, with the
+    polyline crossing test run per segment over all tips at once.
+
+    Tips and their lengths come from ``math`` exactly as in the scalar
+    predicate (``np.hypot`` may differ from ``math.hypot`` in the last bit).
+    """
+    if isinstance(path, Parabola) or not vz:
+        return [barrier_satisfied(scene, path, z) for z in vz]
+    tips = [barrier_tip(z, scene.barrier_length) for z in vz]
+    tip_lengths = np.array([math.hypot(*tip) for tip in tips])
+    tips = np.array(tips)
+    blocked = np.zeros(len(vz), dtype=bool)
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        blocked |= segment_conflicts(a, b, tips, tip_lengths)
+    return (~blocked).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +280,7 @@ def path_system_alg1(scene: Scene = Scene()) -> ScenarioSystem:
         decisions_equal=lambda a, b: coords_equal(_polyline_coords(a),
                                                   _polyline_coords(b)),
         decision_key=lambda x: coords_key(_polyline_coords(x)),
+        satisfies_many=lambda x, vz: barrier_satisfied_many(scene, x, vz),
     )
 
 

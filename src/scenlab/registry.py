@@ -17,10 +17,9 @@ import numpy as np
 from . import analyzers, codecs, core
 from .core import ConstraintDistribution, ScenarioSystem
 from .counterexamples import (
-    BandConstraint,
     ExclusionConstraint,
-    PolygonConstraint,
     atom_plus_uniform,
+    convex_mixture_distribution,
     convex_system,
     geometric_exclusion_distribution,
     interval_system,
@@ -53,14 +52,6 @@ class SystemBundle:
     def tuple_generator(self, rng: np.random.Generator) -> tuple:
         n = int(rng.integers(0, MAX_PROBE_TUPLE_LEN + 1))
         return tuple(self.constraint_generator(rng) for _ in range(n))
-
-
-def _convex_constraint(rng: np.random.Generator):
-    if rng.random() < 0.5:
-        return BandConstraint(float(rng.random()))
-    m = int(rng.integers(1, 5))
-    i = int(rng.integers(1, m + 1))
-    return PolygonConstraint(m, i)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +126,7 @@ def _build_registry() -> dict[str, SystemBundle]:
     interval_dist = atom_plus_uniform()
     barrier_dist = uniform_barrier_distribution(_SCENE)
     barrier_dist_mc = uniform_barrier_distribution(_SCENE, analytic=False)
-    convex_dist = ConstraintDistribution(sample=_convex_constraint)
+    convex_dist = convex_mixture_distribution()
     bundles = [
         SystemBundle(convex_system, convex_dist, convex_dist.sample,
                      _demo_convex),

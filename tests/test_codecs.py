@@ -119,3 +119,74 @@ def test_integral_floats_still_decode():
     assert decode_constraint({"polygon": [3.0, 2.0]}) == PolygonConstraint(3, 2)
     back = decode_decision({"natural": 3.0})
     assert back == 3 and type(back) is int
+
+
+@pytest.mark.parametrize("obj", [
+    {"point": 5},
+    {"point": [1.0]},
+    {"point": [1.0, 0.0, 0.0]},
+    {"point": [True, 0.0]},
+    {"point": ["1", 0.0]},
+    {"point": [math.nan, 0.0]},
+    {"finite_set": [True]},
+    {"finite_set": [0.0, "0.5"]},
+    {"finite_set": 0.5},
+    {"finite_set": "0"},
+    {"finite_set": [0.5, 0.25]},
+    {"open_unit_interval": False},
+    {"open_unit_interval": 1},
+    {"open_unit_interval": None},
+    {"parabola": True},
+    {"parabola": "0.5"},
+    {"parabola": math.inf},
+    {"parabola": -1.0},
+    {"polyline": [[-1, False], [1.0, 0.0]]},
+    {"polyline": [[-1.0, 0.0], [1.0]]},
+    {"polyline": [[-1.0, 0.0], 1.0]},
+    {"polyline": [[-1.0, 0.0], [None, 0.0]]},
+    {"polyline": "path"},
+    {"polyline": [[-1.0, 0.0]]},
+    {"natural": -1},
+], ids=repr)
+def test_malformed_decision_values_are_rejected(obj):
+    with pytest.raises(ValueError):
+        decode_decision(obj)
+
+
+@pytest.mark.parametrize("obj", [{"band": 10**400}, {"theta": math.nan}])
+def test_non_finite_constraint_values_are_rejected(obj):
+    with pytest.raises(ValueError):
+        decode_constraint(obj)
+
+
+def test_integral_decision_coordinates_decode_as_floats():
+    assert decode_decision({"point": [1, 0]}) == (1.0, 0.0)
+    line = decode_decision({"polyline": [[-1, 0], [0, 0.5], [1, 0]]})
+    assert line == Polyline(((-1.0, 0.0), (0.0, 0.5), (1.0, 0.0)))
+    assert decode_decision({"finite_set": [0, 1]}) == \
+        IntervalDecision((0.0, 1.0))
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite_floats, finite_floats)
+def test_point_floats_survive_bit_exactly(x, y):
+    wire = json.dumps(encode_decision((x, y)))
+    back = decode_decision(json.loads(wire))
+    assert [math.copysign(1.0, c) for c in back] == \
+        [math.copysign(1.0, c) for c in (x, y)]
+    assert back == (x, y)
+
+
+@given(st.lists(st.tuples(finite_floats,
+                          st.floats(min_value=0.0, allow_infinity=False)),
+                max_size=4),
+       st.lists(unit_floats, max_size=6))
+def test_polyline_and_finite_set_floats_survive_bit_exactly(inner, points):
+    line = Polyline(((-1.0, 0.0), *inner, (1.0, 0.0)))
+    assert decode_decision(json.loads(json.dumps(encode_decision(line)))) \
+        == line
+    finite = IntervalDecision(tuple(sorted(set(points))))
+    assert decode_decision(json.loads(json.dumps(encode_decision(finite)))) \
+        == finite
