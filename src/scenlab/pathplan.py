@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import ConstraintDistribution, ScenarioSystem
 from .geometry import (POINT_TOL, Point, coords_equal, coords_key,
@@ -216,34 +215,74 @@ def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
 
 
 def parabola_arc_length(height: float) -> float:
-    """Arc length of y = h (1 - x^2) over [-1, 1] (numeric quadrature)."""
-    from scipy.integrate import quad
-    value, _ = quad(lambda x: math.hypot(1.0, -2.0 * height * x), -1.0, 1.0)
-    return value
+    """Arc length of y = h (1 - x^2) over [-1, 1].
+
+    The integral of hypot(1, 2 h x) has the closed form
+    sqrt(1 + 4 h^2) + asinh(2 h) / (2 h), whose limit at h = 0 is the
+    chord length 2.
+    """
+    if height == 0.0:
+        return 2.0
+    return math.sqrt(1.0 + 4.0 * height * height) \
+        + math.asinh(2.0 * height) / (2.0 * height)
 
 
-def alg2_analytic_risk(height: float, length: float,
-                       xtol: float = 1e-12) -> float:
+def _one_minus_twice_square(x: float) -> float:
+    """1 - 2 x^2 without the cancellation of the rounded square near
+    x^2 = 1/2: Veltkamp's split gives the rounding error of x * x exactly
+    (Dekker's product), and 1 - 2 fl(x^2) is exact there (Sterbenz)."""
+    square = x * x
+    scaled = 134217729.0 * x  # 2^27 + 1
+    hi = scaled - (scaled - x)
+    lo = x - hi
+    error = ((hi * hi - square) + 2.0 * hi * lo) + lo * lo
+    return (1.0 - 2.0 * square) - 2.0 * error
+
+
+def alg2_analytic_risk(height: float, length: float) -> float:
     """Measure of {theta in (0, pi) : clearance(theta) > height} / pi under
     the uniform angle distribution.
 
-    The clearance curve rises from 0 to its maximum L at pi/2 and is
-    symmetric about pi/2 (for L <= 1/sqrt(2) it is monotone on each side), so
-    the violating set is the interval between the two bracketed roots.
+    For L <= 1/sqrt(2) the clearance curve rises monotonically from 0 to
+    its peak L at pi/2 and is symmetric about pi/2, so for 0 < h < L the
+    violating set is (theta_lo, pi - theta_lo), where theta_lo is the lower
+    crossing of clearance(theta) = h.  With s = sin(theta) that crossing is
+    the smaller root of h L^2 s^2 - L s + h (1 - L^2) = 0, and cos^2(theta)
+    is the larger root of the matching quadratic in cos^2.  Both are taken
+    in the form where every term under a square root is a sum of
+    non-negative parts, with gap = (1 - h/L)(1 + h/L), w = 1 - 2 L^2 and
+    q = 1 - 2 h^2:
+
+        sin(theta_lo)   = 2 (h/L) (1 - L^2) / (1 + sqrt(w^2 + 4 L^2 gap (1 - L^2)))
+        cos^2(theta_lo) = 2 gap / (q + sqrt(q^2 + 4 h^2 L^2 gap))
+
+    The risk (pi - 2 theta_lo) / pi is taken as 2 atan2(cos, sin) / pi, so
+    it keeps its relative precision when it is small.  Near the peak at
+    L = 1/sqrt(2), cos(theta_lo) carries the risk and q is as tiny as gap,
+    so q is formed from the exact rounding error of h * h (plain
+    1 - 2 h * h is off by an ulp of 1).  Nothing else cancels, underflows
+    or overflows: the risk is accurate to a few ulps for tiny heights, tiny
+    lengths and heights just below the peak, where the discriminant
+    1 - 4 h^2 (1 - L^2) of the plain quadratic formula vanishes.
     """
-    if height < 0.0:
+    if not height >= 0.0:
         raise ValueError("height must be >= 0")
-    if length > 1.0 / math.sqrt(2.0):
-        raise ValueError("analytic risk requires L <= 1/sqrt(2) (unimodal "
-                         "clearance curve)")
+    if not 0.0 < length <= 1.0 / math.sqrt(2.0):
+        raise ValueError("analytic risk requires 0 < L <= 1/sqrt(2) "
+                         "(unimodal clearance curve)")
     if height <= 0.0:
         return 1.0
-    peak = clearance_height(math.pi / 2.0, length)
-    if height >= peak - 1e-15:
+    if height >= length:
         return 0.0
-    theta_lo = brentq(lambda th: clearance_height(th, length) - height,
-                      1e-15, math.pi / 2.0, xtol=xtol)
-    return (math.pi - 2.0 * theta_lo) / math.pi
+    gap = ((length - height) / length) * ((length + height) / length)
+    rest = 1.0 - length * length
+    w = 1.0 - 2.0 * length * length
+    q = _one_minus_twice_square(height)
+    sin_lo = 2.0 * (height / length) * rest \
+        / (1.0 + math.sqrt(w * w + 4.0 * length * length * gap * rest))
+    hl = height * length
+    cos2_lo = 2.0 * gap / (q + math.sqrt(q * q + 4.0 * hl * hl * gap))
+    return 2.0 * math.atan2(math.sqrt(cos2_lo), sin_lo) / math.pi
 
 
 def band_shatter_candidates(k: int, halfwidth: float = 0.1) -> tuple[BarrierConstraint, ...]:
@@ -297,7 +336,7 @@ def path_system_alg2(scene: Scene = Scene()) -> ScenarioSystem:
 def uniform_barrier_distribution(scene: Scene = Scene(),
                                  analytic: bool = True) -> ConstraintDistribution:
     """Uniform angle measure on (0, pi); the analytic evaluator covers
-    parabola decisions (geodesic risk has no closed form here)."""
+    parabola decisions only (an exact geodesic risk is not implemented)."""
     def sample(rng: np.random.Generator) -> BarrierConstraint:
         theta = 0.0
         while theta <= 0.0 or theta >= math.pi:

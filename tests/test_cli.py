@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,15 @@ def test_load_config_parsing(tmp_path):
     cfg.write_text("not a pair\n")
     with pytest.raises(ValueError):
         load_config(str(cfg))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # Every command pays for what `import scenlab.cli` loads.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, scenlab.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True,
+                            timeout=120)
+    assert result.stdout.strip() == "[]"

@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import sys
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
@@ -172,14 +176,30 @@ def test_alg2_compression_selects_binding_obstacle():
 
 
 def test_parabola_arc_length():
-    assert parabola_arc_length(0.0) == pytest.approx(2.0, rel=1e-12)
+    assert parabola_arc_length(0.0) == 2.0
     # Strictly increasing in height, so minimal height = shortest curve.
     lengths = [parabola_arc_length(h) for h in (0.0, 0.2, 0.5, 1.0)]
     assert lengths == sorted(lengths)
-    # Closed form: integral of hypot(1, 2hx) over [-1, 1].
-    h = 0.5
-    closed = math.sqrt(1 + 4 * h * h) + math.asinh(2 * h) / (2 * h)
-    assert parabola_arc_length(h) == pytest.approx(closed, rel=1e-10)
+    for h in (1e-300, 1e-8, 0.2, 0.5, 1.0, 3.0):
+        with mpmath.workdps(30):
+            quad = mpmath.quad(lambda x: mpmath.sqrt(1 + 4 * h * h * x * x),
+                               [-1, 1])
+        assert parabola_arc_length(h) == pytest.approx(float(quad), rel=1e-14)
+
+
+# Largest barrier length for which the analytic risk is defined.
+L_MAX = 1.0 / math.sqrt(2.0)
+
+
+def risk_reference(height: float, length: float) -> float:
+    """alg2 risk from the plain quadratic root, evaluated with 50 digits."""
+    if height >= length:  # the clearance peaks at L
+        return 0.0
+    with mpmath.workdps(50):
+        h, big_l = mpmath.mpf(height), mpmath.mpf(length)
+        rest = 1 - big_l * big_l
+        s = 2 * h * rest / (big_l * (1 + mpmath.sqrt(1 - 4 * h * h * rest)))
+        return float((mpmath.pi - 2 * mpmath.asin(s)) / mpmath.pi)
 
 
 def test_alg2_analytic_risk_endpoints_and_validation():
@@ -188,8 +208,10 @@ def test_alg2_analytic_risk_endpoints_and_validation():
     assert alg2_analytic_risk(0.9, 0.5) == 0.0
     with pytest.raises(ValueError):
         alg2_analytic_risk(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        alg2_analytic_risk(0.2, 0.9)
+    for height, length in ((0.2, 0.9), (math.nan, 0.5), (0.1, math.nan),
+                           (0.1, 0.0), (0.1, -0.5)):
+        with pytest.raises(ValueError):
+            alg2_analytic_risk(height, length)
 
 
 def test_alg2_analytic_risk_against_closed_form():
@@ -205,6 +227,54 @@ def test_alg2_analytic_risk_against_closed_form():
         assert alg2_analytic_risk(h, length) == pytest.approx(expected, abs=1e-10)
     assert alg2_analytic_risk(0.25, 0.5) == pytest.approx(
         0.7418711459958697, rel=1e-12)
+
+
+@pytest.mark.parametrize("height,length", [
+    (1e-16, 0.5), (1e-300, 0.5), (5e-324, 0.5), (1e-15, L_MAX)])
+def test_alg2_analytic_risk_tiny_heights(height, length):
+    # Even far below L * 1e-15 the lower crossing is a positive angle.
+    risk = alg2_analytic_risk(height, length)
+    assert 1.0 - 1e-14 < risk <= 1.0
+    assert risk == pytest.approx(risk_reference(height, length), abs=1e-15)
+
+
+@pytest.mark.parametrize("height,length,expected", [
+    (math.nextafter(L_MAX, 0.0), L_MAX, 1.2e-4),
+    (L_MAX - 1e-15, L_MAX, 2.1e-4),
+    (math.nextafter(0.5, 0.0), 0.5, 1.3e-8),
+])
+def test_alg2_analytic_risk_just_below_peak(height, length, expected):
+    # The clearance peaks at exactly L, and every height below it leaves a
+    # violating interval around pi/2.
+    assert clearance_height(math.pi / 2.0, length) == length
+    risk = alg2_analytic_risk(height, length)
+    assert risk == pytest.approx(expected, rel=0.05)
+    assert risk == pytest.approx(risk_reference(height, length), rel=1e-12,
+                                 abs=0.0)
+    assert alg2_analytic_risk(length, length) == 0.0
+
+
+@st.composite
+def heights_below_peak(draw):
+    length = draw(st.floats(min_value=0.0, max_value=L_MAX, exclude_min=True))
+    height = st.floats(min_value=0.0, max_value=length, exclude_min=True)
+    return length, draw(height), draw(height)
+
+
+@settings(deadline=None, max_examples=300)
+@given(heights_below_peak())
+@example((0.5, 1e-16, 1e-300))
+@example((L_MAX, math.nextafter(L_MAX, 0.0), 1e-15))
+@example((L_MAX, L_MAX - 1e-15, L_MAX / 2.0))
+@example((0.5, math.nextafter(0.5, 0.0), 0.25))
+def test_alg2_analytic_risk_matches_mpmath(case):
+    length, h1, h2 = case
+    r1, r2 = alg2_analytic_risk(h1, length), alg2_analytic_risk(h2, length)
+    assert abs(r1 - risk_reference(h1, length)) <= 1e-12
+    assert abs(r2 - risk_reference(h2, length)) <= 1e-12
+    # Non-increasing in the height, up to rounding between nearby heights.
+    (_, at_lower), (_, at_higher) = sorted([(h1, r1), (h2, r2)])
+    assert at_higher <= at_lower + 4.0 * sys.float_info.epsilon
 
 
 def test_alg2_analytic_risk_against_monte_carlo():
