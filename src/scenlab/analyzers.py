@@ -14,6 +14,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Optional, Sequence
 
+from . import codecs
 from .core import ConstraintTuple, ScenarioSystem, hoeffding_radius
 from .counterexamples import (
     BandConstraint,
@@ -63,7 +64,8 @@ class ShatterCheckReport:
     def shattered(self) -> bool:
         return self.verdict == "shattered_up_to_L"
 
-    def to_jsonable(self, encode_constraint=repr) -> dict:
+    def to_jsonable(self) -> dict:
+        encode_constraint = codecs.encode_constraint
         out = {
             "system": self.system,
             "candidates": [encode_constraint(z) for z in self.candidates],
@@ -224,9 +226,10 @@ class CompressionSchemeReport:
     impossible: bool
     permutations: bool
 
-    def to_jsonable(self, encode_constraint=repr) -> dict:
+    def to_jsonable(self) -> dict:
         return {**asdict(self),
-                "base_set": [encode_constraint(z) for z in self.base_set]}
+                "base_set": [codecs.encode_constraint(z)
+                             for z in self.base_set]}
 
 
 def certify_no_compression_scheme(system: ScenarioSystem,
@@ -238,7 +241,9 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     By default each subset of the base set is evaluated once, in canonical
     (input) order -- exact for order-insensitive systems at 2^k cost.  The
     ``permutations`` flag additionally enumerates all orderings of each
-    subset for order-sensitive systems.
+    subset for order-sensitive systems.  More tuples than
+    ``DEFAULT_TUPLE_BUDGET`` raise ``BudgetExceededError`` before any is
+    decided.
     """
     base = tuple(base_set)
     if len(set(base)) != len(base):
@@ -246,6 +251,11 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     k = len(base)
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
+    total = sum(math.perm(k, r) if permutations else math.comb(k, r)
+                for r in range(k + 1))
+    if total > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
 
     decisions = set()
     for r in range(k + 1):
@@ -424,24 +434,34 @@ def vc_sample_bound(query: BoundQuery) -> int:
 
 
 def compression_beta(n: int, capacity: int, epsilon: float) -> float:
-    """Classical capacity-d compression bound C(N, d) * (1 - eps)^(N - d)."""
+    """Classical capacity-d compression bound C(N, d) * (1 - eps)^(N - d).
+
+    While C(N, d) fits in a float this is that product.  Beyond, it is
+    exp(log C(N, d) + (N - d) log1p(-eps)), and ``inf`` if the bound itself
+    exceeds the float range.
+    """
     if not 0 <= capacity < n:
         raise ValueError("need 0 <= d < N")
-    return math.comb(n, capacity) * (1.0 - epsilon) ** (n - capacity)
+    count = math.comb(n, capacity)
+    try:
+        return count * (1.0 - epsilon) ** (n - capacity)
+    except OverflowError:  # C(N, d) exceeds the float range
+        log_beta = math.log(count) + (n - capacity) * math.log1p(-epsilon)
+    try:
+        return math.exp(log_beta)
+    except OverflowError:
+        return math.inf
 
 
-def compression_bound(query: BoundQuery, n_cap: int = 10 ** 9):
+def compression_bound(query: BoundQuery):
     """Evaluate the compression bound, or invert it for the minimal N.
 
     With ``query.n`` set, returns beta(N, d, eps).  Otherwise scans N upward
-    for the minimal N with beta(N, d, eps) <= query.beta (guarded by
-    ``n_cap``).
+    for the minimal N with beta(N, d, eps) <= query.beta, up to N = 10^9.
     """
     if query.n is not None:
         return compression_beta(query.n, query.capacity, query.epsilon)
-    n = query.capacity + 1
-    while n <= n_cap:
+    for n in range(query.capacity + 1, 10 ** 9 + 1):
         if compression_beta(n, query.capacity, query.epsilon) <= query.beta:
             return n
-        n += 1
-    raise RuntimeError(f"no N <= {n_cap} meets the bound")
+    raise RuntimeError("no N <= 10^9 meets the bound")

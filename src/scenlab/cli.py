@@ -88,7 +88,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--n-list", type=_parse_int_list, required=True,
                     metavar="N1,N2,...")
     sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--csv", help="also write the curve as CSV")
 
     sp = add("shatter", help="exhaustive shattering check on a candidate set")
@@ -160,8 +159,7 @@ def _run_demo(args) -> tuple[dict, bool]:
 def _run_risk_curve(args) -> tuple[dict, bool]:
     bundle = get_bundle(args.system)
     curve = core.pac_curve(bundle.system, bundle.distribution, args.eps,
-                           args.n_list, args.trials, seed=args.seed,
-                           threads=args.threads)
+                           args.n_list, args.trials, seed=args.seed)
     if args.csv:
         Path(args.csv).write_text(curve.to_csv())
     return {"curve": curve.to_jsonable()}, True
@@ -173,7 +171,7 @@ def _run_shatter(args) -> tuple[dict, bool]:
     report = analyzers.check_shattered(
         bundle.system, candidates, max_len=args.max_len,
         include_empty=not args.no_include_empty)
-    return {"shatter": report.to_jsonable(codecs.encode_constraint)}, True
+    return {"shatter": report.to_jsonable()}, True
 
 
 def _run_compression(args) -> tuple[dict, bool]:
@@ -192,7 +190,7 @@ def _run_compression(args) -> tuple[dict, bool]:
     base = [codecs.decode_constraint(obj) for obj in args.base]
     report = analyzers.certify_no_compression_scheme(
         bundle.system, base, args.capacity, permutations=args.permutations)
-    return {"scheme_counting": report.to_jsonable(codecs.encode_constraint)}, True
+    return {"scheme_counting": report.to_jsonable()}, True
 
 
 def _run_bounds(args) -> tuple[dict, bool]:
@@ -231,27 +229,22 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
 
-    config = {}
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            path = argv[idx + 1]
-        except IndexError:
-            parser.error("--config requires a file path")
-        del argv[idx:idx + 2]
-        config = load_config(path)
-    if argv and argv[0] in subparsers and config:
-        try:
-            _apply_config(config, subparsers[argv[0]])
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    args = parser.parse_args(argv)
-
-    start = time.perf_counter()
+    # Unreadable files (config or @file arguments) and rejected values are
+    # usage errors, as are runner failures on bad input.
     try:
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                parser.error("--config requires a file path")
+            config = load_config(argv[idx + 1])
+            del argv[idx:idx + 2]
+            if argv and argv[0] in subparsers:
+                _apply_config(config, subparsers[argv[0]])
+        args = parser.parse_args(argv)
+        start = time.perf_counter()
         verdicts, passed = _RUNNERS[args.command](args)
-    except (ValueError, KeyError, analyzers.BudgetExceededError) as exc:
+    except (OSError, ValueError, KeyError,
+            analyzers.BudgetExceededError) as exc:
         parser.error(str(exc))
 
     echo = {k: v for k, v in vars(args).items()

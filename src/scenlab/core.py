@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -182,9 +181,7 @@ class PropertyReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_jsonable(self, encode_constraint=None, encode_decision=None) -> dict:
-        enc_z = encode_constraint or (lambda z: repr(z))
-        enc_x = encode_decision or (lambda x: repr(x))
+    def to_jsonable(self) -> dict:
         out = {
             "system": self.system,
             "property": self.property_name,
@@ -194,13 +191,10 @@ class PropertyReport:
             "status": self.status,
         }
         if self.counterexample is not None:
-            out["counterexample"] = [enc_z(z) for z in self.counterexample]
-        if self.extra_constraint is not None:
-            out["extra_constraint"] = enc_z(self.extra_constraint)
-        if self.decision_before is not None:
-            out["decision_before"] = enc_x(self.decision_before)
-        if self.decision_after is not None:
-            out["decision_after"] = enc_x(self.decision_after)
+            out["counterexample"] = [repr(z) for z in self.counterexample]
+        for key in ("extra_constraint", "decision_before", "decision_after"):
+            if getattr(self, key) is not None:
+                out[key] = repr(getattr(self, key))
         return out
 
 
@@ -324,18 +318,6 @@ def violation_probability_mc(system: ScenarioSystem,
     return RiskEstimate(risk, radius, samples, seed, analytic=analytic)
 
 
-def _risk_of_trial(system: ScenarioSystem,
-                   dist: ConstraintDistribution,
-                   n: int,
-                   seed: int,
-                   n_index: int,
-                   trial: int,
-                   inner_samples: int) -> float:
-    rng = stream(seed, n_index, trial)
-    x = system.decide(dist.sample_tuple(rng, n))
-    return _violation_rate(system, x, dist, rng, inner_samples)
-
-
 def pac_curve(system: ScenarioSystem,
               dist: ConstraintDistribution,
               epsilon: float,
@@ -347,12 +329,13 @@ def pac_curve(system: ScenarioSystem,
     """Empirical curve of q_hat(N) = fraction of trials whose decision has
     risk above ``epsilon``.
 
-    Each trial samples ``vz ~ dist^N`` on its own stream, so the result is
-    independent of ``threads``.  Negative N, ``threads`` < 1 and analytic
-    risks outside [0, 1] raise ``ValueError``.  Without an analytic
-    evaluator the risk is estimated by nested Monte Carlo and the curve is
-    flagged ``nested_mc`` (wider, unreported uncertainty on each inner
-    estimate).
+    Trials run in order on the calling thread, each sampling
+    ``vz ~ dist^N`` on its own stream.  ``threads`` selects nothing; it is
+    only checked, so callers that pass it keep working.  N entries that are
+    negative, boolean or not integral, ``threads`` < 1 and analytic risks
+    outside [0, 1] raise ``ValueError``.  Without an analytic evaluator the
+    risk is estimated by nested Monte Carlo and the curve is flagged
+    ``nested_mc`` (wider, unreported uncertainty on each inner estimate).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -362,6 +345,8 @@ def pac_curve(system: ScenarioSystem,
         raise ValueError("threads must be >= 1")
     if not n_list:
         raise ValueError("n_list must be non-empty")
+    if any(isinstance(n, bool) or not float(n).is_integer() for n in n_list):
+        raise ValueError(f"n_list entries must be integers, got {list(n_list)}")
     ns = sorted(set(int(n) for n in n_list))
     if len(ns) != len(n_list):
         raise ValueError("n_list entries must be distinct")
@@ -370,15 +355,12 @@ def pac_curve(system: ScenarioSystem,
 
     rows = []
     for n_index, n in enumerate(ns):
-        def task(trial: int, n=n, n_index=n_index) -> float:
-            return _risk_of_trial(system, dist, n, seed, n_index, trial,
-                                  inner_samples)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                risks = list(pool.map(task, range(trials)))
-        else:
-            risks = [task(t) for t in range(trials)]
-        exceed = sum(1 for v in risks if v > epsilon)
+        exceed = 0
+        for trial in range(trials):
+            rng = stream(seed, n_index, trial)
+            x = system.decide(dist.sample_tuple(rng, n))
+            if _violation_rate(system, x, dist, rng, inner_samples) > epsilon:
+                exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
     return PacCurve(epsilon, trials, seed, tuple(rows),
                     nested_mc=dist.analytic_violation is None)

@@ -114,13 +114,13 @@ class BandConstraint:
 ConvexConstraint = PolygonConstraint | BandConstraint
 
 
-def alg_convex_maxx1_detailed(vz: tuple) -> tuple[Point, bool]:
+def alg_convex_maxx1(vz: tuple) -> Point:
     """Feasible point maximizing x1 over disk /\\ polygons /\\ bands.
 
-    Returns ``(point, tie_broken)``.  Feasibility is guaranteed: (0, 1)
-    belongs to every constraint and to the disk.  With polygon constraints
-    present, the feasible set is the clipped polygon (all its vertices lie in
-    the disk); otherwise the optimum sits on the circle at the band level.
+    Feasibility is guaranteed: (0, 1) belongs to every constraint and to the
+    disk.  With polygon constraints present, the feasible set is the clipped
+    polygon (all its vertices lie in the disk); otherwise the optimum sits on
+    the circle at the band level.
     """
     polygons = [z for z in vz if isinstance(z, PolygonConstraint)]
     bands = [z.y for z in vz if isinstance(z, BandConstraint)]
@@ -128,9 +128,9 @@ def alg_convex_maxx1_detailed(vz: tuple) -> tuple[Point, bool]:
 
     if not polygons:
         if y_min is None:
-            return (1.0, 0.0), False
+            return (1.0, 0.0)
         y = min(y_min, 1.0)
-        return (math.sqrt(max(0.0, 1.0 - y * y)), y), False
+        return (math.sqrt(max(0.0, 1.0 - y * y)), y)
 
     region = sigma_polygon(polygons[0].m, polygons[0].i)
     for z in polygons[1:]:
@@ -140,30 +140,25 @@ def alg_convex_maxx1_detailed(vz: tuple) -> tuple[Point, bool]:
     return max_x_vertex(region)
 
 
-def alg_convex_maxx1(vz: tuple) -> Point:
-    return alg_convex_maxx1_detailed(vz)[0]
-
-
-def convex_satisfies(x: Point, z: ConvexConstraint,
-                     tol: float = POINT_TOL) -> bool:
+def convex_satisfies(x: Point, z: ConvexConstraint) -> bool:
+    """Membership of x in z, with slack ``POINT_TOL``."""
     if isinstance(z, BandConstraint):
-        return x[1] >= z.y - tol
-    return point_in_convex(sigma_polygon(z.m, z.i), x, tol)
+        return x[1] >= z.y - POINT_TOL
+    return point_in_convex(sigma_polygon(z.m, z.i), x)
 
 
-def convex_satisfies_many(x: Point, vz: tuple,
-                          tol: float = POINT_TOL) -> list[bool]:
+def convex_satisfies_many(x: Point, vz: tuple) -> list[bool]:
     """``[convex_satisfies(x, z) for z in vz]``, testing polygon membership
     once per distinct ``(m, i)``."""
     inside: dict[tuple[int, int], bool] = {}
     out = []
     for z in vz:
         if isinstance(z, BandConstraint):
-            out.append(x[1] >= z.y - tol)
+            out.append(x[1] >= z.y - POINT_TOL)
             continue
         key = (z.m, z.i)
         if key not in inside:
-            inside[key] = point_in_convex(sigma_polygon(z.m, z.i), x, tol)
+            inside[key] = point_in_convex(sigma_polygon(z.m, z.i), x)
         out.append(inside[key])
     return out
 
@@ -293,13 +288,13 @@ def geometric_mass(a: int) -> float:
     return 0.5 ** (a + 1)
 
 
-def analytic_risk_sum_min(x: int, mass=geometric_mass) -> float:
-    """Risk of a natural decision: the mass of the one constraint it
-    violates, U(x)."""
-    return mass(x)
+def analytic_risk_sum_min(x: int) -> float:
+    """Risk of a natural decision under the geometric measure: the mass of
+    the one constraint it violates, U(x)."""
+    return geometric_mass(x)
 
 
-def geometric_exclusion_distribution(analytic: bool = True) -> ConstraintDistribution:
+def geometric_exclusion_distribution() -> ConstraintDistribution:
     """Geometric measure on exclusion constraints, p(U(a)) = 2^-(a+1)."""
     def sample(rng: np.random.Generator) -> ExclusionConstraint:
         return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
@@ -312,7 +307,7 @@ def geometric_exclusion_distribution(analytic: bool = True) -> ConstraintDistrib
 
     return ConstraintDistribution(
         sample=sample,
-        analytic_violation=analytic_risk_sum_min if analytic else None,
+        analytic_violation=analytic_risk_sum_min,
         sample_many=sample_many,
     )
 

@@ -15,6 +15,7 @@ import numpy as np
 Point = tuple[float, float]
 
 POINT_TOL = 1e-9  # absolute tolerance for point equality and membership
+CLIP_TOL = 1e-12  # distance within which clipping keeps or merges vertices
 
 
 class DegenerateGeometryError(Exception):
@@ -82,14 +83,16 @@ def _project_param(a: Point, b: Point, p: Point) -> float:
     return ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / denom
 
 
-def clip_halfplane(poly: Sequence[Point], a: Point, b: Point,
-                   tol: float = 1e-12) -> tuple[Point, ...]:
+def clip_halfplane(poly: Sequence[Point], a: Point,
+                   b: Point) -> tuple[Point, ...]:
     """Clip a convex polygon by the halfplane left of the directed line a->b.
 
-    Sutherland-Hodgman step; vertices within ``tol`` of the line are kept.
+    Sutherland-Hodgman step; vertices within ``CLIP_TOL`` of the line are
+    kept.
     """
     if not poly:
         return ()
+    tol = CLIP_TOL
     out: list[Point] = []
     n = len(poly)
     dists = [signed_edge_distance(a, b, v) for v in poly]
@@ -105,12 +108,12 @@ def clip_halfplane(poly: Sequence[Point], a: Point, b: Point,
     return _dedupe(out)
 
 
-def _dedupe(points: list[Point], tol: float = 1e-12) -> tuple[Point, ...]:
+def _dedupe(points: list[Point]) -> tuple[Point, ...]:
     out: list[Point] = []
     for p in points:
-        if not out or not points_equal(out[-1], p, tol):
+        if not out or not points_equal(out[-1], p, CLIP_TOL):
             out.append(p)
-    if len(out) > 1 and points_equal(out[0], out[-1], tol):
+    if len(out) > 1 and points_equal(out[0], out[-1], CLIP_TOL):
         out.pop()
     return tuple(out)
 
@@ -133,37 +136,29 @@ def clip_band(poly: Sequence[Point], y_min: float) -> tuple[Point, ...]:
     return clip_halfplane(poly, (0.0, y_min), (1.0, y_min))
 
 
-def max_x_vertex(poly: Sequence[Point],
-                 tol: float = POINT_TOL) -> tuple[Point, bool]:
-    """Vertex maximizing x, ties (within tol) broken by larger y.
-
-    Returns ``(vertex, tie_broken)`` where the flag records whether the
-    defensive tie-break was exercised.
-    """
+def max_x_vertex(poly: Sequence[Point]) -> Point:
+    """Vertex maximizing x, ties (x within ``POINT_TOL``) broken by larger y;
+    a vertex within ``POINT_TOL`` of the current best never replaces it."""
     if not poly:
         raise DegenerateGeometryError("empty region")
     best = poly[0]
-    tie = False
     for p in poly[1:]:
-        if p[0] > best[0] + tol:
+        if p[0] > best[0] + POINT_TOL or (
+                p[0] >= best[0] - POINT_TOL and p[1] > best[1]
+                and not points_equal(p, best)):
             best = p
-            tie = False
-        elif p[0] >= best[0] - tol and not points_equal(p, best, tol):
-            tie = True
-            if p[1] > best[1]:
-                best = p
-    return best, tie
+    return best
 
 
-def segments_conflict(p: Point, q: Point, tip: Point,
-                      tol: float = POINT_TOL) -> bool:
+def segments_conflict(p: Point, q: Point, tip: Point) -> bool:
     """True if closed segment p-q meets closed segment O-tip at any point
     other than ``tip`` (O is the origin).
 
     Used as the barrier-crossing predicate: grazing the barrier tip is
     allowed, any other contact (including a transversal pass through the
-    barrier's base point O) blocks the segment.
+    barrier's base point O) blocks the segment.  Tolerances are ``POINT_TOL``.
     """
+    tol = POINT_TOL
     d1 = (q[0] - p[0], q[1] - p[1])
     d2 = tip
     denom = d1[0] * d2[1] - d1[1] * d2[0]
@@ -180,7 +175,7 @@ def segments_conflict(p: Point, q: Point, tip: Point,
         s_tol = tol / len2
         if -t_tol <= t <= 1.0 + t_tol and -s_tol <= s <= 1.0 + s_tol:
             x = (p[0] + t * d1[0], p[1] + t * d1[1])
-            return not points_equal(x, tip, tol)
+            return not points_equal(x, tip)
         return False
     # Parallel: conflict only if collinear and overlapping beyond the tip.
     if abs(d2[0] * p[1] - d2[1] * p[0]) / len2 > tol:
@@ -195,8 +190,7 @@ def segments_conflict(p: Point, q: Point, tip: Point,
 
 
 def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
-                      tip_lengths: np.ndarray,
-                      tol: float = POINT_TOL) -> np.ndarray:
+                      tip_lengths: np.ndarray) -> np.ndarray:
     """:func:`segments_conflict` of the segment p-q against every row of the
     ``(n, 2)`` array ``tips``, whose Euclidean lengths are ``tip_lengths``.
 
@@ -208,6 +202,7 @@ def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
     """
     if not tip_lengths.all():
         raise ValueError("barrier tip coincides with the origin")
+    tol = POINT_TOL
     d1 = (q[0] - p[0], q[1] - p[1])
     tx, ty = tips[:, 0], tips[:, 1]
     len1 = math.hypot(*d1)

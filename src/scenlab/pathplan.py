@@ -285,8 +285,8 @@ def alg2_analytic_risk(height: float, length: float) -> float:
     return 2.0 * math.atan2(math.sqrt(cos2_lo), sin_lo) / math.pi
 
 
-def band_shatter_candidates(k: int, halfwidth: float = 0.1) -> tuple[BarrierConstraint, ...]:
-    """k distinct barrier angles evenly spaced in [pi/2 - d, pi/2 + d].
+def band_shatter_candidates(k: int) -> tuple[BarrierConstraint, ...]:
+    """k distinct barrier angles evenly spaced in [pi/2 - 0.1, pi/2 + 0.1].
 
     Near pi/2 the taut path's chords and terminal segments dip inside the
     radius-L circle, so every unsampled band barrier is crossed while each
@@ -297,8 +297,7 @@ def band_shatter_candidates(k: int, halfwidth: float = 0.1) -> tuple[BarrierCons
         raise ValueError("need k >= 1")
     if k == 1:
         return (BarrierConstraint(math.pi / 2.0),)
-    angles = np.linspace(math.pi / 2.0 - halfwidth,
-                         math.pi / 2.0 + halfwidth, k)
+    angles = np.linspace(math.pi / 2.0 - 0.1, math.pi / 2.0 + 0.1, k)
     return tuple(BarrierConstraint(float(a)) for a in angles)
 
 

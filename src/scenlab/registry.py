@@ -68,8 +68,7 @@ def _demo_sum(bundle: SystemBundle, args) -> tuple[dict, bool]:
     base = [ExclusionConstraint(1 << j) for j in range(args.k)]
     report = analyzers.certify_no_compression_scheme(bundle.system, base,
                                                      args.capacity)
-    return {"scheme_counting": report.to_jsonable(codecs.encode_constraint)}, \
-        report.impossible
+    return {"scheme_counting": report.to_jsonable()}, report.impossible
 
 
 def _demo_min(bundle: SystemBundle, args) -> tuple[dict, bool]:
@@ -102,12 +101,16 @@ def _demo_path_alg1(bundle: SystemBundle, args) -> tuple[dict, bool]:
         epsilon=args.eps, trials=args.trials, seed=args.seed)
     passed = (shatter.shattered and adversarial.q_hat == 1.0
               and adversarial.min_risk >= 0.5)
-    return {"shatter": shatter.to_jsonable(codecs.encode_constraint),
+    return {"shatter": shatter.to_jsonable(),
             "adversarial": adversarial.to_jsonable()}, passed
 
 
 def _demo_path_alg2(bundle: SystemBundle, args) -> tuple[dict, bool]:
     """The capacity-1 compression map reproduces every sampled decision."""
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.max_n < 0:
+        raise ValueError("max_n must be >= 0")
     mismatches = []
     for trial in range(args.trials):
         rng = stream(args.seed, trial)

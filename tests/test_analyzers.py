@@ -3,11 +3,13 @@
 import itertools
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from scenlab.analyzers import (
+    DEFAULT_TUPLE_BUDGET,
     BoundQuery,
     BudgetExceededError,
     adversarial_pac_experiment,
@@ -22,6 +24,7 @@ from scenlab.analyzers import (
     vc_sample_bound,
     verify_range_shattering_witness,
 )
+from scenlab.core import ScenarioSystem
 from scenlab.counterexamples import (
     ExclusionConstraint,
     MembershipConstraint,
@@ -152,6 +155,23 @@ def test_certify_no_compression_scheme_permutations_flag():
     assert permuted.permutations
 
 
+def test_certify_budget_guard_raises_before_deciding():
+    decided = []
+    system = ScenarioSystem("counting", lambda vz: decided.append(vz),
+                            lambda x, z: True)
+    base = [ExclusionConstraint(a) for a in range(21)]
+    assert 2 ** 21 > DEFAULT_TUPLE_BUDGET
+    with pytest.raises(BudgetExceededError):
+        certify_no_compression_scheme(system, base, 1)
+    # With orderings, 10 constraints give 9,864,101 tuples.
+    with pytest.raises(BudgetExceededError):
+        certify_no_compression_scheme(system, base[:10], 1, permutations=True)
+    assert decided == []
+    # 2^20 subsets and the 986,410 orderings of 9 constraints fit.
+    certify_no_compression_scheme(system, base[:9], 1, permutations=True)
+    assert len(decided) == sum(math.perm(9, r) for r in range(10))
+
+
 def test_certify_validation():
     with pytest.raises(ValueError):
         certify_no_compression_scheme(sum_system, [ExclusionConstraint(1)] * 2, 1)
@@ -210,6 +230,28 @@ def test_compression_beta_values():
     assert compression_beta(10, 0, 0.5) == pytest.approx(0.5 ** 10, rel=1e-15)
     with pytest.raises(ValueError):
         compression_beta(5, 5, 0.1)
+
+
+@pytest.mark.parametrize("n, d, eps", [
+    (3000, 200, 0.1), (9396, 200, 0.1), (9395, 200, 0.1), (2000, 1000, 0.6),
+    (20000, 1000, 0.2), (10 ** 6, 100, 1e-3)])
+def test_compression_beta_past_float_binomials_matches_mpmath(n, d, eps):
+    # C(n, d) exceeds the float range in every case.
+    assert math.comb(n, d) > 2 ** 1024
+    with mpmath.workdps(50):
+        exact = mpmath.binomial(n, d) * (1 - mpmath.mpf(eps)) ** (n - d)
+        assert compression_beta(n, d, eps) == pytest.approx(float(exact),
+                                                            rel=1e-12)
+
+
+def test_compression_beta_past_float_range_is_inf():
+    assert compression_beta(2000, 1000, 1e-6) == math.inf
+
+
+def test_compression_bound_inversion_at_large_capacity():
+    n = compression_bound(BoundQuery(0.1, 0.01, 200))
+    assert n == 9396
+    assert compression_beta(n, 200, 0.1) <= 0.01 < compression_beta(n - 1, 200, 0.1)
 
 
 @given(st.integers(min_value=1, max_value=3),

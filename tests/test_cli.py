@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +76,16 @@ def test_bounds_subcommand(capsys):
     assert report["verdicts"]["compression_beta"] == pytest.approx(
         100 * 0.9 ** 99, rel=1e-15)
 
+    # C(N, 200) exceeds the float range from N of about 2000 on.
+    code, report = run_cli(capsys, "bounds", "--compression", "200",
+                           "--eps", "0.1", "--beta", "0.01")
+    assert code == 0 and report["verdicts"]["compression_min_samples"] == 9396
+    code, report = run_cli(capsys, "bounds", "--compression", "200",
+                           "--eps", "0.1", "--beta", "0.01", "--N", "3000")
+    assert code == 0
+    assert report["verdicts"]["compression_beta"] == pytest.approx(
+        2.8807034993783e+189, rel=1e-12)
+
 
 def test_pathplan_subcommand(capsys):
     code, report = run_cli(capsys, "pathplan", "--algo", "1",
@@ -91,7 +103,7 @@ def test_risk_curve_writes_csv_deterministically(tmp_path, capsys):
     args = ["risk-curve", "--system", "interval-not-pac", "--eps", "0.25",
             "--n-list", "1,5", "--trials", "50", "--seed", "7"]
     assert main(args + ["--csv", str(csv_a)]) == 0
-    assert main(args + ["--csv", str(csv_b), "--threads", "4"]) == 0
+    assert main(args + ["--csv", str(csv_b)]) == 0
     capsys.readouterr()
     assert csv_a.read_bytes() == csv_b.read_bytes()
     lines = csv_a.read_text().splitlines()
@@ -169,6 +181,54 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["--config", "bad.cfg", "demo"], {"bad.cfg": "example convex-vc\n"}),
+    (["--config", "missing.cfg", "demo"], {}),
+    (["shatter", "--system", "interval-not-pac", "--candidates", "@missing.json"],
+     {}),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--tuple", "@missing.json"], {}),
+    (["compression", "--system", "sum-no-scheme", "--capacity", "1",
+      "--base", "@missing.json"], {}),
+    (["--config", "base.cfg", "compression"],
+     {"base.cfg": "system = sum-no-scheme\ncapacity = 1\n"
+                  "base = @missing.json\n"}),
+    (["risk-curve", "--system", "interval-not-pac", "--eps", "0.25",
+      "--n-list", "1", "--threads", "2"], {}),
+    (["--config", "threads.cfg", "risk-curve"],
+     {"threads.cfg": "system = interval-not-pac\neps = 0.25\n"
+                     "n_list = 1\nthreads = 2\n"}),
+    (["demo", "--example", "path-alg2", "--trials", "0"], {}),
+    (["demo", "--example", "path-alg2", "--max-n", "-1"], {}),
+    (["compression", "--system", "sum-no-scheme", "--capacity", "1", "--base",
+      json.dumps([{"exclude": a} for a in range(21)])], {}),
+])
+def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"\n```sh\n(# Counterexample.*?)\n```", readme,
+                      re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in
+                block.replace("\\\n", " ").splitlines()
+                if line.startswith("scenlab ")]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

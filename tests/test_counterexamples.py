@@ -16,7 +16,6 @@ from scenlab.counterexamples import (
     OPEN_UNIT_INTERVAL,
     PolygonConstraint,
     alg_convex_maxx1,
-    alg_convex_maxx1_detailed,
     alg_interval,
     alg_min,
     alg_sum,
@@ -145,9 +144,9 @@ def test_alg_convex_band_plus_polygon():
     assert convex_satisfies(decision, PolygonConstraint(1, 1))
 
 
-def test_alg_convex_detailed_reports_ties():
-    _, tie = alg_convex_maxx1_detailed((PolygonConstraint(1, 1),))
-    assert tie is False
+def test_alg_convex_single_polygon_takes_its_max_x_vertex():
+    # sigma(1, 1) is the segment from tau({1}) to (0, 1).
+    assert alg_convex_maxx1((PolygonConstraint(1, 1),)) == tau({1})
 
 
 def test_convex_satisfies():
@@ -222,7 +221,6 @@ def test_geometric_distribution_frequencies():
         freq = draws.count(a) / len(draws)
         assert freq == pytest.approx(geometric_mass(a), abs=0.02)
     assert dist.analytic_violation is analytic_risk_sum_min
-    assert geometric_exclusion_distribution(analytic=False).analytic_violation is None
 
 
 # ---------------------------------------------------------------------------

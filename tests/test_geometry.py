@@ -75,10 +75,13 @@ def test_clip_band_keeps_upper_part():
 
 
 def test_max_x_vertex_and_tie_break():
-    v, tie = max_x_vertex(SQUARE)
-    assert v == (1.0, 1.0) and tie  # two vertices share x = 1; larger y wins
-    v, tie = max_x_vertex(((0.0, 0.0), (2.0, 0.5), (0.0, 1.0)))
-    assert v == (2.0, 0.5) and not tie
+    # Two vertices share x = 1; the larger y wins.
+    assert max_x_vertex(SQUARE) == (1.0, 1.0)
+    assert max_x_vertex(((0.0, 0.0), (2.0, 0.5), (0.0, 1.0))) == (2.0, 0.5)
+    # x within POINT_TOL is a tie, broken by y even if x is slightly smaller.
+    assert max_x_vertex(((1.0, 0.0), (1.0 - 5e-10, 0.5))) == (1.0 - 5e-10, 0.5)
+    # A vertex within POINT_TOL of the current best never replaces it.
+    assert max_x_vertex(((1.0, 0.0), (1.0, 5e-10))) == (1.0, 0.0)
     with pytest.raises(DegenerateGeometryError):
         max_x_vertex(())
 
