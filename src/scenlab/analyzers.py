@@ -36,11 +36,7 @@ WITNESS_MEMBERSHIP_TOL = 1e-15
 
 
 class BudgetExceededError(Exception):
-    """Enumeration would exceed the configured tuple budget."""
-
-    def __init__(self, message: str, tuples_checked: int = 0) -> None:
-        super().__init__(message)
-        self.tuples_checked = tuples_checked
+    """Enumeration would exceed ``DEFAULT_TUPLE_BUDGET`` tuples."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +92,7 @@ def satisfied_subset(system: ScenarioSystem, x: Any,
 def check_shattered(system: ScenarioSystem,
                     candidates: Sequence,
                     max_len: Optional[int] = None,
-                    include_empty: bool = True,
-                    budget: int = DEFAULT_TUPLE_BUDGET) -> ShatterCheckReport:
+                    include_empty: bool = True) -> ShatterCheckReport:
     """Check the shattering equality S(Alg(vz)) /\\ Z' == set(vz) for every
     ordered tuple over Z' up to length L.
 
@@ -116,9 +111,9 @@ def check_shattered(system: ScenarioSystem,
 
     k = len(candidates)
     total = sum(k ** r for r in range(0 if include_empty else 1, max_len + 1))
-    if total > budget:
+    if total > DEFAULT_TUPLE_BUDGET:
         raise BudgetExceededError(
-            f"{total} tuples exceed budget {budget}", tuples_checked=0)
+            f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
 
     checked = 0
     lengths = range(0 if include_empty else 1, max_len + 1)
@@ -159,15 +154,14 @@ class DvcLowerBoundReport:
 def dvc_lower_bound(system: ScenarioSystem,
                     candidate_sets: Sequence[Sequence],
                     max_len: Optional[int] = None,
-                    include_empty: bool = True,
-                    budget: int = DEFAULT_TUPLE_BUDGET) -> DvcLowerBoundReport:
+                    include_empty: bool = True) -> DvcLowerBoundReport:
     """Largest candidate-set size that is shattered up to L (0 if none)."""
     reports = []
     best = 0
     witness = None
     for zs in candidate_sets:
         report = check_shattered(system, zs, max_len=max_len,
-                                 include_empty=include_empty, budget=budget)
+                                 include_empty=include_empty)
         reports.append(report)
         if report.shattered and len(report.candidates) > best:
             best = len(report.candidates)
@@ -182,8 +176,7 @@ def dvc_lower_bound(system: ScenarioSystem,
 
 def find_compression_subtuple(system: ScenarioSystem,
                               vz: ConstraintTuple,
-                              capacity: int,
-                              budget: int = DEFAULT_TUPLE_BUDGET) -> Optional[tuple[int, ...]]:
+                              capacity: int) -> Optional[tuple[int, ...]]:
     """Exhaustive search for an order-preserving subtuple of length <= d
     giving the same decision as the full tuple.
 
@@ -196,8 +189,9 @@ def find_compression_subtuple(system: ScenarioSystem,
     n = len(vz)
     target = system.decide(vz)
     total = sum(math.comb(n, r) for r in range(min(capacity, n) + 1))
-    if total > budget:
-        raise BudgetExceededError(f"{total} subtuples exceed budget {budget}")
+    if total > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{total} subtuples exceed budget {DEFAULT_TUPLE_BUDGET}")
     for r in range(min(capacity, n) + 1):
         for indices in itertools.combinations(range(n), r):
             sub = tuple(vz[i] for i in indices)
@@ -212,9 +206,10 @@ class CompressionSchemeReport:
 
     Over the canonical subset tuples of the base set T (|T| = k), the system
     realizes ``distinct_decisions`` different decisions, while any capacity-d
-    scheme can reconstruct at most ``compressed_input_bound`` = sum of C(k, r)
-    for r <= d decisions (every compression output is an order-preserving
-    subtuple of its input).  ``impossible`` iff the former exceeds the latter.
+    scheme can reconstruct at most ``compressed_input_bound``, one decision
+    per output: an order-preserving subtuple of its input, so sum of C(k, r)
+    for r <= d, or of k!/(k - r)! with ``permutations`` (inputs in every
+    order).  ``impossible`` iff the former exceeds the latter.
     """
 
     system: str
@@ -236,7 +231,8 @@ def certify_no_compression_scheme(system: ScenarioSystem,
                                   base_set: Sequence,
                                   capacity: int,
                                   permutations: bool = False) -> CompressionSchemeReport:
-    """Exact counting certificate: D distinct decisions vs B = sum C(k, r).
+    """Exact counting certificate: D distinct decisions vs the number B of
+    compression outputs of length <= d (see ``CompressionSchemeReport``).
 
     By default each subset of the base set is evaluated once, in canonical
     (input) order -- exact for order-insensitive systems at 2^k cost.  The
@@ -251,8 +247,8 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     k = len(base)
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    total = sum(math.perm(k, r) if permutations else math.comb(k, r)
-                for r in range(k + 1))
+    count = math.perm if permutations else math.comb
+    total = sum(count(k, r) for r in range(k + 1))
     if total > DEFAULT_TUPLE_BUDGET:
         raise BudgetExceededError(
             f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
@@ -265,7 +261,7 @@ def certify_no_compression_scheme(system: ScenarioSystem,
             for vz in orderings:
                 decisions.add(system.decision_key(system.decide(vz)))
 
-    bound = sum(math.comb(k, r) for r in range(min(capacity, k) + 1))
+    bound = sum(count(k, r) for r in range(min(capacity, k) + 1))
     return CompressionSchemeReport(
         system=system.name, base_set=base, tuple_length_bound=k,
         capacity=capacity, distinct_decisions=len(decisions),

@@ -57,11 +57,18 @@ def _json_argument(text: str):
     return json.loads(text)
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """``--config`` alone, read first so it can set subcommand defaults."""
+    parser = argparse.ArgumentParser(prog="scenlab", add_help=False,
+                                     allow_abbrev=False)
+    parser.add_argument("--config", help="flat key = value defaults file")
+    return parser
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
-        prog="scenlab",
+        prog="scenlab", parents=[_config_parser()], allow_abbrev=False,
         description="Verification lab for scenario decision algorithms.")
-    parser.add_argument("--config", help="flat key = value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
@@ -226,21 +233,19 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
 
-    # Unreadable files (config or @file arguments) and rejected values are
-    # usage errors, as are runner failures on bad input.
+    # Unreadable files (config, @file arguments or --out) and rejected
+    # values are usage errors, as are runner failures on bad input.
     try:
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 == len(argv):
-                parser.error("--config requires a file path")
-            config = load_config(argv[idx + 1])
-            del argv[idx:idx + 2]
+        known, argv = _config_parser().parse_known_args(argv)
+        if known.config is not None:
+            config = load_config(known.config)
             if argv and argv[0] in subparsers:
                 _apply_config(config, subparsers[argv[0]])
         args = parser.parse_args(argv)
+        # Append mode checks the path without losing an earlier report.
+        out = open(args.out, "a") if args.out else sys.stdout
         start = time.perf_counter()
         verdicts, passed = _RUNNERS[args.command](args)
     except (OSError, ValueError, KeyError,
@@ -258,10 +263,12 @@ def main(argv=None) -> int:
         "wall_clock_s": time.perf_counter() - start,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
+    if out is sys.stdout:
         print(text)
+    else:
+        with out:
+            out.truncate(0)
+            print(text, file=out)
     return 0 if passed else 1
 
 

@@ -136,27 +136,18 @@ def barrier_satisfied_many(scene: Scene, path: PathDecision,
 def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     """Shortest path from I to T avoiding all sampled barriers.
 
-    Uniform-cost search over the visibility graph on {I, T, O, tips}; edges
-    that conflict with any sampled barrier are excluded.  Ties are broken
-    deterministically by node index (I, T, O, then tips in sample order).
-    A feasible path always exists over the barrier tips.
+    Uniform-cost search over the implicit visibility graph on
+    {I, T, O, tips}: an edge is tested against the sampled barriers only
+    when it would shorten a tentative distance, always with its lower-index
+    node first (``segments_conflict`` is not symmetric in p and q).  Settled
+    nodes are skipped: their distance is at most the popped one, so no edge
+    could relax them.  Ties are broken deterministically by node index
+    (I, T, O, then tips in sample order).  A feasible path always exists
+    over the barrier tips.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
     nodes = list(dict.fromkeys([START, TARGET, ORIGIN, *tips]))
     n = len(nodes)
-
-    def visible(i: int, j: int) -> bool:
-        return not any(segments_conflict(nodes[i], nodes[j], tip)
-                       for tip in tips)
-
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if visible(i, j):
-                w = math.dist(nodes[i], nodes[j])
-                adjacency[i].append((j, w))
-                adjacency[j].append((i, w))
-
     dist = [math.inf] * n
     prev = [-1] * n
     dist[0] = 0.0
@@ -169,9 +160,13 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
         done[i] = True
         if i == 1:
             break
-        for j, w in sorted(adjacency[i]):
-            nd = d + w
-            if nd < dist[j]:
+        for j in range(n):
+            if done[j]:
+                continue
+            p, q = (nodes[i], nodes[j]) if i < j else (nodes[j], nodes[i])
+            nd = d + math.dist(p, q)
+            if nd < dist[j] and not any(segments_conflict(p, q, tip)
+                                        for tip in tips):
                 dist[j] = nd
                 prev[j] = i
                 heapq.heappush(heap, (nd, j))

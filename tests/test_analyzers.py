@@ -74,9 +74,10 @@ def test_check_shattered_include_empty_false():
 def test_check_shattered_validation_and_budget():
     with pytest.raises(ValueError):
         check_shattered(interval_system, [MembershipConstraint(0.0)] * 2)
+    # 10 candidates up to length 10: about 1.1e10 tuples.
     zs = [MembershipConstraint(a / 10) for a in range(10)]
     with pytest.raises(BudgetExceededError):
-        check_shattered(interval_system, zs, max_len=10, budget=100)
+        check_shattered(interval_system, zs, max_len=10)
 
 
 def test_revalidate_rejects_positive_reports():
@@ -117,9 +118,10 @@ def test_find_compression_subtuple_min_system_none_certificate():
 def test_find_compression_subtuple_validation_and_budget():
     with pytest.raises(ValueError):
         find_compression_subtuple(sum_system, (), -1)
+    # 30 constraints at capacity 15: about 6.2e8 subtuples.
     vz = tuple(ExclusionConstraint(a) for a in range(30))
     with pytest.raises(BudgetExceededError):
-        find_compression_subtuple(sum_system, vz, 15, budget=1000)
+        find_compression_subtuple(sum_system, vz, 15)
 
 
 def test_certify_no_compression_scheme_counting():
@@ -153,6 +155,21 @@ def test_certify_no_compression_scheme_permutations_flag():
     # The sum is order-insensitive, so both enumerations agree.
     assert plain.distinct_decisions == permuted.distinct_decisions
     assert permuted.permutations
+
+
+def test_certify_permutations_bound_counts_ordered_outputs():
+    # Keeping the first two constraints is a capacity-2 scheme for this
+    # order-sensitive system, so no certificate may be issued.  Its 10
+    # decisions (every ordered subtuple of length <= 2) meet the bound
+    # 1 + 3 + 3 * 2 of ordered outputs, not sum C(3, r) = 7.
+    first_two = ScenarioSystem("first-two", lambda vz: vz[:2],
+                               lambda x, z: True)
+    base = [ExclusionConstraint(a) for a in range(3)]
+    report = certify_no_compression_scheme(first_two, base, 2,
+                                           permutations=True)
+    assert report.distinct_decisions == 10
+    assert report.compressed_input_bound == 10
+    assert not report.impossible
 
 
 def test_certify_budget_guard_raises_before_deciding():

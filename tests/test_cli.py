@@ -204,6 +204,10 @@ def test_usage_errors_exit_2(capsys):
     (["demo", "--example", "path-alg2", "--max-n", "-1"], {}),
     (["compression", "--system", "sum-no-scheme", "--capacity", "1", "--base",
       json.dumps([{"exclude": a} for a in range(21)])], {}),
+    (["bounds", "--vc", "1", "--eps", "0.1", "--beta", "0.05",
+      "--out", "missing-dir/x.json"], {}),
+    (["risk-curve", "--system", "sum-no-scheme", "--eps", "0.1", "--n-list",
+      "1", "--csv", "curve.csv", "--out", "missing-dir/x.json"], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):
@@ -215,6 +219,8 @@ def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and "Traceback" not in err
+    # Nothing ran, so nothing was written (the --csv file included).
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
@@ -239,6 +245,13 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
 
     code, report = run_cli(capsys, "demo", "--config", str(cfg), "--k", "4")
     assert report["config"]["k"] == 4
+
+    # The --config=path form is read at any position and is not echoed.
+    for argv in ([f"--config={cfg}", "demo"], ["demo", f"--config={cfg}"]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and report["config"]["k"] == 3
+        assert report["config"]["example"] == "convex-vc"
+        assert "config" not in report["config"]
 
     # Config values pass the same checks as flags: types, choices, and
     # true/false for boolean flags.

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scenlab import pathplan
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
+    ORIGIN,
     START,
     TARGET,
     BarrierConstraint,
@@ -151,6 +153,27 @@ def test_alg1_duplicate_barriers():
     z = BarrierConstraint(math.pi / 2)
     path = alg1_shortest_path(SCENE, (z, z, z))
     assert path.vertices == (START, barrier_tip(z, 0.5), TARGET)
+
+
+def test_alg1_tests_edges_lazily_lower_index_first(monkeypatch):
+    recorded = []
+
+    def recorder(p, q, tip):
+        recorded.append((p, q))
+        return segments_conflict(p, q, tip)
+
+    monkeypatch.setattr(pathplan, "segments_conflict", recorder)
+    rng = stream(43, 0)
+    vz = tuple(BarrierConstraint(float(t))
+               for t in rng.uniform(0.05, math.pi - 0.05, size=50))
+    alg1_shortest_path(SCENE, vz)
+    tips = [barrier_tip(z, SCENE.barrier_length) for z in vz]
+    order = {node: i for i, node in
+             enumerate(dict.fromkeys([START, TARGET, ORIGIN, *tips]))}
+    pairs = set(recorded)
+    assert all(order[p] < order[q] for p, q in pairs)
+    # Edges that could not shorten a tentative distance are never tested.
+    assert len(pairs) < math.comb(len(order), 2)
 
 
 def test_alg2_values_and_feasibility():
