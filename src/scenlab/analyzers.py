@@ -14,6 +14,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
 from . import codecs
 from .core import ConstraintTuple, ScenarioSystem, hoeffding_radius
 from .counterexamples import (
@@ -22,7 +24,7 @@ from .counterexamples import (
     sigma_polygon,
     tau,
 )
-from .geometry import point_in_convex, points_equal
+from .geometry import points_equal, points_in_convex
 from .rng import stream
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
@@ -31,7 +33,11 @@ DEFAULT_TUPLE_BUDGET = 2_000_000
 # range-shattering witness.  Chord sag for unused arc points shrinks like the
 # squared angular gap (~3e-10 at k = 8, ~4e-15 at k = 12), so the coarse 1e-9
 # report tolerance would absorb genuinely-outside points; float error in the
-# cross products is below 1e-20, so a 1e-15 slack classifies reliably.
+# cross products is below 1e-20, so a 1e-15 slack classifies reliably.  The
+# witness tests all 2^k arc points against one polygon in a batched pass
+# (``points_in_convex``) that computes each distance with the scalar
+# operations, so the slack is compared with the very floats the scalar
+# predicate would compare.
 WITNESS_MEMBERSHIP_TOL = 1e-15
 
 
@@ -307,37 +313,45 @@ def verify_range_shattering_witness(k: int,
     constraint at level tau_2(u) must return tau(u), and the satisfaction
     pattern of tau(u) over the polygons sigma(k, i) must equal {i in u},
     checked both geometrically (point in polygon) and combinatorially.
+
+    The 2^k points tau(u) are built once, and membership in each sigma(k, i)
+    is one :func:`points_in_convex` call over all of them.  That kernel is
+    element for element the scalar ``point_in_convex``, so the verdicts, the
+    mismatch and disagreement lists and their order (u by binary encoding,
+    then i ascending) are those of the subset-by-subset loop.
     """
     if not 1 <= k <= 12:
         raise ValueError("witness geometry budget is 1 <= k <= 12")
-    polygons = [sigma_polygon(k, i) for i in range(1, k + 1)]
+    members = range(1, k + 1)
+    subsets = [frozenset(i for i in members if mask >> (i - 1) & 1)
+               for mask in range(1 << k)]
+    points = [tau(u) for u in subsets]
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    masks = np.arange(1 << k)
+    # disagree[i - 1, mask]: geometric membership differs from i in u.
+    disagree = np.array([
+        points_in_convex(sigma_polygon(k, i), xs, ys, WITNESS_MEMBERSHIP_TOL)
+        != (masks >> (i - 1) & 1).astype(bool)
+        for i in members])
     decision_mismatches = []
-    membership_disagreements = []
     realized = 0
-    members = list(range(1, k + 1))
-    for mask in range(1 << k):
-        u = frozenset(members[j] for j in range(k) if mask >> j & 1)
-        point = tau(u)
+    for u, point, pattern_bad in zip(subsets, points,
+                                     disagree.any(axis=0).tolist()):
         decision = alg_convex_maxx1((BandConstraint(point[1]),))
         ok = points_equal(decision, point, tolerance)
         if not ok:
             decision_mismatches.append((u, decision))
-        pattern_ok = True
-        for i in members:
-            geometric = point_in_convex(polygons[i - 1], point,
-                                        WITNESS_MEMBERSHIP_TOL)
-            combinatorial = i in u
-            if geometric != combinatorial:
-                membership_disagreements.append((u, i))
-                pattern_ok = False
-        if ok and pattern_ok:
+        if ok and not pattern_bad:
             realized += 1
+    membership_disagreements = tuple(
+        (subsets[mask], i + 1) for mask, i in np.argwhere(disagree.T).tolist())
     return RangeShatterReport(
         k=k, subsets_checked=1 << k, subsets_realized=realized,
         vc_lower_bound=k if realized == 1 << k else 0,
         all_realized=realized == 1 << k,
         decision_mismatches=tuple(decision_mismatches),
-        membership_disagreements=tuple(membership_disagreements))
+        membership_disagreements=membership_disagreements)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +466,33 @@ def compression_beta(n: int, capacity: int, epsilon: float) -> float:
 def compression_bound(query: BoundQuery):
     """Evaluate the compression bound, or invert it for the minimal N.
 
-    With ``query.n`` set, returns beta(N, d, eps).  Otherwise scans N upward
-    for the minimal N with beta(N, d, eps) <= query.beta, up to N = 10^9.
+    With ``query.n`` set, returns beta(N, d, eps).  Otherwise returns the
+    minimal N <= 10^9 with beta(N, d, eps) <= query.beta.  For N > d the
+    ratio beta(N + 1) / beta(N) = (1 - eps)(N + 1) / (N + 1 - d) falls with
+    N, so beta rises to a peak near d / eps and falls after it.  Hence every
+    N up to a probe with beta above the target lies below the minimum, and
+    an exponential search from N = d + 1 followed by a bisection finds it
+    with O(log N) evaluations.
     """
     if query.n is not None:
         return compression_beta(query.n, query.capacity, query.epsilon)
-    for n in range(query.capacity + 1, 10 ** 9 + 1):
-        if compression_beta(n, query.capacity, query.epsilon) <= query.beta:
-            return n
-    raise RuntimeError("no N <= 10^9 meets the bound")
+    cap = 10 ** 9
+
+    def meets(n: int) -> bool:
+        return compression_beta(n, query.capacity, query.epsilon) <= query.beta
+
+    lo, step = query.capacity, 1  # invariant: no N <= lo meets the bound
+    while True:
+        hi = min(lo + step, cap)
+        if hi <= lo:
+            raise RuntimeError("no N <= 10^9 meets the bound")
+        if meets(hi):
+            break
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -150,6 +150,9 @@ def _apply_config(config: dict, subparser: argparse.ArgumentParser) -> None:
                              f"(choose from {list(action.choices)})")
         defaults[key] = value
         action.required = False
+    for group in subparser._mutually_exclusive_groups:
+        if any(a.dest in defaults for a in group._group_actions):
+            group.required = False
     subparser.set_defaults(**defaults)
 
 

@@ -75,6 +75,36 @@ def point_in_convex(poly: Sequence[Point], p: Point,
     return True
 
 
+def points_in_convex(poly: Sequence[Point], xs: np.ndarray, ys: np.ndarray,
+                     dist_tol: float) -> np.ndarray:
+    """:func:`point_in_convex` of every point ``(xs[j], ys[j])``, as a bool
+    array equal element for element to the scalar predicate.
+
+    For three or more vertices this makes one numpy pass per edge over all
+    points, computing ``cross / length`` with the scalar operation order
+    (``length`` from ``math.hypot``, as in :func:`signed_edge_distance`), so
+    each distance is the scalar float.  A zero-length edge is skipped: its
+    scalar distance is a point distance, never below ``-dist_tol``.  Smaller
+    polygons go through the scalar predicate.
+    """
+    if dist_tol < 0.0:
+        raise ValueError("dist_tol must be >= 0")
+    n = len(poly)
+    if n < 3:
+        return np.array([point_in_convex(poly, (x, y), dist_tol)
+                         for x, y in zip(xs.tolist(), ys.tolist())],
+                        dtype=bool)
+    inside = np.ones(len(xs), dtype=bool)
+    for i in range(n):
+        (ax, ay), (bx, by) = poly[i], poly[(i + 1) % n]
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(dx, dy)
+        if length == 0.0:
+            continue
+        inside &= ~((dx * (ys - ay) - dy * (xs - ax)) / length < -dist_tol)
+    return inside
+
+
 def _project_param(a: Point, b: Point, p: Point) -> float:
     dx, dy = b[0] - a[0], b[1] - a[1]
     denom = dx * dx + dy * dy

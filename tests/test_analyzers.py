@@ -1,6 +1,7 @@
 """Tests for shattering search, compression certificates, and bounds."""
 
 import itertools
+import json
 import math
 
 import mpmath
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scenlab import analyzers
 from scenlab.analyzers import (
     DEFAULT_TUPLE_BUDGET,
     BoundQuery,
     BudgetExceededError,
+    RangeShatterReport,
     adversarial_pac_experiment,
     certify_no_compression_scheme,
     check_shattered,
@@ -26,12 +29,17 @@ from scenlab.analyzers import (
 )
 from scenlab.core import ScenarioSystem
 from scenlab.counterexamples import (
+    BandConstraint,
     ExclusionConstraint,
     MembershipConstraint,
+    alg_convex_maxx1,
     interval_system,
     min_system,
+    sigma_polygon,
     sum_system,
+    tau,
 )
+from scenlab.geometry import point_in_convex, points_equal
 from scenlab.pathplan import band_shatter_candidates, path_system_alg1
 
 
@@ -207,6 +215,69 @@ def test_verify_range_shattering_witness_small():
         verify_range_shattering_witness(13)
 
 
+def scalar_range_shattering_witness(k, tolerance=1e-9):
+    """Reference: the witness subset by subset, one scalar point_in_convex
+    per (subset, polygon) pair."""
+    polygons = [sigma_polygon(k, i) for i in range(1, k + 1)]
+    decision_mismatches = []
+    membership_disagreements = []
+    realized = 0
+    members = list(range(1, k + 1))
+    for mask in range(1 << k):
+        u = frozenset(members[j] for j in range(k) if mask >> j & 1)
+        point = tau(u)
+        decision = alg_convex_maxx1((BandConstraint(point[1]),))
+        ok = points_equal(decision, point, tolerance)
+        if not ok:
+            decision_mismatches.append((u, decision))
+        pattern_ok = True
+        for i in members:
+            geometric = point_in_convex(polygons[i - 1], point,
+                                        analyzers.WITNESS_MEMBERSHIP_TOL)
+            if geometric != (i in u):
+                membership_disagreements.append((u, i))
+                pattern_ok = False
+        if ok and pattern_ok:
+            realized += 1
+    return RangeShatterReport(
+        k=k, subsets_checked=1 << k, subsets_realized=realized,
+        vc_lower_bound=k if realized == 1 << k else 0,
+        all_realized=realized == 1 << k,
+        decision_mismatches=tuple(decision_mismatches),
+        membership_disagreements=tuple(membership_disagreements))
+
+
+def report_bytes(report):
+    return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_range_shattering_witness_matches_scalar_loop(k):
+    assert report_bytes(verify_range_shattering_witness(k)) \
+        == report_bytes(scalar_range_shattering_witness(k))
+
+
+@pytest.mark.parametrize("k, disagreements", [(8, 50), (9, 510)])
+def test_range_shattering_witness_disagreements_match_scalar_loop(
+        k, disagreements, monkeypatch):
+    # At the coarse report tolerance the chord sag is absorbed, so arc points
+    # outside a polygon test as inside: the disagreement path is exercised.
+    monkeypatch.setattr(analyzers, "WITNESS_MEMBERSHIP_TOL", 1e-9)
+    report = verify_range_shattering_witness(k)
+    assert len(report.membership_disagreements) == disagreements
+    assert not report.passed
+    assert report_bytes(report) \
+        == report_bytes(scalar_range_shattering_witness(k))
+
+
+def test_range_shattering_witness_mismatches_match_scalar_loop():
+    # A negative decision tolerance rejects every decision.
+    report = verify_range_shattering_witness(6, tolerance=-1.0)
+    assert len(report.decision_mismatches) == 64
+    assert report_bytes(report) \
+        == report_bytes(scalar_range_shattering_witness(6, tolerance=-1.0))
+
+
 def test_adversarial_pac_guard_and_exactness():
     zs = band_shatter_candidates(4)
     with pytest.raises(ValueError):
@@ -279,6 +350,51 @@ def test_compression_bound_inversion_matches_scan_oracle(d, eps, beta):
     assert compression_beta(n, d, eps) <= beta
     if n > d + 1:
         assert compression_beta(n - 1, d, eps) > beta
+
+
+def scan_compression_bound(d, eps, beta):
+    return next(n for n in itertools.count(d + 1)
+                if compression_beta(n, d, eps) <= beta)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 20])
+@pytest.mark.parametrize("eps", [0.9, 0.3, 0.1, 0.01])
+def test_compression_bound_inversion_equals_linear_scan(d, eps):
+    for beta in (0.5, 0.05, 1e-3, 1e-9):
+        assert compression_bound(BoundQuery(eps, beta, d)) \
+            == scan_compression_bound(d, eps, beta), beta
+
+
+def count_compression_beta(monkeypatch):
+    calls = []
+
+    def counted(n, capacity, epsilon):
+        calls.append(n)
+        return compression_beta(n, capacity, epsilon)
+    monkeypatch.setattr(analyzers, "compression_beta", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d, eps, beta, expected", [
+    (1, 1e-5, 0.01, None), (1, 1e-6, 0.01, 21488174), (3, 1e-7, 1e-6, None)])
+def test_compression_bound_inversion_takes_logarithmic_work(
+        d, eps, beta, expected, monkeypatch):
+    calls = count_compression_beta(monkeypatch)
+    n = compression_bound(BoundQuery(eps, beta, d))
+    assert expected is None or n == expected
+    assert compression_beta(n, d, eps) <= beta \
+        < compression_beta(n - 1, d, eps)
+    assert len(calls) <= 2 * n.bit_length() + 2
+
+
+def test_compression_bound_cap_raises_after_logarithmic_work(monkeypatch):
+    calls = count_compression_beta(monkeypatch)
+    # The minimum is about ln(100) / 1e-9, past the 10^9 cap.
+    with pytest.raises(RuntimeError):
+        compression_bound(BoundQuery(1e-9, 0.01, 1))
+    assert len(calls) <= 2 * (10 ** 9).bit_length() + 2
+    with pytest.raises(RuntimeError):
+        compression_bound(BoundQuery(0.5, 0.01, 10 ** 9))
 
 
 def test_compression_bound_evaluation_mode():

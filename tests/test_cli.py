@@ -65,6 +65,15 @@ def test_demo_convex_and_path_examples(capsys):
     assert report["verdicts"]["adversarial"]["q_hat"] == 1.0
 
 
+def test_demo_convex_witness_at_its_maximum_k(capsys):
+    code, report = run_cli(capsys, "demo", "--example", "convex-vc",
+                           "--k", "12")
+    witness = report["verdicts"]["range_shattering"]
+    assert code == 0 and witness["all_realized"] is True
+    assert witness["subsets_checked"] == witness["subsets_realized"] == 4096
+    assert witness["membership_disagreements"] == []
+
+
 def test_bounds_subcommand(capsys):
     code, report = run_cli(capsys, "bounds", "--vc", "1",
                            "--eps", "0.1", "--beta", "0.05")
@@ -264,13 +273,23 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
         assert code == 0 and report["config"]["permutations"] is expected
         assert report["verdicts"]["scheme_counting"]["permutations"] is expected
 
+    # A config value also satisfies a required mutually exclusive group.
+    bounds = tmp_path / "bounds.cfg"
+    bounds.write_text("vc = 2\neps = 0.1\nbeta = 0.05\n")
+    code, report = run_cli(capsys, "--config", str(bounds), "bounds")
+    assert code == 0 and report["verdicts"] == {"vc_sample_bound": 531}
+    bounds.write_text("compression = 1\neps = 0.1\nbeta = 0.01\n")
+    code, report = run_cli(capsys, "--config", str(bounds), "bounds")
+    assert code == 0 and report["verdicts"] == {"compression_min_samples": 88}
+
     bad = tmp_path / "bad.cfg"
     for text, command in (("no_such_key = 1\n", "demo"),
                           ("example = path-alg9\n", "demo"),
                           ("algo = 3\n", "pathplan"),
                           ("k = four\n", "demo"),
                           ("system = sum-no-scheme\ncapacity = 1\n"
-                           "base = []\npermutations = yes\n", "compression")):
+                           "base = []\npermutations = yes\n", "compression"),
+                          ("eps = 0.1\nbeta = 0.05\n", "bounds")):
         bad.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(bad), command])

@@ -2,9 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scenlab.counterexamples import sigma_polygon, tau
 from scenlab.geometry import (
+    POINT_TOL,
     DegenerateGeometryError,
     clip_band,
     clip_halfplane,
@@ -13,6 +18,7 @@ from scenlab.geometry import (
     max_x_vertex,
     point_in_convex,
     points_equal,
+    points_in_convex,
     segments_conflict,
     signed_edge_distance,
 )
@@ -49,6 +55,153 @@ def test_point_in_convex_degenerate():
     assert point_in_convex(seg, (1.0, 0.0))
     assert not point_in_convex(seg, (3.0, 0.0))
     assert not point_in_convex(seg, (1.0, 0.5))
+
+
+def convex_hull(points):
+    """CCW hull by the monotone chain, collinear points dropped."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+    return tuple(half(pts) + half(pts[::-1]))
+
+
+@st.composite
+def polygon_cases(draw, max_m=10):
+    """(polygon, probe seed): sigma polygons sigma(m, i) for m <= max_m,
+    random hulls (some on a coarse grid), 0 to 2 vertices, each possibly
+    with a repeated vertex."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(("sigma", "hull", "grid-hull", "small")))
+    if kind == "sigma":
+        m = draw(st.integers(min_value=1, max_value=max_m))
+        poly = sigma_polygon(m, draw(st.integers(min_value=1, max_value=m)))
+    elif kind == "small":
+        n = draw(st.integers(min_value=0, max_value=2))
+        poly = tuple(map(tuple, rng.uniform(-1, 1, (n, 2)).tolist()))
+    else:
+        raw = rng.uniform(-2, 2, (draw(st.integers(3, 24)), 2))
+        if kind == "grid-hull":
+            raw = np.round(raw * 2) / 2
+        poly = convex_hull(map(tuple, raw.tolist()))
+    if poly and draw(st.booleans()):  # a zero-length edge
+        j = draw(st.integers(min_value=0, max_value=len(poly) - 1))
+        poly = poly[:j + 1] + poly[j:]
+    return poly, seed
+
+
+def probe_points(poly, seed):
+    """Random points, arc points, and for a sample of vertices and edges:
+    the vertex, points on the edge, and points just outside its midpoint by
+    fractions and multiples of each nonzero tolerance."""
+    rng = np.random.default_rng(seed)
+    pts = list(map(tuple, rng.uniform(-2.5, 2.5, (40, 2)).tolist()))
+    pts += [tau(frozenset(i + 1 for i in range(10) if mask >> i & 1))
+            for mask in rng.integers(0, 1 << 10, 16).tolist()]
+    n = len(poly)
+    for j in rng.permutation(n)[:8].tolist():
+        a, b = poly[j], poly[(j + 1) % n]
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        pts.append(a)
+        pts += [(a[0] + t * dx, a[1] + t * dy)
+                for t in [0.5] + rng.uniform(0, 1, 2).tolist()]
+        length = math.hypot(dx, dy)
+        if length:
+            mx, my = a[0] + dx / 2, a[1] + dy / 2
+            pts += [(mx + f * tol * dy / length, my - f * tol * dx / length)
+                    for tol in (1e-15, POINT_TOL)
+                    for f in (0.5, 1.0, 1.5, 3.0)]
+    return pts
+
+
+@settings(deadline=None, max_examples=60)
+@given(polygon_cases())
+def test_points_in_convex_matches_scalar(case):
+    poly, seed = case
+    pts = probe_points(poly, seed)
+    xs = np.array([p[0] for p in pts])
+    ys = np.array([p[1] for p in pts])
+    for tol in (0.0, 1e-15, POINT_TOL):
+        got = points_in_convex(poly, xs, ys, tol)
+        assert got.dtype == bool and got.shape == (len(pts),)
+        assert got.tolist() == [point_in_convex(poly, p, tol) for p in pts]
+
+
+def own_tolerance_probes(a, b, offsets):
+    """(point, tolerance) pairs just outside edge a->b: tolerance minus the
+    scalar distance (inside) and one ulp less (outside)."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    length = math.hypot(dx, dy)
+    for off in offsets:
+        p = (a[0] + dx / 2 + off * dy / length,
+             a[1] + dy / 2 - off * dx / length)
+        d = signed_edge_distance(a, b, p)
+        if d < 0.0:
+            yield p, -d
+            yield p, -math.nextafter(d, 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polygon_cases(max_m=6))
+def test_points_in_convex_at_a_tolerance_equal_to_the_distance(case):
+    # Points just outside one edge, each tested at a tolerance equal to minus
+    # its scalar distance (inside) and one ulp smaller (outside): a distance
+    # off by one ulp in either direction flips one of the two.
+    poly, seed = case
+    rng = np.random.default_rng(seed)
+    n = len(poly)
+    for j in rng.permutation(n)[:16].tolist():
+        a, b = poly[j], poly[(j + 1) % n]
+        if n < 3 or a == b:
+            continue
+        for p, tol in own_tolerance_probes(a, b, rng.uniform(1e-16, 1e-10, 4)):
+            got = points_in_convex(poly, np.array([p[0]]), np.array([p[1]]),
+                                   tol)
+            assert got.tolist() == [point_in_convex(poly, p, tol)]
+
+
+def test_points_in_convex_takes_edge_lengths_from_math_hypot():
+    # Edges whose np.hypot length differs from math.hypot in the last bit,
+    # each closed into a triangle by an apex well inside.
+    rng = np.random.default_rng(0)
+    edges = []
+    while len(edges) < 20:
+        a, b = map(tuple, rng.uniform(-2, 2, (2, 2)).tolist())
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        if float(np.hypot(dx, dy)) != math.hypot(dx, dy):
+            edges.append((a, b))
+    flips = 0
+    for a, b in edges:
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        apex = (a[0] + dx / 2 - dy, a[1] + dy / 2 + dx)
+        poly = (a, b, apex)
+        for p, tol in own_tolerance_probes(a, b, rng.uniform(1e-16, 1e-10, 8)):
+            want = point_in_convex(poly, p, tol)
+            flips += not want
+            got = points_in_convex(poly, np.array([p[0]]), np.array([p[1]]),
+                                   tol)
+            assert got.tolist() == [want]
+    assert flips >= 20
+
+
+def test_points_in_convex_edge_cases():
+    xs, ys = np.array([0.5, 1.0, 1.1, 1.0 + 1e-12]), np.array([0.5] * 4)
+    assert points_in_convex(SQUARE, xs, ys, POINT_TOL).tolist() \
+        == [True, True, False, True]
+    assert points_in_convex(SQUARE, xs, ys, 0.0).tolist() \
+        == [True, True, False, False]
+    assert points_in_convex((), xs, ys, 0.0).tolist() == [False] * 4
+    assert points_in_convex(SQUARE, np.array([]), np.array([]), 0.0).size == 0
+    with pytest.raises(ValueError):
+        points_in_convex(SQUARE, xs, ys, -1e-9)
 
 
 def test_clip_halfplane_square():
