@@ -9,10 +9,10 @@ counterexample is serialized in the report), 2 on usage errors.
 System keys (``--system``, ``demo --example``) and the demos themselves
 come from :mod:`scenlab.registry`; nothing here names a system.
 
-A flat ``key = value`` config file may supply defaults for any flag of the
-chosen subcommand; its values pass the same type and choice checks as flags,
-and boolean flags take ``true`` or ``false``.  Command-line flags override
-file values.
+A flat ``key = value`` config file is read as flags of the chosen
+subcommand: each line becomes ``--key=value`` right after the subcommand
+(``true`` a bare switch, ``false`` no flag), so one argparse pass checks file
+and command line alike and later command-line flags win.
 """
 
 from __future__ import annotations
@@ -65,19 +65,17 @@ def _config_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenlab", parents=[_config_parser()], allow_abbrev=False,
         description="Verification lab for scenario decision algorithms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
 
     def add(name: str, **kwargs):
         sp = sub.add_parser(name, **kwargs)
         sp.add_argument("--out", help="JSON report path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (echoed)")
-        subparsers[name] = sp
         return sp
 
     sp = add("demo", help="run the demonstration of a registry system")
@@ -90,7 +88,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--max-n", type=int, default=20)
 
     sp = add("risk-curve", help="empirical PAC curve q_hat(N)")
-    sp.add_argument("--system", required=True)
+    sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--n-list", type=_parse_int_list, required=True,
                     metavar="N1,N2,...")
@@ -98,19 +96,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--csv", help="also write the curve as CSV")
 
     sp = add("shatter", help="exhaustive shattering check on a candidate set")
-    sp.add_argument("--system", required=True)
+    sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--candidates", type=_json_argument, required=True,
                     help="JSON list of constraint encodings (or @file)")
     sp.add_argument("--max-len", type=int)
     sp.add_argument("--no-include-empty", action="store_true")
 
     sp = add("compression", help="compression map search / scheme counting")
-    sp.add_argument("--system", required=True)
+    sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--capacity", type=int, required=True)
-    sp.add_argument("--tuple", dest="tuple_json", type=_json_argument,
-                    help="JSON tuple of constraint encodings (map search)")
-    sp.add_argument("--base", type=_json_argument,
-                    help="JSON base set of constraint encodings (counting)")
+    group = sp.add_mutually_exclusive_group(required=True)
+    group.add_argument("--tuple", dest="tuple_json", type=_json_argument,
+                       help="JSON tuple of constraint encodings (map search)")
+    group.add_argument("--base", type=_json_argument,
+                       help="JSON base set of constraint encodings (counting)")
     sp.add_argument("--permutations", action="store_true")
 
     sp = add("bounds", help="sample-size bound calculators")
@@ -127,33 +126,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                     metavar="T1,T2,...")
     sp.add_argument("--length", type=float, default=0.5)
 
-    return parser, subparsers
+    return parser
 
 
-def _apply_config(config: dict, subparser: argparse.ArgumentParser) -> None:
-    """Install config values as defaults, checked like the flags they set."""
-    known = {a.dest: a for a in subparser._actions}
-    defaults = {}
+def _config_flags(config: dict[str, str]) -> list[str]:
+    """Config lines as flags: ``--key=value``, ``true`` a bare switch and
+    ``false`` no flag."""
+    flags = []
     for key, value in config.items():
-        if key not in known:
-            raise ValueError(f"config key {key!r} unknown for this command")
-        action = known[key]
-        if action.nargs == 0:  # a store_true flag
-            if value not in ("true", "false"):
-                raise ValueError(f"config key {key!r} takes true or false, "
-                                 f"not {value!r}")
-            value = value == "true"
-        elif action.type:
-            value = action.type(value)
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"config key {key!r}: invalid choice {value!r} "
-                             f"(choose from {list(action.choices)})")
-        defaults[key] = value
-        action.required = False
-    for group in subparser._mutually_exclusive_groups:
-        if any(a.dest in defaults for a in group._group_actions):
-            group.required = False
-    subparser.set_defaults(**defaults)
+        flag = "--" + key.replace("_", "-")
+        if value == "true":
+            flags.append(flag)
+        elif value != "false":
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +161,19 @@ def _run_risk_curve(args) -> tuple[dict, bool]:
     return {"curve": curve.to_jsonable()}, True
 
 
+def _decode_constraints(bundle, objs) -> list:
+    """Decode constraint encodings, rejecting kinds foreign to the system."""
+    constraints = [codecs.decode_constraint(obj) for obj in objs]
+    for obj, z in zip(objs, constraints):
+        if not isinstance(z, bundle.constraint_types):
+            raise ValueError(f"{obj!r} is not a constraint of "
+                             f"{bundle.system.name}")
+    return constraints
+
+
 def _run_shatter(args) -> tuple[dict, bool]:
     bundle = get_bundle(args.system)
-    candidates = [codecs.decode_constraint(obj) for obj in args.candidates]
+    candidates = _decode_constraints(bundle, args.candidates)
     report = analyzers.check_shattered(
         bundle.system, candidates, max_len=args.max_len,
         include_empty=not args.no_include_empty)
@@ -186,10 +182,8 @@ def _run_shatter(args) -> tuple[dict, bool]:
 
 def _run_compression(args) -> tuple[dict, bool]:
     bundle = get_bundle(args.system)
-    if (args.tuple_json is None) == (args.base is None):
-        raise ValueError("provide exactly one of --tuple or --base")
     if args.tuple_json is not None:
-        vz = tuple(codecs.decode_constraint(obj) for obj in args.tuple_json)
+        vz = tuple(_decode_constraints(bundle, args.tuple_json))
         indices = analyzers.find_compression_subtuple(bundle.system, vz,
                                                       args.capacity)
         return {"map_search": {
@@ -197,7 +191,7 @@ def _run_compression(args) -> tuple[dict, bool]:
             "subtuple_indices": list(indices) if indices is not None else None,
             "none_certificate": indices is None,
         }}, True
-    base = [codecs.decode_constraint(obj) for obj in args.base]
+    base = _decode_constraints(bundle, args.base)
     report = analyzers.certify_no_compression_scheme(
         bundle.system, base, args.capacity, permutations=args.permutations)
     return {"scheme_counting": report.to_jsonable()}, True
@@ -236,16 +230,14 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser = build_parser()
 
     # Unreadable files (config, @file arguments or --out) and rejected
     # values are usage errors, as are runner failures on bad input.
     try:
         known, argv = _config_parser().parse_known_args(argv)
         if known.config is not None:
-            config = load_config(known.config)
-            if argv and argv[0] in subparsers:
-                _apply_config(config, subparsers[argv[0]])
+            argv[1:1] = _config_flags(load_config(known.config))
         args = parser.parse_args(argv)
         # Append mode checks the path without losing an earlier report.
         out = open(args.out, "a") if args.out else sys.stdout

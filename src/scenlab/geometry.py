@@ -224,11 +224,11 @@ def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
     """:func:`segments_conflict` of the segment p-q against every row of the
     ``(n, 2)`` array ``tips``, whose Euclidean lengths are ``tip_lengths``.
 
-    Both branches are evaluated with the scalar operation order and
-    tolerances, lane by lane, and the general-position test picks one, so
-    the result is bit-for-bit that of the scalar predicate.  Lanes of the
-    branch not taken may divide by zero or overflow; those values are
-    discarded.
+    General-position lanes are evaluated with the scalar operation order and
+    tolerances; the (rare) parallel lanes go through the scalar predicate
+    itself, so the result is bit-for-bit that of :func:`segments_conflict`.
+    Parallel lanes may divide by zero or overflow in the array pass; those
+    values are discarded.
     """
     if not tip_lengths.all():
         raise ValueError("barrier tip coincides with the origin")
@@ -250,11 +250,7 @@ def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
                    & (-s_tol <= s) & (s <= 1.0 + s_tol))
         grazes = ((np.abs(p[0] + t * d1[0] - tx) <= tol)
                   & (np.abs(p[1] + t * d1[1] - ty) <= tol))
-        # Parallel: conflict only if collinear and overlapping beyond the tip.
-        collinear = ~(np.abs(tx * p[1] - ty * p[0]) / len2 > tol)
-        sp = (p[0] * tx + p[1] * ty) / (len2 * len2)
-        sq = (q[0] * tx + q[1] * ty) / (len2 * len2)
-        lo = np.maximum(np.minimum(sp, sq), 0.0)
-        hi = np.minimum(np.maximum(sp, sq), 1.0)
-        overlaps = ~(hi < lo - tol / len2) & (lo < 1.0 - tol / len2)
-    return np.where(general, crosses & ~grazes, collinear & overlaps)
+    conflicts = general & crosses & ~grazes
+    for i in np.flatnonzero(~general).tolist():
+        conflicts[i] = segments_conflict(p, q, tuple(tips[i].tolist()))
+    return conflicts

@@ -26,7 +26,6 @@ from .geometry import (POINT_TOL, Point, coords_equal, coords_key,
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
-ORIGIN: Point = (0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -137,16 +136,17 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     """Shortest path from I to T avoiding all sampled barriers.
 
     Uniform-cost search over the implicit visibility graph on
-    {I, T, O, tips}: an edge is tested against the sampled barriers only
+    {I, T, tips}: an edge is tested against the sampled barriers only
     when it would shorten a tentative distance, always with its lower-index
     node first (``segments_conflict`` is not symmetric in p and q).  Settled
     nodes are skipped: their distance is at most the popped one, so no edge
     could relax them.  Ties are broken deterministically by node index
-    (I, T, O, then tips in sample order).  A feasible path always exists
-    over the barrier tips.
+    (I, T, then tips in sample order).  O is no node: an edge ending at O
+    meets every barrier at its base, and with no barriers the direct edge
+    I-T is as short.  A feasible path always exists over the barrier tips.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
-    nodes = list(dict.fromkeys([START, TARGET, ORIGIN, *tips]))
+    nodes = list(dict.fromkeys([START, TARGET, *tips]))
     n = len(nodes)
     dist = [math.inf] * n
     prev = [-1] * n

@@ -1,7 +1,8 @@
 """The system registry: every shipped system is declared once, here.
 
-Each :class:`SystemBundle` ties a system to its default distribution, its
-random probe generator (used by the property suites) and its ``demo``
+Each :class:`SystemBundle` ties a system to its constraint classes (the
+kinds the CLI accepts for it), its default distribution, its random probe
+generator (used by the property suites) and its ``demo``
 (run by ``scenlab demo --example <key>``).  The registry is keyed by
 ``system.name``; the CLI reads its keys and demos from here, so adding a
 system means adding one bundle.
@@ -17,7 +18,10 @@ import numpy as np
 from . import analyzers, codecs, core
 from .core import ConstraintDistribution, ScenarioSystem
 from .counterexamples import (
+    BandConstraint,
     ExclusionConstraint,
+    MembershipConstraint,
+    PolygonConstraint,
     atom_plus_uniform,
     convex_mixture_distribution,
     convex_system,
@@ -27,6 +31,7 @@ from .counterexamples import (
     sum_system,
 )
 from .pathplan import (
+    BarrierConstraint,
     Scene,
     alg2_compression,
     band_shatter_candidates,
@@ -44,6 +49,7 @@ _SCENE = Scene()
 @dataclass(frozen=True)
 class SystemBundle:
     system: ScenarioSystem
+    constraint_types: tuple[type, ...]  # the constraint classes it decides
     distribution: ConstraintDistribution
     constraint_generator: Callable[[np.random.Generator], object]
     # demo(bundle, args) -> (verdicts, passed), args as parsed by the CLI
@@ -130,16 +136,20 @@ def _build_registry() -> dict[str, SystemBundle]:
     barrier_dist = uniform_barrier_distribution(_SCENE)
     barrier_dist_mc = uniform_barrier_distribution(_SCENE, analytic=False)
     convex_dist = convex_mixture_distribution()
+    convex = (PolygonConstraint, BandConstraint)
+    exclusion, barrier = (ExclusionConstraint,), (BarrierConstraint,)
     bundles = [
-        SystemBundle(convex_system, convex_dist, convex_dist.sample,
+        SystemBundle(convex_system, convex, convex_dist, convex_dist.sample,
                      _demo_convex),
-        SystemBundle(sum_system, geometric, geometric.sample, _demo_sum),
-        SystemBundle(min_system, geometric, geometric.sample, _demo_min),
-        SystemBundle(interval_system, interval_dist, interval_dist.sample,
-                     _demo_interval),
-        SystemBundle(path_system_alg1(_SCENE), barrier_dist_mc,
+        SystemBundle(sum_system, exclusion, geometric, geometric.sample,
+                     _demo_sum),
+        SystemBundle(min_system, exclusion, geometric, geometric.sample,
+                     _demo_min),
+        SystemBundle(interval_system, (MembershipConstraint,), interval_dist,
+                     interval_dist.sample, _demo_interval),
+        SystemBundle(path_system_alg1(_SCENE), barrier, barrier_dist_mc,
                      barrier_dist_mc.sample, _demo_path_alg1),
-        SystemBundle(path_system_alg2(_SCENE), barrier_dist,
+        SystemBundle(path_system_alg2(_SCENE), barrier, barrier_dist,
                      barrier_dist.sample, _demo_path_alg2),
     ]
     return {b.system.name: b for b in bundles}

@@ -157,10 +157,13 @@ def test_shatter_counterexample_serializes_and_revalidates(capsys):
 
 
 def test_compression_subcommand_requires_one_input(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["compression", "--system", "sum-no-scheme", "--capacity", "1"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    base = ["compression", "--system", "sum-no-scheme", "--capacity", "1"]
+    for inputs in ([], ["--tuple", '[{"exclude": 1}]',
+                        "--base", '[{"exclude": 1}]']):
+        with pytest.raises(SystemExit) as exc:
+            main(base + inputs)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 def test_compression_map_search(capsys):
@@ -215,6 +218,23 @@ def test_usage_errors_exit_2(capsys):
       json.dumps([{"exclude": a} for a in range(21)])], {}),
     (["bounds", "--vc", "1", "--eps", "0.1", "--beta", "0.05",
       "--out", "missing-dir/x.json"], {}),
+    # A constraint kind foreign to the system.
+    (["shatter", "--system", "convex-vc", "--candidates", '[{"theta": 1.0}]'],
+     {}),
+    (["shatter", "--system", "path-alg1", "--candidates", '[{"exclude": 1}]'],
+     {}),
+    (["compression", "--system", "sum-no-scheme", "--capacity", "1",
+      "--base", '[{"band": 0.5}]'], {}),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--tuple", '[{"member": 0.5}]'], {}),
+    # A command-line flag against a config value in the same group.
+    (["--config", "b.cfg", "bounds", "--compression", "1", "--beta", "0.01",
+      "--out", "report.json"],
+     {"b.cfg": "vc = 2\neps = 0.1\nbeta = 0.05\n"}),
+    # Config keys are flag names, not destinations.
+    (["--config", "t.cfg", "compression"],
+     {"t.cfg": "system = min-no-map\ncapacity = 1\n"
+               'tuple_json = [{"exclude": 0}]\n'}),
     (["risk-curve", "--system", "sum-no-scheme", "--eps", "0.1", "--n-list",
       "1", "--csv", "curve.csv", "--out", "missing-dir/x.json"], {}),
 ])
@@ -295,6 +315,24 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
             main(["--config", str(bad), command])
         assert exc.value.code == 2, text
         capsys.readouterr()
+
+
+def test_config_lines_become_flags(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("system = min-no-map\ncapacity = 2\n"
+                   'tuple = [{"exclude": 0}, {"exclude": 1}, {"exclude": 2}]\n')
+    code, report = run_cli(capsys, "--config", str(cfg), "compression")
+    assert code == 0
+    assert report["verdicts"]["map_search"]["none_certificate"] is True
+    assert report["config"]["tuple_json"] == [{"exclude": a} for a in range(3)]
+
+    # false leaves a flag unset: no CSV is written.
+    cfg.write_text("system = interval-not-pac\neps = 0.25\nn-list = 1\n"
+                   "trials = 5\ncsv = false\n")
+    code, report = run_cli(capsys, "--config", str(cfg), "risk-curve")
+    assert code == 0 and "csv" not in report["config"]
+    assert [p.name for p in tmp_path.iterdir()] == ["c.cfg"]
 
 
 def test_load_config_parsing(tmp_path):

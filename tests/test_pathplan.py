@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scenlab import pathplan
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
-    ORIGIN,
     START,
     TARGET,
     BarrierConstraint,
@@ -169,7 +168,7 @@ def test_alg1_tests_edges_lazily_lower_index_first(monkeypatch):
     alg1_shortest_path(SCENE, vz)
     tips = [barrier_tip(z, SCENE.barrier_length) for z in vz]
     order = {node: i for i, node in
-             enumerate(dict.fromkeys([START, TARGET, ORIGIN, *tips]))}
+             enumerate(dict.fromkeys([START, TARGET, *tips]))}
     pairs = set(recorded)
     assert all(order[p] < order[q] for p, q in pairs)
     # Edges that could not shorten a tentative distance are never tested.
