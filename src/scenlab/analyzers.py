@@ -443,6 +443,20 @@ def vc_sample_bound(query: BoundQuery) -> int:
                                     + math.log(2.0 / beta)))
 
 
+def explicit_sample_bound(query: BoundQuery) -> int:
+    """Explicit sufficient sample size N = ceil((2/eps) * (ln(1/beta) + d)).
+
+    With L = ln(1/beta), N eps >= 2 (L + d), and the Chernoff bound gives
+    P(Binomial(N, eps) <= d) <= exp(-(N eps - d)^2 / (2 N eps)) <= e^-L
+    = beta, so the scenario approach's binomial tail with d support
+    constraints meets beta.  It is a closed form, not an inversion: at
+    eps = 0.1, beta = 0.01, d = 1 it gives 113 where ``compression_bound``
+    finds the minimal N = 88 for C(N, d) (1 - eps)^(N - d).
+    """
+    eps, beta, d = query.epsilon, query.beta, query.capacity
+    return math.ceil((2.0 / eps) * (math.log(1.0 / beta) + d))
+
+
 def compression_beta(n: int, capacity: int, epsilon: float) -> float:
     """Classical capacity-d compression bound C(N, d) * (1 - eps)^(N - d).
 

@@ -162,7 +162,11 @@ def _run_risk_curve(args) -> tuple[dict, bool]:
 
 
 def _decode_constraints(bundle, objs) -> list:
-    """Decode constraint encodings, rejecting kinds foreign to the system."""
+    """Decode a JSON list of constraint encodings, rejecting any other JSON
+    value and kinds foreign to the system."""
+    if not isinstance(objs, list):
+        raise ValueError(f"expected a JSON list of constraint encodings, "
+                         f"got {objs!r}")
     constraints = [codecs.decode_constraint(obj) for obj in objs]
     for obj, z in zip(objs, constraints):
         if not isinstance(z, bundle.constraint_types):

@@ -55,6 +55,11 @@ class ScenarioSystem:
     ``satisfies`` for the nested Monte Carlo risk oracle:
     ``satisfies_many(x, vz)`` must equal ``[satisfies(x, z) for z in vz]``
     element for element, so risk estimates do not depend on it.
+
+    ``decide_values``, when provided, decides on the plain values that a
+    distribution's ``sample_values`` draws: ``decide_values(values)`` must
+    equal ``decide(tuple(map(cls, values)))`` for the distribution's
+    ``constraint_class`` ``cls``, so PAC curves do not depend on it.
     """
 
     name: str
@@ -64,6 +69,7 @@ class ScenarioSystem:
     decision_key: Callable[[Any], Any] = field(default=lambda x: x)
     satisfies_many: Optional[
         Callable[[Any, ConstraintTuple], Sequence[bool]]] = None
+    decide_values: Optional[Callable[[list], Any]] = None
 
 
 @dataclass(frozen=True)
@@ -77,16 +83,31 @@ class ConstraintDistribution:
     must return exactly the constraints that ``n`` calls of ``sample`` would
     return and leave ``rng`` at exactly the same stream position, so seeded
     outputs do not depend on whether a tuple was drawn in batch.
+
+    ``sample_values``, when provided, is a batch sampler of the plain values
+    that ``constraint_class`` wraps: ``tuple(map(constraint_class,
+    sample_values(rng, n)))`` must be exactly the constraints of ``n`` calls
+    of ``sample``, again leaving ``rng`` where they leave it.  The two
+    fields are set together, and ``sample_values`` takes precedence over
+    ``sample_many``.
     """
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
     sample_many: Optional[
         Callable[[np.random.Generator, int], ConstraintTuple]] = None
+    sample_values: Optional[Callable[[np.random.Generator, int], list]] = None
+    constraint_class: Optional[type] = None
+
+    def __post_init__(self) -> None:
+        if (self.sample_values is None) != (self.constraint_class is None):
+            raise ValueError("sample_values and constraint_class come as a pair")
 
     def sample_tuple(self, rng: np.random.Generator, n: int) -> ConstraintTuple:
         if n < 0:
             raise ValueError("tuple length must be >= 0")
+        if self.sample_values is not None:
+            return tuple(map(self.constraint_class, self.sample_values(rng, n)))
         if self.sample_many is not None:
             return self.sample_many(rng, n)
         return tuple(self.sample(rng) for _ in range(n))
@@ -336,6 +357,12 @@ def pac_curve(system: ScenarioSystem,
     outside [0, 1] raise ``ValueError``.  Without an analytic evaluator the
     risk is estimated by nested Monte Carlo and the curve is flagged
     ``nested_mc`` (wider, unreported uncertainty on each inner estimate).
+
+    When ``dist`` carries ``sample_values`` and ``system`` carries
+    ``decide_values``, each decision is taken on the sampled values without
+    building constraint objects; both contracts make that decision, the
+    stream position and hence every row the same as deciding on
+    ``dist.sample_tuple``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -353,12 +380,17 @@ def pac_curve(system: ScenarioSystem,
     if ns[0] < 0:
         raise ValueError("n_list entries must be >= 0")
 
+    on_values = (dist.sample_values is not None
+                 and system.decide_values is not None)
     rows = []
     for n_index, n in enumerate(ns):
         exceed = 0
         for trial in range(trials):
             rng = stream(seed, n_index, trial)
-            x = system.decide(dist.sample_tuple(rng, n))
+            if on_values:
+                x = system.decide_values(dist.sample_values(rng, n))
+            else:
+                x = system.decide(dist.sample_tuple(rng, n))
             if _violation_rate(system, x, dist, rng, inner_samples) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))

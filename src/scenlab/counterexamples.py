@@ -264,10 +264,20 @@ def exclusion_satisfies(x: int, z: ExclusionConstraint) -> bool:
     return x != z.a
 
 
+# alg_sum and alg_min do not call their value forms: the exhaustive
+# enumerations in analyzers decide hundreds of thousands of tuples, and the
+# extra call and list cost about a fifth of ``demo min-no-map``.
+
+
 def alg_sum(vz: tuple) -> int:
     """Decision 1 + sum of excluded values; order-insensitive but
     multiplicity-sensitive, and never equal to any single excluded value."""
     return 1 + sum(z.a for z in vz)
+
+
+def alg_sum_values(values: Iterable[int]) -> int:
+    """``alg_sum`` on the excluded values themselves."""
+    return 1 + sum(values)
 
 
 def alg_min(vz: tuple) -> int:
@@ -279,8 +289,19 @@ def alg_min(vz: tuple) -> int:
     return x
 
 
-sum_system = ScenarioSystem("sum-no-scheme", alg_sum, exclusion_satisfies)
-min_system = ScenarioSystem("min-no-map", alg_min, exclusion_satisfies)
+def alg_min_values(values: Iterable[int]) -> int:
+    """``alg_min`` on the excluded values themselves."""
+    excluded = set(values)
+    x = 0
+    while x in excluded:
+        x += 1
+    return x
+
+
+sum_system = ScenarioSystem("sum-no-scheme", alg_sum, exclusion_satisfies,
+                            decide_values=alg_sum_values)
+min_system = ScenarioSystem("min-no-map", alg_min, exclusion_satisfies,
+                            decide_values=alg_min_values)
 
 
 def geometric_mass(a: int) -> float:
@@ -299,16 +320,16 @@ def geometric_exclusion_distribution() -> ConstraintDistribution:
     def sample(rng: np.random.Generator) -> ExclusionConstraint:
         return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
 
-    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+    def sample_values(rng: np.random.Generator, n: int) -> list[int]:
         # For p >= 1/3 numpy draws each geometric variate from one double,
         # in batch as in scalar calls.
-        return tuple(map(ExclusionConstraint,
-                         (rng.geometric(0.5, size=n) - 1).tolist()))
+        return (rng.geometric(0.5, size=n) - 1).tolist()
 
     return ConstraintDistribution(
         sample=sample,
         analytic_violation=analytic_risk_sum_min,
-        sample_many=sample_many,
+        sample_values=sample_values,
+        constraint_class=ExclusionConstraint,
     )
 
 
@@ -357,7 +378,11 @@ OPEN_UNIT_INTERVAL = IntervalDecision(None)
 
 def alg_interval(vz: tuple) -> IntervalDecision:
     """Return the sampled points when 0 was sampled, else (0, 1]."""
-    values = [z.a for z in vz]
+    return alg_interval_values([z.a for z in vz])
+
+
+def alg_interval_values(values: list[float]) -> IntervalDecision:
+    """``alg_interval`` on the sampled points themselves."""
     if 0.0 in values:
         return IntervalDecision(tuple(sorted(set(values))))
     return OPEN_UNIT_INTERVAL
@@ -370,7 +395,8 @@ def interval_satisfies(x: IntervalDecision, z: MembershipConstraint) -> bool:
 
 
 interval_system = ScenarioSystem("interval-not-pac", alg_interval,
-                                 interval_satisfies)
+                                 interval_satisfies,
+                                 decide_values=alg_interval_values)
 
 
 def analytic_risk_interval(x: IntervalDecision) -> float:
@@ -395,25 +421,26 @@ def atom_plus_uniform(analytic: bool = True) -> ConstraintDistribution:
             return MembershipConstraint(0.0)
         return MembershipConstraint(1.0 - rng.random())  # uniform on (0, 1]
 
-    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+    def sample_values(rng: np.random.Generator, n: int) -> list[float]:
         # Replays the scalar stream: each double is a coin or, after a coin
         # of 1/2 or more, the point.  Every unfinished constraint needs at
         # least one more double, so drawing that many never overdraws.
-        out: list[MembershipConstraint] = []
+        out: list[float] = []
         coin_pending = True
         while len(out) < n:
             for u in rng.random(n - len(out)).tolist():
                 if not coin_pending:
-                    out.append(MembershipConstraint(1.0 - u))
+                    out.append(1.0 - u)
                     coin_pending = True
                 elif u < 0.5:
-                    out.append(MembershipConstraint(0.0))
+                    out.append(0.0)
                 else:
                     coin_pending = False
-        return tuple(out)
+        return out
 
     return ConstraintDistribution(
         sample=sample,
         analytic_violation=analytic_risk_interval if analytic else None,
-        sample_many=sample_many,
+        sample_values=sample_values,
+        constraint_class=MembershipConstraint,
     )

@@ -183,8 +183,8 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 # ---------------------------------------------------------------------------
 
 
-def _clearance_heights(scene: Scene, vz: tuple) -> list[float]:
-    return [clearance_height(z.theta, scene.barrier_length) for z in vz]
+def _clearance_heights(scene: Scene, thetas: list[float]) -> list[float]:
+    return [clearance_height(theta, scene.barrier_length) for theta in thetas]
 
 
 def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
@@ -193,7 +193,15 @@ def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
     Arc length is strictly increasing in the height, so the minimal feasible
     height is the shortest parabola.
     """
-    return Parabola(max([0.0, *_clearance_heights(scene, vz)]))
+    return alg2_parabola_of_angles(scene, [z.theta for z in vz])
+
+
+def alg2_parabola_of_angles(scene: Scene, thetas: list[float]) -> Parabola:
+    """``alg2_shortest_parabola`` on the barrier angles themselves.
+
+    The clearances come from ``math``, not from numpy, whose vectorized
+    trigonometry may round differently."""
+    return Parabola(max([0.0, *_clearance_heights(scene, thetas)]))
 
 
 def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
@@ -205,7 +213,7 @@ def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
     """
     if not vz:
         return ()
-    heights = _clearance_heights(scene, vz)
+    heights = _clearance_heights(scene, [z.theta for z in vz])
     return (heights.index(max(heights)),)
 
 
@@ -324,6 +332,7 @@ def path_system_alg2(scene: Scene = Scene()) -> ScenarioSystem:
         satisfies=lambda x, z: barrier_satisfied(scene, x, z),
         decisions_equal=lambda a, b: coords_equal((a.height,), (b.height,)),
         decision_key=lambda x: coords_key((x.height,)),
+        decide_values=lambda thetas: alg2_parabola_of_angles(scene, thetas),
     )
 
 
@@ -337,14 +346,14 @@ def uniform_barrier_distribution(scene: Scene = Scene(),
             theta = float(rng.uniform(0.0, math.pi))
         return BarrierConstraint(theta)
 
-    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+    def sample_values(rng: np.random.Generator, n: int) -> list[float]:
         # The scalar loop draws at least one angle per barrier, so drawing
         # only the shortfall each round never reads past its stream position.
         thetas: list[float] = []
         while len(thetas) < n:
             draws = rng.uniform(0.0, math.pi, size=n - len(thetas))
             thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
-        return tuple(map(BarrierConstraint, thetas))
+        return thetas
 
     violation = None
     if analytic:
@@ -354,4 +363,5 @@ def uniform_barrier_distribution(scene: Scene = Scene(),
             return alg2_analytic_risk(x.height, scene.barrier_length)
 
     return ConstraintDistribution(sample=sample, analytic_violation=violation,
-                                  sample_many=sample_many)
+                                  sample_values=sample_values,
+                                  constraint_class=BarrierConstraint)

@@ -6,7 +6,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenlab import analyzers
@@ -21,6 +21,7 @@ from scenlab.analyzers import (
     compression_beta,
     compression_bound,
     dvc_lower_bound,
+    explicit_sample_bound,
     find_compression_subtuple,
     revalidate_not_shattered,
     satisfied_subset,
@@ -310,6 +311,24 @@ def test_vc_sample_bound_direct_evaluation():
     assert vc_sample_bound(BoundQuery(0.1, 0.05, 2)) == 531
     with pytest.raises(ValueError):
         vc_sample_bound(BoundQuery(0.1, 0.05, 0))
+
+
+def test_explicit_sample_bound():
+    assert explicit_sample_bound(BoundQuery(0.1, 0.01, 1)) == 113
+    assert explicit_sample_bound(BoundQuery(0.5, 0.5, 0)) == \
+        math.ceil(4 * math.log(2))
+
+
+@settings(deadline=None, max_examples=40)
+@given(eps=st.sampled_from([0.5, 0.3, 0.1, 0.05, 0.01]),
+       beta=st.sampled_from([0.5, 0.1, 0.01, 1e-6]),
+       d=st.integers(min_value=0, max_value=30))
+def test_explicit_sample_bound_meets_binomial_tail(eps, beta, d):
+    n = explicit_sample_bound(BoundQuery(eps, beta, d))
+    with mpmath.workdps(30):
+        tail = sum(mpmath.binomial(n, i) * mpmath.mpf(eps) ** i
+                   * (1 - mpmath.mpf(eps)) ** (n - i) for i in range(d + 1))
+    assert tail <= beta
 
 
 def test_compression_beta_values():

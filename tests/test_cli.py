@@ -227,6 +227,14 @@ def test_usage_errors_exit_2(capsys):
       "--base", '[{"band": 0.5}]'], {}),
     (["compression", "--system", "min-no-map", "--capacity", "1",
       "--tuple", '[{"member": 0.5}]'], {}),
+    # A JSON value that is not a list of encodings.
+    (["shatter", "--system", "interval-not-pac", "--candidates", "5"], {}),
+    (["shatter", "--system", "min-no-map", "--candidates", '{"exclude": 1}'],
+     {}),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--tuple", '{"exclude": 1}'], {}),
+    (["compression", "--system", "sum-no-scheme", "--capacity", "1",
+      "--base", "5"], {}),
     # A command-line flag against a config value in the same group.
     (["--config", "b.cfg", "bounds", "--compression", "1", "--beta", "0.01",
       "--out", "report.json"],

@@ -2,6 +2,7 @@
 the constraints of the scalar ``sample`` loop and leaves the generator at the
 same stream position."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -51,7 +52,7 @@ def assert_same_stream_position(batch_rng, scalar_rng):
        primed=st.booleans())
 def test_batch_matches_scalar_loop_and_stream_position(name, seed, n, primed):
     dist = BATCHED[name]
-    assert dist.sample_many is not None
+    assert dist.sample_many is not None or dist.sample_values is not None
     batch_rng, scalar_rng = stream(seed), stream(seed)
     if primed:  # leave a spare 32-bit half buffered, as tuple_generator does
         batch_rng.integers(0, 7)
@@ -60,6 +61,41 @@ def test_batch_matches_scalar_loop_and_stream_position(name, seed, n, primed):
     scalar = tuple(dist.sample(scalar_rng) for _ in range(n))
     assert batch == scalar
     assert_same_stream_position(batch_rng, scalar_rng)
+
+
+VALUE_SAMPLED = [name for name, dist in BATCHED.items()
+                 if dist.sample_values is not None]
+
+
+def test_value_samplers_cover_all_but_the_convex_mixture():
+    assert VALUE_SAMPLED == ["barrier", "geometric", "atom_plus_uniform"]
+    assert BATCHED["convex_mixture"].sample_many is not None
+
+
+@pytest.mark.parametrize("name", VALUE_SAMPLED)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+       n=st.sampled_from([0, 1, 2, 7, 1000]),
+       primed=st.booleans())
+def test_sample_values_match_scalar_loop_and_stream_position(name, seed, n,
+                                                             primed):
+    dist = BATCHED[name]
+    values_rng, scalar_rng = stream(seed), stream(seed)
+    if primed:
+        values_rng.integers(0, 7)
+        scalar_rng.integers(0, 7)
+    values = dist.sample_values(values_rng, n)
+    scalar = tuple(dist.sample(scalar_rng) for _ in range(n))
+    assert tuple(map(dist.constraint_class, values)) == scalar
+    assert_same_stream_position(values_rng, scalar_rng)
+
+
+def test_sample_values_and_constraint_class_come_as_a_pair():
+    dist = BATCHED["barrier"]
+    with pytest.raises(ValueError):
+        dataclasses.replace(dist, constraint_class=None)
+    with pytest.raises(ValueError):
+        dataclasses.replace(dist, sample_values=None)
 
 
 @settings(deadline=None, max_examples=10)
