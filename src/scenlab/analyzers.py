@@ -391,6 +391,8 @@ def adversarial_pac_experiment(system: ScenarioSystem,
     the size guard |Z'| >= 2n is enforced here so that shattering forces a
     risk of at least 1/2 on every trial.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
     candidates = tuple(candidates)
     k = len(candidates)
     if k < 2 * n:
@@ -486,7 +488,7 @@ def compression_bound(query: BoundQuery):
     N, so beta rises to a peak near d / eps and falls after it.  Hence every
     N up to a probe with beta above the target lies below the minimum, and
     an exponential search from N = d + 1 followed by a bisection finds it
-    with O(log N) evaluations.
+    with O(log N) evaluations; past the cap it raises ``ValueError``.
     """
     if query.n is not None:
         return compression_beta(query.n, query.capacity, query.epsilon)
@@ -499,7 +501,7 @@ def compression_bound(query: BoundQuery):
     while True:
         hi = min(lo + step, cap)
         if hi <= lo:
-            raise RuntimeError("no N <= 10^9 meets the bound")
+            raise ValueError("no N <= 10^9 meets the bound")
         if meets(hi):
             break
         lo, step = hi, 2 * step

@@ -18,11 +18,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from .geometry import coords_equal, coords_key
 from .rng import stream
 
 ConstraintTuple = tuple  # ordered, multiplicity-preserving sample (z_1, ..., z_N)
@@ -31,11 +32,11 @@ HOEFFDING_DELTA = 0.05
 NESTED_MC_SAMPLES = 2000
 
 
-def hoeffding_radius(n: int, delta: float = HOEFFDING_DELTA) -> float:
-    """Two-sided distribution-free confidence radius sqrt(ln(2/delta) / (2n))."""
+def hoeffding_radius(n: int) -> float:
+    """Two-sided radius sqrt(ln(2/delta) / (2n)), delta = HOEFFDING_DELTA."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / HOEFFDING_DELTA) / (2.0 * n))
 
 
 class GeneratorExhausted(Exception):
@@ -47,9 +48,9 @@ class ScenarioSystem:
     """A scenario decision algorithm together with its satisfaction relation.
 
     ``decide`` must be deterministic: identical tuples yield equal decisions.
-    ``decisions_equal`` declares the system's decision equality (exact by
-    default; geometric systems use an absolute tolerance).  ``decision_key``
-    maps a decision to a hashable value for exact distinct-decision counting.
+    Decision equality is exact, or, with ``coords`` set, agreement of the
+    vectors ``coords(x)`` within ``POINT_TOL`` per coordinate (geometric
+    systems); :meth:`decisions_equal` and :meth:`decision_key` apply it.
 
     ``satisfies_many``, when provided, is an array-native form of
     ``satisfies`` for the nested Monte Carlo risk oracle:
@@ -65,11 +66,22 @@ class ScenarioSystem:
     name: str
     decide: Callable[[ConstraintTuple], Any]
     satisfies: Callable[[Any, Any], bool]
-    decisions_equal: Callable[[Any, Any], bool] = field(default=lambda a, b: a == b)
-    decision_key: Callable[[Any], Any] = field(default=lambda x: x)
+    coords: Optional[Callable[[Any], Sequence[float]]] = None
     satisfies_many: Optional[
         Callable[[Any, ConstraintTuple], Sequence[bool]]] = None
     decide_values: Optional[Callable[[list], Any]] = None
+
+    def decisions_equal(self, a: Any, b: Any) -> bool:
+        """The system's decision equality."""
+        if self.coords is None:
+            return a == b
+        return coords_equal(self.coords(a), self.coords(b))
+
+    def decision_key(self, x: Any) -> Any:
+        """Hashable value of ``x`` for distinct-decision counting."""
+        if self.coords is None:
+            return x
+        return coords_key(self.coords(x))
 
 
 @dataclass(frozen=True)
@@ -79,38 +91,30 @@ class ConstraintDistribution:
     ``analytic_violation``, when provided, returns the exact risk of a
     decision under this measure and bypasses nested Monte Carlo entirely.
 
-    ``sample_many``, when provided, is a batch sampler: ``sample_many(rng, n)``
-    must return exactly the constraints that ``n`` calls of ``sample`` would
-    return and leave ``rng`` at exactly the same stream position, so seeded
+    ``sample_values``, when provided, is a batch sampler: ``sample_values(rng,
+    n)`` must give exactly the constraints of ``n`` calls of ``sample``,
+    wrapped by ``constraint_class`` when that is set (it then draws plain
+    values), and leave ``rng`` at exactly their stream position, so seeded
     outputs do not depend on whether a tuple was drawn in batch.
-
-    ``sample_values``, when provided, is a batch sampler of the plain values
-    that ``constraint_class`` wraps: ``tuple(map(constraint_class,
-    sample_values(rng, n)))`` must be exactly the constraints of ``n`` calls
-    of ``sample``, again leaving ``rng`` where they leave it.  The two
-    fields are set together, and ``sample_values`` takes precedence over
-    ``sample_many``.
     """
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
-    sample_many: Optional[
-        Callable[[np.random.Generator, int], ConstraintTuple]] = None
     sample_values: Optional[Callable[[np.random.Generator, int], list]] = None
     constraint_class: Optional[type] = None
 
     def __post_init__(self) -> None:
-        if (self.sample_values is None) != (self.constraint_class is None):
-            raise ValueError("sample_values and constraint_class come as a pair")
+        if self.constraint_class is not None and self.sample_values is None:
+            raise ValueError("constraint_class needs sample_values")
 
     def sample_tuple(self, rng: np.random.Generator, n: int) -> ConstraintTuple:
         if n < 0:
             raise ValueError("tuple length must be >= 0")
-        if self.sample_values is not None:
-            return tuple(map(self.constraint_class, self.sample_values(rng, n)))
-        if self.sample_many is not None:
-            return self.sample_many(rng, n)
-        return tuple(self.sample(rng) for _ in range(n))
+        if self.sample_values is None:
+            return tuple(self.sample(rng) for _ in range(n))
+        values = self.sample_values(rng, n)
+        return tuple(values if self.constraint_class is None
+                     else map(self.constraint_class, values))
 
 
 @dataclass(frozen=True)
@@ -344,21 +348,17 @@ def pac_curve(system: ScenarioSystem,
               epsilon: float,
               n_list: Sequence[int],
               trials: int,
-              seed: int = 0,
-              threads: int = 1,
-              inner_samples: int = NESTED_MC_SAMPLES) -> PacCurve:
+              seed: int = 0) -> PacCurve:
     """Empirical curve of q_hat(N) = fraction of trials whose decision has
     risk above ``epsilon``.
 
-    Trials run in order on the calling thread, each sampling
-    ``vz ~ dist^N`` on its own stream.  ``threads`` selects nothing; it is
-    only checked, so callers that pass it keep working.  N entries that are
-    negative, boolean or not integral, ``threads`` < 1 and analytic risks
+    Trials run in order, each sampling ``vz ~ dist^N`` on its own stream.
+    N entries that are negative, boolean or not integral and analytic risks
     outside [0, 1] raise ``ValueError``.  Without an analytic evaluator the
     risk is estimated by nested Monte Carlo and the curve is flagged
     ``nested_mc`` (wider, unreported uncertainty on each inner estimate).
 
-    When ``dist`` carries ``sample_values`` and ``system`` carries
+    When ``dist`` carries a ``constraint_class`` and ``system`` carries
     ``decide_values``, each decision is taken on the sampled values without
     building constraint objects; both contracts make that decision, the
     stream position and hence every row the same as deciding on
@@ -368,8 +368,6 @@ def pac_curve(system: ScenarioSystem,
         raise ValueError("epsilon must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if not n_list:
         raise ValueError("n_list must be non-empty")
     if any(isinstance(n, bool) or not float(n).is_integer() for n in n_list):
@@ -380,7 +378,7 @@ def pac_curve(system: ScenarioSystem,
     if ns[0] < 0:
         raise ValueError("n_list entries must be >= 0")
 
-    on_values = (dist.sample_values is not None
+    on_values = (dist.constraint_class is not None
                  and system.decide_values is not None)
     rows = []
     for n_index, n in enumerate(ns):
@@ -391,7 +389,7 @@ def pac_curve(system: ScenarioSystem,
                 x = system.decide_values(dist.sample_values(rng, n))
             else:
                 x = system.decide(dist.sample_tuple(rng, n))
-            if _violation_rate(system, x, dist, rng, inner_samples) > epsilon:
+            if _violation_rate(system, x, dist, rng, NESTED_MC_SAMPLES) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
     return PacCurve(epsilon, trials, seed, tuple(rows),

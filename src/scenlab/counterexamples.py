@@ -26,8 +26,6 @@ from .geometry import (
     POINT_TOL,
     clip_band,
     clip_polygon,
-    coords_equal,
-    coords_key,
     max_x_vertex,
     point_in_convex,
 )
@@ -167,8 +165,7 @@ convex_system = ScenarioSystem(
     name="convex-vc",
     decide=alg_convex_maxx1,
     satisfies=convex_satisfies,
-    decisions_equal=coords_equal,
-    decision_key=coords_key,
+    coords=tuple,  # a decision is a point, its own coordinate vector
     satisfies_many=convex_satisfies_many,
 )
 
@@ -194,7 +191,7 @@ def convex_mixture_distribution() -> ConstraintDistribution:
         i = int(rng.integers(1, m + 1))
         return PolygonConstraint(m, i)
 
-    def sample_many(rng: np.random.Generator, n: int) -> tuple:
+    def sample_values(rng: np.random.Generator, n: int) -> list:
         # Replays the scalar stream from raw PCG64 words, decoded as numpy
         # does: a double is the top 53 bits of a word; ``integers`` takes
         # 32-bit halves, low half first, and the generator buffers the spare
@@ -202,7 +199,7 @@ def convex_mixture_distribution() -> ConstraintDistribution:
         # exactly where the scalar loop leaves it.
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64:
-            return tuple(sample(rng) for _ in range(n))
+            return [sample(rng) for _ in range(n)]
         saved = bitgen.state
         has_half, half = saved["has_uint32"], saved["uinteger"]
         # A constraint takes at most two words unless Lemire rejects, so
@@ -239,9 +236,9 @@ def convex_mixture_distribution() -> ConstraintDistribution:
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = has_half, half
         bitgen.state = state
-        return tuple(out)
+        return out
 
-    return ConstraintDistribution(sample=sample, sample_many=sample_many)
+    return ConstraintDistribution(sample=sample, sample_values=sample_values)
 
 
 # ---------------------------------------------------------------------------

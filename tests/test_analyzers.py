@@ -284,6 +284,10 @@ def test_adversarial_pac_guard_and_exactness():
     with pytest.raises(ValueError):
         adversarial_pac_experiment(path_system_alg1(), zs, n=3,
                                    epsilon=0.25, trials=10)
+    for eps in (-1.0, 0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            adversarial_pac_experiment(path_system_alg1(), zs, n=2,
+                                       epsilon=eps, trials=10)
     report = adversarial_pac_experiment(path_system_alg1(), zs, n=2,
                                         epsilon=0.25, trials=50, seed=2)
     assert report.candidate_count == 4
@@ -409,10 +413,10 @@ def test_compression_bound_inversion_takes_logarithmic_work(
 def test_compression_bound_cap_raises_after_logarithmic_work(monkeypatch):
     calls = count_compression_beta(monkeypatch)
     # The minimum is about ln(100) / 1e-9, past the 10^9 cap.
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         compression_bound(BoundQuery(1e-9, 0.01, 1))
     assert len(calls) <= 2 * (10 ** 9).bit_length() + 2
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         compression_bound(BoundQuery(0.5, 0.01, 10 ** 9))
 
 

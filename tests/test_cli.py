@@ -245,6 +245,15 @@ def test_usage_errors_exit_2(capsys):
                'tuple_json = [{"exclude": 0}]\n'}),
     (["risk-curve", "--system", "sum-no-scheme", "--eps", "0.1", "--n-list",
       "1", "--csv", "curve.csv", "--out", "missing-dir/x.json"], {}),
+    # An epsilon outside (0, 1) for the adversarial experiment.
+    (["demo", "--example", "path-alg1", "--eps", "-1"], {}),
+    (["demo", "--example", "path-alg1", "--eps", "nan"], {}),
+    # A minimal N past the 10^9 cap.
+    (["bounds", "--compression", "1", "--eps", "1e-12", "--beta", "0.01"], {}),
+    # A barrier within POINT_TOL of the I-T axis leaves no path.
+    (["pathplan", "--algo", "1", "--thetas", "1e-9"], {}),
+    (["shatter", "--system", "path-alg1", "--candidates",
+      '[{"theta": 1e-300}]'], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):

@@ -54,7 +54,7 @@ def one_threshold(rng):
 
 def test_hoeffding_radius_value_and_validation():
     # Direct evaluation of sqrt(ln(2/delta) / (2n)).
-    assert hoeffding_radius(500, 0.05) == pytest.approx(
+    assert hoeffding_radius(500) == pytest.approx(
         math.sqrt(math.log(40.0) / 1000.0), rel=1e-15)
     assert hoeffding_radius(100) > hoeffding_radius(1000)
     with pytest.raises(ValueError):
@@ -172,10 +172,6 @@ def test_pac_curve_validation_errors():
         pac_curve(max_system, dist, 0.5, [2.7], 10)
     with pytest.raises(ValueError):
         pac_curve(max_system, dist, 0.5, [True, 3], 10)
-    with pytest.raises(ValueError):
-        pac_curve(max_system, dist, 0.5, [1], 10, threads=0)
-    with pytest.raises(ValueError):
-        pac_curve(max_system, dist, 0.5, [1], 10, threads=-4)
     # Analytic risks are range-checked in curves, as in single estimates.
     bad = ConstraintDistribution(sample=one_threshold,
                                  analytic_violation=lambda x: 1.5)

@@ -23,7 +23,7 @@ def test_value_systems_are_the_analytic_ones():
     assert carrying == sorted(VALUE_SYSTEMS)
     for key in VALUE_SYSTEMS:
         dist = get_bundle(key).distribution
-        assert dist.sample_values is not None
+        assert dist.constraint_class is not None
         assert dist.analytic_violation is not None
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenlab import pathplan
+from scenlab.counterexamples import convex_system
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
     START,
@@ -347,3 +349,26 @@ def test_path_system_equality_and_keys():
     assert s1.decision_key(base) == s1.decision_key(near)
     assert not s1.decisions_equal(base, far)
     assert s1.decision_key(base) != s1.decision_key(far)
+    # The convex system's decisions are points, under the same rule.
+    base, near, far = base.vertices[1], near.vertices[1], far.vertices[1]
+    assert convex_system.decisions_equal(base, near)
+    assert convex_system.decision_key(base) == convex_system.decision_key(near)
+    assert not convex_system.decisions_equal(base, far)
+    assert convex_system.decision_key(base) != convex_system.decision_key(far)
+
+
+@pytest.mark.parametrize("vz, named", [
+    ((1e-300,), 1e-300),
+    ((1e-9,), 1e-9),
+    ((math.pi - 6e-10,), math.pi - 6e-10),
+    ((1e-9, math.pi - 6e-10), math.pi - 6e-10),
+])
+def test_alg1_rejects_barriers_on_the_axis(vz, named):
+    """The edge from a tip within POINT_TOL of the I-T axis down to I or T
+    runs along its barrier, so with no higher tip no path exists; the error
+    names the barrier nearest the axis.  A higher tip offers a way over."""
+    vz = tuple(BarrierConstraint(theta) for theta in vz)
+    with pytest.raises(ValueError, match=re.escape(f"theta={named!r},")):
+        alg1_shortest_path(SCENE, vz)
+    path = alg1_shortest_path(SCENE, vz + (BarrierConstraint(1.0),))
+    assert all(barrier_satisfied(SCENE, path, z) for z in vz)
