@@ -6,6 +6,7 @@ certificates, sample-size bounds, and the path-planning application systems.
 
 from .core import (
     ConstraintDistribution,
+    Fold,
     PacCurve,
     PropertyReport,
     RiskEstimate,
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundQuery",
     "ConstraintDistribution",
+    "Fold",
     "PacCurve",
     "PropertyReport",
     "RiskEstimate",

@@ -5,19 +5,25 @@ definitions: a ``not_shattered`` verdict or a per-tuple "no subtuple" result
 can be re-validated independently from its serialized report.  Positive
 shattering verdicts are truncated to tuples of length at most L and labelled
 accordingly.
+
+The exhaustive searches walk prefix trees of the enumerated tuples depth
+first.  For a system whose ``decide`` is a ``Fold`` (``convex-vc``,
+``sum-no-scheme``, ``min-no-map``), or wraps one by ``functools.wraps``,
+each node extends its parent's state once; any other system decides each
+enumerated tuple whole.
 """
 
 from __future__ import annotations
 
-import itertools
+import inspect
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from . import codecs
-from .core import ConstraintTuple, ScenarioSystem, hoeffding_radius
+from .core import ConstraintTuple, Fold, ScenarioSystem, hoeffding_radius
 from .counterexamples import (
     BandConstraint,
     alg_convex_maxx1,
@@ -43,6 +49,83 @@ WITNESS_MEMBERSHIP_TOL = 1e-15
 
 class BudgetExceededError(Exception):
     """Enumeration would exceed ``DEFAULT_TUPLE_BUDGET`` tuples."""
+
+
+# ---------------------------------------------------------------------------
+# Prefix-tree walks
+# ---------------------------------------------------------------------------
+
+
+def _append(vz: tuple, z: Any) -> tuple:
+    return vz + (z,)
+
+
+def _fold_of(system: ScenarioSystem) -> Optional[Fold]:
+    """The ``Fold`` that ``decide`` is, or wraps by ``functools.wraps``."""
+    decide = inspect.unwrap(system.decide)
+    return decide if isinstance(decide, Fold) else None
+
+
+def _walk_fold(system: ScenarioSystem) -> Fold:
+    """The system's fold, or one whose state is the tuple itself and whose
+    ``finish`` decides it whole (systems without a fold)."""
+    return _fold_of(system) or Fold((), _append, system.decide)
+
+
+def _first_leaf(fold: Fold, items: Sequence, length: int, ascending: bool,
+                accept: Callable[[tuple, Any], bool]) -> Optional[tuple]:
+    """Walk the index tuples of ``length`` in lexicographic order and return
+    the first for which ``accept(indices, decision)`` holds, or ``None``.
+
+    The tuples are those of ``itertools.combinations`` when ``ascending``,
+    else of ``itertools.product``.  The walk is depth first over their
+    prefix tree, each node extending its parent's state by its item once,
+    so only ``length`` states are live.
+    """
+    extend, finish = fold.extend, fold.finish
+    n = len(items)
+
+    def walk(state: Any, path: tuple, last: int, need: int) -> Optional[tuple]:
+        # Ascending indices leave room for the ones still to place.
+        indices = range(last + 1, n - need + 1) if ascending else range(n)
+        if need == 1:
+            for i in indices:
+                leaf = path + (i,)
+                if accept(leaf, finish(extend(state, items[i]))):
+                    return leaf
+            return None
+        for i in indices:
+            found = walk(extend(state, items[i]), path + (i,), i, need - 1)
+            if found is not None:
+                return found
+        return None
+
+    if length == 0:
+        return () if accept((), finish(fold.init)) else None
+    return walk(fold.init, (), -1, length)
+
+
+def _decision_keys(system: ScenarioSystem, base: tuple,
+                   permutations: bool) -> set:
+    """Decision keys of every tuple of distinct base elements: each subset
+    in base order, or with ``permutations`` in every order.  The tree of
+    these tuples is walked depth first, each node extending its parent's
+    state once."""
+    fold = _walk_fold(system)
+    extend, finish, key = fold.extend, fold.finish, system.decision_key
+    keys = {key(finish(fold.init))}
+
+    def walk(state: Any, rest: tuple) -> None:
+        for j, z in enumerate(rest):
+            child = extend(state, z)
+            keys.add(key(finish(child)))
+            rest_after = rest[:j] + rest[j + 1:] if permutations \
+                else rest[j + 1:]
+            if rest_after:
+                walk(child, rest_after)
+
+    walk(fold.init, base)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +187,11 @@ def check_shattered(system: ScenarioSystem,
 
     Enumeration order is deterministic (lengths ascending, candidate order as
     given), so the reported counterexample is the first in that order.  A
-    ``not_shattered`` verdict is sound for the untruncated definition;
-    ``shattered_up_to_L`` is finite-scale evidence only.
+    system that decides by a ``Fold`` walks, per length, the product tree of
+    that order depth first, extending each prefix's state once; others
+    decide every tuple.  A ``not_shattered`` verdict is sound for the
+    untruncated definition; ``shattered_up_to_L`` is finite-scale evidence
+    only.
     """
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
@@ -122,18 +208,23 @@ def check_shattered(system: ScenarioSystem,
             f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
 
     checked = 0
-    lengths = range(0 if include_empty else 1, max_len + 1)
-    for r in lengths:
-        for vz in itertools.product(candidates, repeat=r):
-            checked += 1
-            x = system.decide(vz)
-            realized = satisfied_subset(system, x, candidates)
-            sampled = frozenset(vz)
-            if realized != sampled:
-                return ShatterCheckReport(
-                    system.name, candidates, max_len, include_empty,
-                    "not_shattered", checked, counterexample=vz,
-                    satisfied_subset=realized, sampled_set=sampled)
+    realized = frozenset()
+
+    def breaks(indices: tuple, x: Any) -> bool:
+        nonlocal checked, realized
+        checked += 1
+        realized = satisfied_subset(system, x, candidates)
+        return realized != frozenset(candidates[i] for i in indices)
+
+    fold = _walk_fold(system)
+    for r in range(0 if include_empty else 1, max_len + 1):
+        indices = _first_leaf(fold, candidates, r, False, breaks)
+        if indices is not None:
+            vz = tuple(candidates[i] for i in indices)
+            return ShatterCheckReport(
+                system.name, candidates, max_len, include_empty,
+                "not_shattered", checked, counterexample=vz,
+                satisfied_subset=realized, sampled_set=frozenset(vz))
     return ShatterCheckReport(system.name, candidates, max_len, include_empty,
                               "shattered_up_to_L", checked)
 
@@ -187,22 +278,29 @@ def find_compression_subtuple(system: ScenarioSystem,
     giving the same decision as the full tuple.
 
     Search order is shortest first, then lexicographic on (0-based) index
-    tuples, so the result is deterministic.  ``None`` is a per-tuple
-    impossibility certificate.
+    tuples, so the result is deterministic.  A system that decides by a
+    ``Fold`` walks, per length, the tree of index prefixes in that order
+    depth first, extending each prefix's state once; others decide every
+    subtuple.
+    ``None`` is a per-tuple impossibility certificate.  More subtuples than
+    ``DEFAULT_TUPLE_BUDGET`` raise ``BudgetExceededError`` before anything
+    is decided.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     n = len(vz)
-    target = system.decide(vz)
     total = sum(math.comb(n, r) for r in range(min(capacity, n) + 1))
     if total > DEFAULT_TUPLE_BUDGET:
         raise BudgetExceededError(
             f"{total} subtuples exceed budget {DEFAULT_TUPLE_BUDGET}")
+    target = (_fold_of(system) or system.decide)(vz)
+    fold = _walk_fold(system)
     for r in range(min(capacity, n) + 1):
-        for indices in itertools.combinations(range(n), r):
-            sub = tuple(vz[i] for i in indices)
-            if system.decisions_equal(system.decide(sub), target):
-                return indices
+        indices = _first_leaf(
+            fold, vz, r, True,
+            lambda indices, x: system.decisions_equal(x, target))
+        if indices is not None:
+            return indices
     return None
 
 
@@ -240,10 +338,12 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     """Exact counting certificate: D distinct decisions vs the number B of
     compression outputs of length <= d (see ``CompressionSchemeReport``).
 
-    By default each subset of the base set is evaluated once, in canonical
-    (input) order -- exact for order-insensitive systems at 2^k cost.  The
-    ``permutations`` flag additionally enumerates all orderings of each
-    subset for order-sensitive systems.  More tuples than
+    By default each subset of the base set is decided once, in canonical
+    (input) order -- exact for order-insensitive systems.  The
+    ``permutations`` flag decides all orderings of each subset instead, for
+    order-sensitive systems.  A system that decides by a ``Fold`` walks the
+    prefix tree of these tuples depth first, so each tuple costs one
+    ``extend`` and one ``finish``; others decide every tuple whole.  More tuples than
     ``DEFAULT_TUPLE_BUDGET`` raise ``BudgetExceededError`` before any is
     decided.
     """
@@ -259,13 +359,7 @@ def certify_no_compression_scheme(system: ScenarioSystem,
         raise BudgetExceededError(
             f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
 
-    decisions = set()
-    for r in range(k + 1):
-        for subset in itertools.combinations(base, r):
-            orderings = itertools.permutations(subset) if permutations \
-                else (subset,)
-            for vz in orderings:
-                decisions.add(system.decision_key(system.decide(vz)))
+    decisions = _decision_keys(system, base, permutations)
 
     bound = sum(count(k, r) for r in range(min(capacity, k) + 1))
     return CompressionSchemeReport(

@@ -44,6 +44,28 @@ class GeneratorExhausted(Exception):
 
 
 @dataclass(frozen=True)
+class Fold:
+    """A decision declared as a left fold over the constraint tuple.
+
+    Calling the fold on ``vz`` decides it: ``finish`` of ``extend`` folded
+    over ``vz`` from ``init``.  ``extend(state, z)`` returns a new state and
+    never mutates its input, so a state can be shared by every tuple that
+    extends the same prefix; the exhaustive searches in ``analyzers`` walk
+    prefix trees this way, extending each prefix once.
+    """
+
+    init: Any
+    extend: Callable[[Any, Any], Any]
+    finish: Callable[[Any], Any]
+
+    def __call__(self, vz: ConstraintTuple) -> Any:
+        state, extend = self.init, self.extend
+        for z in vz:
+            state = extend(state, z)
+        return self.finish(state)
+
+
+@dataclass(frozen=True)
 class ScenarioSystem:
     """A scenario decision algorithm together with its satisfaction relation.
 
@@ -51,6 +73,14 @@ class ScenarioSystem:
     Decision equality is exact, or, with ``coords`` set, agreement of the
     vectors ``coords(x)`` within ``POINT_TOL`` per coordinate (geometric
     systems); :meth:`decisions_equal` and :meth:`decision_key` apply it.
+
+    The exhaustive searches in ``analyzers`` walk a ``decide`` that is a
+    :class:`Fold` instead of deciding every enumerated tuple whole
+    (``convex-vc``, ``sum-no-scheme`` and ``min-no-map`` decide by folds).
+    They find the fold through the ``__wrapped__`` chain that
+    ``functools.wraps`` sets, so ``dataclasses.replace(system,
+    decide=functools.wraps(fold)(wrapper))`` is still walked as the fold;
+    any other ``decide`` is decided whole.
 
     ``satisfies_many``, when provided, is an array-native form of
     ``satisfies`` for the nested Monte Carlo risk oracle:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import ConstraintDistribution, ScenarioSystem
+from .core import ConstraintDistribution, Fold, ScenarioSystem
 from .geometry import (
     Point,
     POINT_TOL,
@@ -112,30 +112,39 @@ class BandConstraint:
 ConvexConstraint = PolygonConstraint | BandConstraint
 
 
-def alg_convex_maxx1(vz: tuple) -> Point:
-    """Feasible point maximizing x1 over disk /\\ polygons /\\ bands.
+def _convex_extend(state: tuple, z) -> tuple:
+    """Clip the region by a polygon (the first polygon is the region), or
+    raise the band level to a band's."""
+    region, y_min = state
+    if isinstance(z, PolygonConstraint):
+        polygon = sigma_polygon(z.m, z.i)
+        return (polygon if region is None else clip_polygon(region, polygon),
+                y_min)
+    if isinstance(z, BandConstraint):
+        # max(y_min, z.y): a tie keeps the earlier level, as max() does.
+        return region, z.y if y_min is None or z.y > y_min else y_min
+    return state
 
-    Feasibility is guaranteed: (0, 1) belongs to every constraint and to the
-    disk.  With polygon constraints present, the feasible set is the clipped
-    polygon (all its vertices lie in the disk); otherwise the optimum sits on
-    the circle at the band level.
-    """
-    polygons = [z for z in vz if isinstance(z, PolygonConstraint)]
-    bands = [z.y for z in vz if isinstance(z, BandConstraint)]
-    y_min = max(bands) if bands else None
 
-    if not polygons:
+def _convex_finish(state: tuple) -> Point:
+    region, y_min = state
+    if region is None:
         if y_min is None:
             return (1.0, 0.0)
         y = min(y_min, 1.0)
         return (math.sqrt(max(0.0, 1.0 - y * y)), y)
-
-    region = sigma_polygon(polygons[0].m, polygons[0].i)
-    for z in polygons[1:]:
-        region = clip_polygon(region, sigma_polygon(z.m, z.i))
     if y_min is not None:
         region = clip_band(region, y_min)
     return max_x_vertex(region)
+
+
+# Feasible point maximizing x1 over disk /\ polygons /\ bands.  Feasibility
+# is guaranteed: (0, 1) belongs to every constraint and to the disk.  With
+# polygon constraints present, the feasible set is the clipped polygon (all
+# its vertices lie in the disk); otherwise the optimum sits on the circle at
+# the band level.  The state is (clipped region or None, max band level or
+# None); polygons are clipped in tuple order and the band clip comes last.
+alg_convex_maxx1 = Fold((None, None), _convex_extend, _convex_finish)
 
 
 def convex_satisfies(x: Point, z: ConvexConstraint) -> bool:
@@ -261,15 +270,31 @@ def exclusion_satisfies(x: int, z: ExclusionConstraint) -> bool:
     return x != z.a
 
 
-# alg_sum and alg_min do not call their value forms: the exhaustive
-# enumerations in analyzers decide hundreds of thousands of tuples, and the
-# extra call and list cost about a fifth of ``demo min-no-map``.
+def _sum_extend(total: int, z: ExclusionConstraint) -> int:
+    return total + z.a
 
 
-def alg_sum(vz: tuple) -> int:
-    """Decision 1 + sum of excluded values; order-insensitive but
-    multiplicity-sensitive, and never equal to any single excluded value."""
-    return 1 + sum(z.a for z in vz)
+def _sum_finish(total: int) -> int:
+    return 1 + total
+
+
+def _min_extend(excluded: frozenset, z: ExclusionConstraint) -> frozenset:
+    return excluded if z.a in excluded else excluded | {z.a}
+
+
+def _min_finish(excluded: frozenset) -> int:
+    x = 0
+    while x in excluded:
+        x += 1
+    return x
+
+
+# Decision 1 + sum of excluded values; order-insensitive but
+# multiplicity-sensitive, and never equal to any single excluded value.
+alg_sum = Fold(0, _sum_extend, _sum_finish)
+
+# Least natural number not excluded by the sample.
+alg_min = Fold(frozenset(), _min_extend, _min_finish)
 
 
 def alg_sum_values(values: Iterable[int]) -> int:
@@ -277,22 +302,9 @@ def alg_sum_values(values: Iterable[int]) -> int:
     return 1 + sum(values)
 
 
-def alg_min(vz: tuple) -> int:
-    """Least natural number not excluded by the sample."""
-    excluded = {z.a for z in vz}
-    x = 0
-    while x in excluded:
-        x += 1
-    return x
-
-
 def alg_min_values(values: Iterable[int]) -> int:
     """``alg_min`` on the excluded values themselves."""
-    excluded = set(values)
-    x = 0
-    while x in excluded:
-        x += 1
-    return x
+    return _min_finish(frozenset(values))
 
 
 sum_system = ScenarioSystem("sum-no-scheme", alg_sum, exclusion_satisfies,

@@ -71,6 +71,8 @@ def _demo_convex(bundle: SystemBundle, args) -> tuple[dict, bool]:
 
 
 def _demo_sum(bundle: SystemBundle, args) -> tuple[dict, bool]:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     base = [ExclusionConstraint(1 << j) for j in range(args.k)]
     report = analyzers.certify_no_compression_scheme(bundle.system, base,
                                                      args.capacity)

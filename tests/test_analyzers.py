@@ -1,5 +1,6 @@
 """Tests for shattering search, compression certificates, and bounds."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from scenlab.analyzers import (
     vc_sample_bound,
     verify_range_shattering_witness,
 )
-from scenlab.core import ScenarioSystem
+from scenlab.core import Fold, ScenarioSystem
 from scenlab.counterexamples import (
     BandConstraint,
     ExclusionConstraint,
@@ -131,6 +132,32 @@ def test_find_compression_subtuple_validation_and_budget():
     vz = tuple(ExclusionConstraint(a) for a in range(30))
     with pytest.raises(BudgetExceededError):
         find_compression_subtuple(sum_system, vz, 15)
+    # The guard comes before the target decision and before any walk.
+    decided = []
+    system = ScenarioSystem("counting", lambda vz: decided.append(vz),
+                            lambda x, z: True)
+    with pytest.raises(BudgetExceededError):
+        find_compression_subtuple(system, vz, 15)
+    assert decided == []
+    extended = []
+
+    def recording_extend(extend):
+        def wrapper(state, z):
+            extended.append(z)
+            return extend(state, z)
+        return wrapper
+
+    for folded in (sum_system, min_system):
+        fold = folded.decide
+        recording = dataclasses.replace(folded, decide=Fold(
+            fold.init, recording_extend(fold.extend), fold.finish))
+        with pytest.raises(BudgetExceededError):
+            find_compression_subtuple(recording, vz, 15)
+        assert extended == []
+        # Under the budget the same wrapper does record the walk.
+        find_compression_subtuple(recording, vz[:3], 1)
+        assert extended
+        extended.clear()
 
 
 def test_certify_no_compression_scheme_counting():

@@ -213,6 +213,9 @@ def test_usage_errors_exit_2(capsys):
      {"threads.cfg": "system = interval-not-pac\neps = 0.25\n"
                      "n_list = 1\nthreads = 2\n"}),
     (["demo", "--example", "path-alg2", "--trials", "0"], {}),
+    # An empty or negative scheme-counting base.
+    (["demo", "--example", "sum-no-scheme", "--k", "0"], {}),
+    (["demo", "--example", "sum-no-scheme", "--k", "-1"], {}),
     (["demo", "--example", "path-alg2", "--max-n", "-1"], {}),
     (["compression", "--system", "sum-no-scheme", "--capacity", "1", "--base",
       json.dumps([{"exclude": a} for a in range(21)])], {}),

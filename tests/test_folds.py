@@ -1,0 +1,309 @@
+"""Decisions declared as left folds, and the prefix-tree walks over them.
+
+The fold of each system must decide exactly as the list form it replaced,
+and every walk must give what deciding each enumerated tuple whole gives:
+the same decision keys, the same first subtuple and the same first
+shattering counterexample after the same number of tuples."""
+
+import dataclasses
+import functools
+import itertools
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from scenlab import analyzers
+from scenlab.analyzers import (
+    certify_no_compression_scheme,
+    check_shattered,
+    find_compression_subtuple,
+)
+from scenlab.core import Fold, ScenarioSystem
+from scenlab.counterexamples import (
+    BandConstraint,
+    ExclusionConstraint,
+    MembershipConstraint,
+    PolygonConstraint,
+    alg_convex_maxx1,
+    alg_min,
+    alg_sum,
+    convex_system,
+    interval_system,
+    min_system,
+    sigma_polygon,
+    sum_system,
+)
+from scenlab.geometry import clip_band, clip_polygon, max_x_vertex
+from scenlab.registry import SYSTEMS
+
+FOLD_SYSTEMS = {s.name: s for s in (convex_system, sum_system, min_system)}
+
+# ---------------------------------------------------------------------------
+# The list forms the folds replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+
+def convex_by_lists(vz):
+    polygons = [z for z in vz if isinstance(z, PolygonConstraint)]
+    bands = [z.y for z in vz if isinstance(z, BandConstraint)]
+    y_min = max(bands) if bands else None
+    if not polygons:
+        if y_min is None:
+            return (1.0, 0.0)
+        y = min(y_min, 1.0)
+        return (math.sqrt(max(0.0, 1.0 - y * y)), y)
+    region = sigma_polygon(polygons[0].m, polygons[0].i)
+    for z in polygons[1:]:
+        region = clip_polygon(region, sigma_polygon(z.m, z.i))
+    if y_min is not None:
+        region = clip_band(region, y_min)
+    return max_x_vertex(region)
+
+
+def sum_by_lists(vz):
+    return 1 + sum(z.a for z in vz)
+
+
+def min_by_lists(vz):
+    excluded = {z.a for z in vz}
+    x = 0
+    while x in excluded:
+        x += 1
+    return x
+
+
+def hexed(point):
+    return tuple(float.hex(c) for c in point)
+
+
+POLYGONS = [PolygonConstraint(m, i) for m in range(1, 5)
+            for i in range(1, m + 1)]
+LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+                   st.floats(min_value=0.0, max_value=1.0))
+CONVEX = st.one_of(st.sampled_from(POLYGONS), st.builds(BandConstraint, LEVELS))
+EXCLUSION = st.builds(ExclusionConstraint, st.integers(min_value=0, max_value=6))
+CONSTRAINTS = {"convex-vc": CONVEX, "sum-no-scheme": EXCLUSION,
+               "min-no-map": EXCLUSION}
+
+
+def test_fold_systems_are_the_three_counterexamples():
+    folded = sorted(key for key, bundle in SYSTEMS.items()
+                    if isinstance(bundle.system.decide, Fold))
+    assert folded == sorted(FOLD_SYSTEMS)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(CONVEX, max_size=8))
+def test_convex_fold_is_bit_identical_to_the_list_form(vz):
+    vz = tuple(vz)
+    assert hexed(alg_convex_maxx1(vz)) == hexed(convex_by_lists(vz))
+
+
+@settings(deadline=None)
+@given(st.lists(st.sampled_from(POLYGONS[:4]), min_size=1, max_size=6),
+       st.lists(st.sampled_from([0.0, -0.0, 0.25]), max_size=4),
+       st.permutations(range(10)))
+@example([POLYGONS[0]], [0.0, -0.0], range(10))
+@example([POLYGONS[0]], [-0.0, 0.0], range(10))
+def test_convex_fold_on_repeated_polygons_and_signed_zero_levels(
+        polygons, levels, order):
+    vz = polygons + [BandConstraint(y) for y in levels]
+    vz = tuple(vz[i] for i in order if i < len(vz))
+    assert hexed(alg_convex_maxx1(vz)) == hexed(convex_by_lists(vz))
+    # Without polygons the level itself is returned, signed zero included.
+    bands = tuple(z for z in vz if isinstance(z, BandConstraint))
+    assert hexed(alg_convex_maxx1(bands)) == hexed(convex_by_lists(bands))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**70), max_size=12))
+def test_exclusion_folds_equal_the_list_forms(values):
+    vz = tuple(ExclusionConstraint(a) for a in values)
+    assert alg_sum(vz) == sum_by_lists(vz)
+    assert alg_min(vz) == min_by_lists(vz)
+
+
+def test_extend_returns_a_new_state():
+    state = alg_min.extend(alg_min.init, ExclusionConstraint(0))
+    grown = alg_min.extend(state, ExclusionConstraint(3))
+    assert state == frozenset({0}) and grown == frozenset({0, 3})
+    assert alg_min.extend(grown, ExclusionConstraint(3)) is grown
+    first = alg_convex_maxx1.extend(alg_convex_maxx1.init, POLYGONS[1])
+    second = alg_convex_maxx1.extend(first, POLYGONS[2])
+    assert first == (sigma_polygon(2, 1), None)
+    assert second[0] == clip_polygon(sigma_polygon(2, 1), sigma_polygon(2, 2))
+
+
+def test_fold_decides_by_folding_extend_from_init():
+    doubled = Fold(0, lambda s, z: s + 2 * z.a, lambda s: s)
+    system = ScenarioSystem("doubled", doubled, lambda x, z: True)
+    assert system.decide((ExclusionConstraint(2), ExclusionConstraint(3))) == 10
+    assert system.decide(()) == 0
+
+
+# ---------------------------------------------------------------------------
+# Walks against the per-tuple loops
+# ---------------------------------------------------------------------------
+
+
+def loop_keys(system, base, permutations):
+    keys = set()
+    for r in range(len(base) + 1):
+        for subset in itertools.combinations(base, r):
+            for vz in (itertools.permutations(subset) if permutations
+                       else (subset,)):
+                keys.add(system.decision_key(system.decide(vz)))
+    return keys
+
+
+def loop_subtuple(system, vz, capacity):
+    target = system.decide(vz)
+    for r in range(min(capacity, len(vz)) + 1):
+        for indices in itertools.combinations(range(len(vz)), r):
+            sub = tuple(vz[i] for i in indices)
+            if system.decisions_equal(system.decide(sub), target):
+                return indices
+    return None
+
+
+def loop_shattered(system, candidates, max_len, include_empty):
+    checked = 0
+    for r in range(0 if include_empty else 1, max_len + 1):
+        for vz in itertools.product(candidates, repeat=r):
+            checked += 1
+            realized = analyzers.satisfied_subset(
+                system, system.decide(vz), candidates)
+            if realized != frozenset(vz):
+                return "not_shattered", checked, vz, realized
+    return "shattered_up_to_L", checked, None, None
+
+
+def distinct(key, max_size):
+    return st.lists(CONSTRAINTS[key], max_size=max_size, unique=True)
+
+
+@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), permutations=st.booleans())
+def test_scheme_walk_gives_the_loop_keys(key, data, permutations):
+    system = FOLD_SYSTEMS[key]
+    base = tuple(data.draw(distinct(key, 4 if permutations else 7)))
+    keys = loop_keys(system, base, permutations)
+    assert analyzers._decision_keys(system, base, permutations) == keys
+    report = certify_no_compression_scheme(system, base, 1, permutations)
+    assert report.distinct_decisions == len(keys)
+
+
+@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_subtuple_walk_gives_the_loop_subtuple(key, data):
+    system = FOLD_SYSTEMS[key]
+    vz = tuple(data.draw(st.lists(CONSTRAINTS[key], max_size=7)))
+    capacity = data.draw(st.integers(min_value=0, max_value=len(vz)))
+    assert find_compression_subtuple(system, vz, capacity) == \
+        loop_subtuple(system, vz, capacity)
+
+
+@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), include_empty=st.booleans())
+def test_shatter_walk_gives_the_loop_verdict(key, data, include_empty):
+    system = FOLD_SYSTEMS[key]
+    candidates = tuple(data.draw(distinct(key, 4)))
+    max_len = data.draw(st.integers(min_value=1, max_value=3))
+    report = check_shattered(system, candidates, max_len, include_empty)
+    verdict, checked, counterexample, realized = loop_shattered(
+        system, candidates, max_len, include_empty)
+    assert (report.verdict, report.tuples_checked) == (verdict, checked)
+    assert report.counterexample == counterexample
+    assert report.satisfied_subset == realized
+    if counterexample is not None:
+        assert report.sampled_set == frozenset(counterexample)
+
+
+# ---------------------------------------------------------------------------
+# A wrapped decide (the benchmark tracer's pattern) keeps the walks
+# ---------------------------------------------------------------------------
+
+
+CERTIFICATES = {
+    "convex-vc": ([PolygonConstraint(2, 1), PolygonConstraint(3, 2),
+                   PolygonConstraint(4, 4), BandConstraint(0.3),
+                   BandConstraint(0.7)], [BandConstraint(0.5)]),
+    "sum-no-scheme": ([ExclusionConstraint(1 << j) for j in range(6)],
+                      [ExclusionConstraint(0), ExclusionConstraint(1)]),
+    "min-no-map": ([ExclusionConstraint(a) for a in range(5)],
+                   [ExclusionConstraint(0), ExclusionConstraint(1)]),
+}
+
+
+def reports(system, base, candidates):
+    return [
+        certify_no_compression_scheme(system, base, 2).to_jsonable(),
+        certify_no_compression_scheme(system, base[:4], 2,
+                                      permutations=True).to_jsonable(),
+        find_compression_subtuple(system, tuple(base), len(base) - 1),
+        check_shattered(system, candidates, 3).to_jsonable(),
+    ]
+
+
+@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+def test_wrapped_decide_still_walks_the_fold(key):
+    system = FOLD_SYSTEMS[key]
+    decided = []
+
+    @functools.wraps(system.decide)
+    def recording(vz):
+        decided.append(vz)
+        return system.decide(vz)
+
+    wrapped = dataclasses.replace(system, decide=recording)
+    base, candidates = CERTIFICATES[key]
+    assert reports(wrapped, base, candidates) == \
+        reports(system, base, candidates)
+    assert decided == []
+
+
+def test_systems_without_a_fold_decide_every_tuple_whole():
+    decided = []
+
+    def recording(vz):
+        decided.append(vz)
+        return interval_system.decide(vz)
+
+    wrapped = dataclasses.replace(interval_system, decide=recording)
+    candidates = (MembershipConstraint(0.0), MembershipConstraint(0.5))
+    report = check_shattered(wrapped, candidates, 2, include_empty=False)
+    assert report.shattered and report.tuples_checked == 6
+    assert decided == [vz for r in (1, 2)
+                       for vz in itertools.product(candidates, repeat=r)]
+
+
+@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+def test_a_decide_that_does_not_wrap_the_fold_is_certified_itself(key):
+    """Replacing a fold system's ``decide`` by a plain function, not a
+    ``functools.wraps`` wrapper of the fold, certifies that function."""
+    system = FOLD_SYSTEMS[key]
+    decided = []
+
+    def recording(vz):
+        decided.append(vz)
+        return system.decide(vz[:-1])  # the last constraint is ignored
+
+    replaced = dataclasses.replace(system, decide=recording)
+    base, candidates = CERTIFICATES[key]
+    vz = tuple(base)
+    assert find_compression_subtuple(replaced, vz, len(vz)) == \
+        loop_subtuple(replaced, vz, len(vz))
+    assert decided
+    report = check_shattered(replaced, candidates, 2)
+    verdict, checked, counterexample, _ = loop_shattered(
+        replaced, candidates, 2, True)
+    assert (report.verdict, report.tuples_checked,
+            report.counterexample) == (verdict, checked, counterexample)
+    report = certify_no_compression_scheme(replaced, base, 2)
+    assert report.distinct_decisions == len(loop_keys(replaced, base, False))
+    assert report.to_jsonable() != \
+        certify_no_compression_scheme(system, base, 2).to_jsonable()
