@@ -24,7 +24,6 @@ from .analyzers import (
     certify_no_compression_scheme,
     check_shattered,
     compression_bound,
-    dvc_lower_bound,
     find_compression_subtuple,
     vc_sample_bound,
     verify_range_shattering_witness,
@@ -48,7 +47,6 @@ __all__ = [
     "check_shattered",
     "check_stability",
     "compression_bound",
-    "dvc_lower_bound",
     "find_compression_subtuple",
     "get_bundle",
     "hoeffding_radius",

@@ -240,32 +240,6 @@ def revalidate_not_shattered(system: ScenarioSystem,
             and realized == report.satisfied_subset)
 
 
-@dataclass(frozen=True)
-class DvcLowerBoundReport:
-    system: str
-    lower_bound: int
-    witness: Optional[tuple]
-    set_reports: tuple[ShatterCheckReport, ...]
-
-
-def dvc_lower_bound(system: ScenarioSystem,
-                    candidate_sets: Sequence[Sequence],
-                    max_len: Optional[int] = None,
-                    include_empty: bool = True) -> DvcLowerBoundReport:
-    """Largest candidate-set size that is shattered up to L (0 if none)."""
-    reports = []
-    best = 0
-    witness = None
-    for zs in candidate_sets:
-        report = check_shattered(system, zs, max_len=max_len,
-                                 include_empty=include_empty)
-        reports.append(report)
-        if report.shattered and len(report.candidates) > best:
-            best = len(report.candidates)
-            witness = report.candidates
-    return DvcLowerBoundReport(system.name, best, witness, tuple(reports))
-
-
 # ---------------------------------------------------------------------------
 # Compression maps and schemes
 # ---------------------------------------------------------------------------
@@ -483,12 +457,15 @@ def adversarial_pac_experiment(system: ScenarioSystem,
 
     The caller is responsible for the set being shattered up to length >= n;
     the size guard |Z'| >= 2n is enforced here so that shattering forces a
-    risk of at least 1/2 on every trial.
+    risk of at least 1/2 on every trial.  Candidates must be distinct, since
+    the risk of a decision is the share of them it violates.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     candidates = tuple(candidates)
     k = len(candidates)
+    if len(set(candidates)) != k:
+        raise ValueError("candidate constraints must be distinct")
     if k < 2 * n:
         raise ValueError(f"need |Z'| >= 2N, got {k} < {2 * n}")
     if trials < 1:

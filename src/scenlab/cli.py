@@ -187,6 +187,8 @@ def _run_shatter(args) -> tuple[dict, bool]:
 def _run_compression(args) -> tuple[dict, bool]:
     bundle = get_bundle(args.system)
     if args.tuple_json is not None:
+        if args.permutations:
+            raise ValueError("--permutations applies to --base only")
         vz = tuple(_decode_constraints(bundle, args.tuple_json))
         indices = analyzers.find_compression_subtuple(bundle.system, vz,
                                                       args.capacity)
@@ -203,6 +205,8 @@ def _run_compression(args) -> tuple[dict, bool]:
 
 def _run_bounds(args) -> tuple[dict, bool]:
     if args.vc is not None:
+        if args.N is not None:
+            raise ValueError("--N applies to --compression only")
         query = BoundQuery(args.eps, args.beta, args.vc)
         return {"vc_sample_bound": analyzers.vc_sample_bound(query)}, True
     query = BoundQuery(args.eps, args.beta, args.compression, n=args.N)

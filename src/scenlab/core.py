@@ -16,6 +16,7 @@ over the (generally infinite) constraint space.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import asdict, dataclass
@@ -27,6 +28,9 @@ from .geometry import coords_equal, coords_key
 from .rng import stream
 
 ConstraintTuple = tuple  # ordered, multiplicity-preserving sample (z_1, ..., z_N)
+# A probe generator, rng -> value.  The quoted name keeps the lazily loaded
+# numpy.random out of ``import scenlab`` (about 6 MB of resident memory).
+Draw = Callable[["np.random.Generator"], Any]
 
 HOEFFDING_DELTA = 0.05
 NESTED_MC_SAMPLES = 2000
@@ -37,10 +41,6 @@ def hoeffding_radius(n: int) -> float:
     if n < 1:
         raise ValueError("sample count must be >= 1")
     return math.sqrt(math.log(2.0 / HOEFFDING_DELTA) / (2.0 * n))
-
-
-class GeneratorExhausted(Exception):
-    """Raised by a tuple generator that cannot produce further probes."""
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,8 @@ class PacCurve:
 class PropertyReport:
     """Outcome of a randomized property probe (consistency or stability).
 
-    ``status`` is one of ``pass``, ``counterexample``, ``inconsistent``
-    (stability precondition failed) or ``generator_exhausted``.
+    ``status`` is one of ``pass``, ``counterexample`` or ``inconsistent``
+    (a stability probe's consistency precondition failed).
     """
 
     system: str
@@ -236,101 +236,71 @@ class PropertyReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "system": self.system,
-            "property": self.property_name,
-            "trials_requested": self.trials_requested,
-            "trials_run": self.trials_run,
-            "seed": self.seed,
-            "status": self.status,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = [repr(z) for z in self.counterexample]
-        for key in ("extra_constraint", "decision_before", "decision_after"):
-            if getattr(self, key) is not None:
-                out[key] = repr(getattr(self, key))
-        return out
-
 
 def satisfies_all(system: ScenarioSystem, x: Any, vz: ConstraintTuple) -> bool:
     """True iff ``x`` satisfies every constraint in ``vz`` (true for empty)."""
     return all(system.satisfies(x, z) for z in vz)
 
 
-def _draw(generator, rng) -> Any:
-    """Pull the next item from a callable or iterator generator."""
-    if callable(generator):
-        return generator(rng)
-    try:
-        return next(generator)
-    except StopIteration:
-        raise GeneratorExhausted from None
-
-
-def check_consistency(system: ScenarioSystem,
-                      tuple_generator,
-                      trials: int,
-                      seed: int = 0) -> PropertyReport:
-    """Probe that decisions satisfy all of their own input constraints.
-
-    ``tuple_generator`` is either a callable ``rng -> ConstraintTuple`` or an
-    iterator of tuples.  Returns the first failing tuple, if any; generator
-    exhaustion is reported distinctly from a property failure.
-    """
+def _probe(system: ScenarioSystem, tuple_generator: Draw,
+           extra_constraint_generator: Optional[Draw],
+           trials: int, seed: int) -> PropertyReport:
+    """Consistency probe, or stability probe when an extra-constraint
+    generator is given: trial ``t`` draws its tuple, then (stability only)
+    its extra constraint, from ``stream(seed, t)``.  Consistency is checked
+    first; for stability a failure is its ``inconsistent`` precondition."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    stability = extra_constraint_generator is not None
+    report = functools.partial(
+        PropertyReport, system.name,
+        "stability" if stability else "consistency", trials)
     for trial in range(trials):
         rng = stream(seed, trial)
-        try:
-            vz = _draw(tuple_generator, rng)
-        except GeneratorExhausted:
-            return PropertyReport(system.name, "consistency", trials, trial,
-                                  seed, "generator_exhausted")
+        vz = tuple_generator(rng)
         x = system.decide(vz)
         if not satisfies_all(system, x, vz):
-            return PropertyReport(system.name, "consistency", trials, trial + 1,
-                                  seed, "counterexample",
-                                  counterexample=vz, decision_before=x)
-    return PropertyReport(system.name, "consistency", trials, trials, seed, "pass")
-
-
-def check_stability(system: ScenarioSystem,
-                    tuple_generator,
-                    extra_constraint_generator,
-                    trials: int,
-                    seed: int = 0) -> PropertyReport:
-    """Probe stability: appending a satisfied constraint must not change the
-    decision (under the system's declared decision equality).
-
-    Consistency of each probed tuple is checked lazily first; an inconsistency
-    is reported as a distinct failure.  Trials whose extra constraint is
-    violated by the decision are vacuous and count as run.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for trial in range(trials):
-        rng = stream(seed, trial)
-        try:
-            vz = _draw(tuple_generator, rng)
-            z_extra = _draw(extra_constraint_generator, rng)
-        except GeneratorExhausted:
-            return PropertyReport(system.name, "stability", trials, trial,
-                                  seed, "generator_exhausted")
-        x = system.decide(vz)
-        if not satisfies_all(system, x, vz):
-            return PropertyReport(system.name, "stability", trials, trial + 1,
-                                  seed, "inconsistent",
-                                  counterexample=vz, decision_before=x)
+            return report(trial + 1, seed,
+                          "inconsistent" if stability else "counterexample",
+                          counterexample=vz, decision_before=x)
+        if not stability:
+            continue
+        z_extra = extra_constraint_generator(rng)
         if not system.satisfies(x, z_extra):
             continue
         x_after = system.decide(vz + (z_extra,))
         if not system.decisions_equal(x, x_after):
-            return PropertyReport(system.name, "stability", trials, trial + 1,
-                                  seed, "counterexample",
-                                  counterexample=vz, extra_constraint=z_extra,
-                                  decision_before=x, decision_after=x_after)
-    return PropertyReport(system.name, "stability", trials, trials, seed, "pass")
+            return report(trial + 1, seed, "counterexample",
+                          counterexample=vz, extra_constraint=z_extra,
+                          decision_before=x, decision_after=x_after)
+    return report(trials, seed, "pass")
+
+
+def check_consistency(system: ScenarioSystem, tuple_generator: Draw,
+                      trials: int, seed: int = 0) -> PropertyReport:
+    """Probe that decisions satisfy all of their own input constraints.
+
+    ``tuple_generator`` maps a trial's stream to a tuple.  Status ``pass``,
+    or ``counterexample`` with the first failing tuple and its decision.
+    """
+    return _probe(system, tuple_generator, None, trials, seed)
+
+
+def check_stability(system: ScenarioSystem, tuple_generator: Draw,
+                    extra_constraint_generator: Draw,
+                    trials: int, seed: int = 0) -> PropertyReport:
+    """Probe stability: appending a satisfied constraint must not change the
+    decision (under the system's declared decision equality).
+
+    Each probed tuple is checked for consistency first, on the same tuples
+    that :func:`check_consistency` probes at the same seed; a failure there
+    is status ``inconsistent``.  A decision changed by a satisfied extra
+    constraint is status ``counterexample``, otherwise ``pass``.  Trials
+    whose extra constraint is violated by the decision are vacuous and
+    count as run.
+    """
+    return _probe(system, tuple_generator, extra_constraint_generator,
+                  trials, seed)
 
 
 def _violation_rate(system: ScenarioSystem,

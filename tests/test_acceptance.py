@@ -156,7 +156,7 @@ def test_criterion_06_stability_suite():
                               bundle.constraint_generator, trials=1000,
                               seed=106)
         ok &= rep.passed
-        assert rep.passed, (key, rep.to_jsonable())
+        assert rep.passed, (key, rep)
 
     bundle = get_bundle("sum-no-scheme")
     rep = check_stability(bundle.system, bundle.tuple_generator,
@@ -180,7 +180,7 @@ def test_criterion_07_consistency_suite():
         rep = check_consistency(bundle.system, bundle.tuple_generator,
                                 trials=1000, seed=107)
         ok &= rep.passed
-        assert rep.passed, (key, rep.to_jsonable())
+        assert rep.passed, (key, rep)
     report(7, ok, "all systems consistent over the probe budget")
 
 

@@ -21,7 +21,6 @@ from scenlab.analyzers import (
     check_shattered,
     compression_beta,
     compression_bound,
-    dvc_lower_bound,
     explicit_sample_bound,
     find_compression_subtuple,
     revalidate_not_shattered,
@@ -93,16 +92,6 @@ def test_check_shattered_validation_and_budget():
 def test_revalidate_rejects_positive_reports():
     report = check_shattered(interval_system, [MembershipConstraint(0.0)])
     assert not revalidate_not_shattered(interval_system, report)
-
-
-def test_dvc_lower_bound_interval():
-    sets = [[MembershipConstraint(0.0)],
-            [MembershipConstraint(0.0), MembershipConstraint(0.4)]]
-    report = dvc_lower_bound(interval_system, sets)
-    assert report.lower_bound == 1
-    assert report.witness == (MembershipConstraint(0.0),)
-    assert [r.verdict for r in report.set_reports] == \
-        ["shattered_up_to_L", "not_shattered"]
 
 
 def test_find_compression_subtuple_on_sum_system():
@@ -321,6 +310,14 @@ def test_adversarial_pac_guard_and_exactness():
     assert 0.0 <= report.min_risk <= report.mean_risk <= 1.0
     # Risks are multiples of 1/|Z'| by construction.
     assert (report.min_risk * 4) == pytest.approx(round(report.min_risk * 4))
+
+
+def test_adversarial_pac_rejects_duplicate_candidates():
+    # Decision 0 satisfies U(5), so a duplicated U(5) would have been counted
+    # as a violated half of the candidate set: min_risk 0.5 for risk 0.
+    with pytest.raises(ValueError, match="distinct"):
+        adversarial_pac_experiment(min_system, [ExclusionConstraint(5)] * 2,
+                                   n=1, epsilon=0.1, trials=10)
 
 
 def test_bound_query_validation():

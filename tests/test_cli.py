@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import scenlab
 from scenlab.cli import load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
 from scenlab.registry import get_bundle
@@ -257,6 +258,13 @@ def test_usage_errors_exit_2(capsys):
     (["pathplan", "--algo", "1", "--thetas", "1e-9"], {}),
     (["shatter", "--system", "path-alg1", "--candidates",
       '[{"theta": 1e-300}]'], {}),
+    # A flag the chosen mode ignores, on the command line or in a config.
+    (["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05", "--N", "100"],
+     {}),
+    (["--config", "n.cfg", "bounds", "--vc", "2", "--eps", "0.1", "--beta",
+      "0.05"], {"n.cfg": "N = 100\n"}),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--tuple", '[{"exclude": 0}]', "--permutations"], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):
@@ -374,3 +382,10 @@ def test_cli_import_leaves_scipy_unloaded():
                             capture_output=True, text=True, check=True,
                             timeout=120)
     assert result.stdout.strip() == "[]"
+
+
+def test_package_exports_resolve():
+    # A deleted function must leave scenlab.__all__ with it.
+    assert len(set(scenlab.__all__)) == len(scenlab.__all__)
+    missing = [name for name in scenlab.__all__ if not hasattr(scenlab, name)]
+    assert missing == []

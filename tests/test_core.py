@@ -103,12 +103,6 @@ def test_check_consistency_pass_and_counterexample():
     assert not satisfies_all(broken_system, x, report.counterexample)
 
 
-def test_check_consistency_generator_exhausted():
-    report = check_consistency(max_system, iter([(1, 2)]), trials=5)
-    assert report.status == "generator_exhausted"
-    assert report.trials_run == 1
-
-
 def test_check_stability_statuses():
     assert check_stability(max_system, threshold_tuples, one_threshold,
                            trials=300, seed=1).passed
@@ -128,11 +122,32 @@ def test_check_stability_statuses():
     assert report.status == "inconsistent"
 
 
-def test_property_report_serialization():
-    report = check_consistency(broken_system, threshold_tuples, trials=50, seed=3)
-    payload = report.to_jsonable()
-    assert payload["status"] == "counterexample"
-    assert isinstance(payload["counterexample"], list)
+def test_consistency_probes_the_stability_tuples_and_nothing_more():
+    def recording(drawn):
+        def draw(rng):
+            vz = threshold_tuples(rng)
+            drawn.append((vz, rng, rng.bit_generator.state))
+            return vz
+        return draw
+
+    def forbidden(rng):
+        raise AssertionError("extra constraint drawn")
+
+    probed, stability_probed = [], []
+    check_consistency(max_system, recording(probed), trials=100, seed=4)
+    check_stability(max_system, recording(stability_probed), one_threshold,
+                    trials=100, seed=4)
+    assert [vz for vz, _, _ in probed] == \
+        [vz for vz, _, _ in stability_probed]
+    # No trial's stream moved past its tuple, so no extra constraint was
+    # drawn from it.
+    assert all(rng.bit_generator.state == state for _, rng, state in probed)
+
+    # Stability checks consistency first and draws no extra constraint for
+    # an inconsistent tuple: broken_system fails on any non-empty tuple.
+    report = check_stability(broken_system, lambda rng: (1,), forbidden,
+                             trials=10, seed=4)
+    assert (report.status, report.trials_run) == ("inconsistent", 1)
 
 
 def test_violation_probability_mc_estimates_known_probability():
