@@ -506,14 +506,20 @@ class BoundQuery:
             raise ValueError("capacity must be >= 0")
 
 
+def _finite_ceil(bound: float) -> int:
+    if not math.isfinite(bound):
+        raise ValueError(f"the sample-size bound {bound} is not finite")
+    return math.ceil(bound)
+
+
 def vc_sample_bound(query: BoundQuery) -> int:
     """Sample size from the standard VC learning bound:
     N = ceil((4/eps) * (d * ln(12/eps) + ln(2/beta)))."""
     if query.capacity < 1:
         raise ValueError("VC bound needs dimension d >= 1")
     eps, beta, d = query.epsilon, query.beta, query.capacity
-    return math.ceil((4.0 / eps) * (d * math.log(12.0 / eps)
-                                    + math.log(2.0 / beta)))
+    return _finite_ceil((4.0 / eps) * (d * math.log(12.0 / eps)
+                                       + math.log(2.0 / beta)))
 
 
 def explicit_sample_bound(query: BoundQuery) -> int:
@@ -527,7 +533,7 @@ def explicit_sample_bound(query: BoundQuery) -> int:
     finds the minimal N = 88 for C(N, d) (1 - eps)^(N - d).
     """
     eps, beta, d = query.epsilon, query.beta, query.capacity
-    return math.ceil((2.0 / eps) * (math.log(1.0 / beta) + d))
+    return _finite_ceil((2.0 / eps) * (math.log(1.0 / beta) + d))
 
 
 def compression_beta(n: int, capacity: int, epsilon: float) -> float:

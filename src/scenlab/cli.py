@@ -6,8 +6,8 @@ wall-clock time.  Curves additionally serialize to CSV.  Exit status: 0 when
 all asserted properties pass, 1 when a property check fails (the
 counterexample is serialized in the report), 2 on usage errors.
 
-System keys (``--system``, ``demo --example``) and the demos themselves
-come from :mod:`scenlab.registry`; nothing here names a system.
+System keys (``--system``, ``demo --example``), the demos and their input
+flags come from :mod:`scenlab.registry`; only ``pathplan`` calls planners.
 
 A flat ``key = value`` config file is read as flags of the chosen
 subcommand: each line becomes ``--key=value`` right after the subcommand
@@ -18,6 +18,7 @@ and command line alike and later command-line flags win.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -65,6 +66,18 @@ def _config_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _demo_inputs(demo) -> dict:
+    """A demo's inputs: its keyword-only parameters, with their defaults."""
+    params = inspect.signature(demo).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def _demo_flags() -> dict:
+    """The ``demo`` input flags: the union of the registry demos' inputs."""
+    return {name: default for bundle in SYSTEMS.values()
+            for name, default in _demo_inputs(bundle.demo).items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenlab", parents=[_config_parser()], allow_abbrev=False,
@@ -78,14 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for all randomized steps (echoed)")
         return sp
 
-    sp = add("demo", help="run the demonstration of a registry system")
+    sp = add("demo", help="run the demonstration of a registry system (an "
+             "input flag the example does not read is a usage error)")
     sp.add_argument("--example", required=True, choices=list(SYSTEMS))
-    sp.add_argument("--k", type=int, default=4)
-    sp.add_argument("--capacity", type=int, default=1)
-    sp.add_argument("--eps", type=float, default=0.25)
-    sp.add_argument("--N", type=int, default=10)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--max-n", type=int, default=20)
+    for name, default in _demo_flags().items():
+        sp.add_argument("--" + name.replace("_", "-"), type=type(default))
 
     sp = add("risk-curve", help="empirical PAC curve q_hat(N)")
     sp.add_argument("--system", required=True, choices=list(SYSTEMS))
@@ -149,7 +159,15 @@ def _config_flags(config: dict[str, str]) -> list[str]:
 
 def _run_demo(args) -> tuple[dict, bool]:
     bundle = get_bundle(args.example)
-    return bundle.demo(bundle, args)
+    inputs = _demo_inputs(bundle.demo)
+    for name in _demo_flags():
+        if getattr(args, name) is None:
+            setattr(args, name, inputs.get(name))  # echo what the demo ran on
+        elif name not in inputs:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                             f"demo {args.example}")
+    return bundle.demo(bundle, args.seed,
+                       **{name: getattr(args, name) for name in inputs})
 
 
 def _run_risk_curve(args) -> tuple[dict, bool]:
@@ -242,15 +260,24 @@ def main(argv=None) -> int:
 
     # Unreadable files (config, @file arguments or --out) and rejected
     # values are usage errors, as are runner failures on bad input.
+    out = None
     try:
         known, argv = _config_parser().parse_known_args(argv)
         if known.config is not None:
             argv[1:1] = _config_flags(load_config(known.config))
         args = parser.parse_args(argv)
-        # Append mode checks the path without losing an earlier report.
-        out = open(args.out, "a") if args.out else sys.stdout
+        if args.out:  # append mode checks the path, keeping an earlier report
+            created = not Path(args.out).exists()
+            out = open(args.out, "a")
         start = time.perf_counter()
-        verdicts, passed = _RUNNERS[args.command](args)
+        try:
+            verdicts, passed = _RUNNERS[args.command](args)
+        except BaseException:
+            if out:  # a failed run leaves no report file of its own
+                out.close()
+                if created:
+                    Path(args.out).unlink()
+            raise
     except (OSError, ValueError, KeyError,
             analyzers.BudgetExceededError) as exc:
         parser.error(str(exc))
@@ -266,7 +293,7 @@ def main(argv=None) -> int:
         "wall_clock_s": time.perf_counter() - start,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if out is sys.stdout:
+    if out is None:
         print(text)
     else:
         with out:

@@ -423,7 +423,7 @@ def analytic_risk_interval(x: IntervalDecision) -> float:
     return 0.5
 
 
-def atom_plus_uniform(analytic: bool = True) -> ConstraintDistribution:
+def atom_plus_uniform() -> ConstraintDistribution:
     """Measure with mass 1/2 on the atom U(0) and density a/2 on (0, a]."""
     def sample(rng: np.random.Generator) -> MembershipConstraint:
         if rng.random() < 0.5:
@@ -449,7 +449,7 @@ def atom_plus_uniform(analytic: bool = True) -> ConstraintDistribution:
 
     return ConstraintDistribution(
         sample=sample,
-        analytic_violation=analytic_risk_interval if analytic else None,
+        analytic_violation=analytic_risk_interval,
         sample_values=sample_values,
         constraint_class=MembershipConstraint,
     )

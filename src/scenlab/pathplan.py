@@ -311,33 +311,34 @@ def band_shatter_candidates(k: int) -> tuple[BarrierConstraint, ...]:
 # System bundles
 # ---------------------------------------------------------------------------
 
+SCENE = Scene()  # the scene of the registry systems and their measure
+
 
 def _polyline_coords(x: Polyline) -> tuple[float, ...]:
     return tuple(c for p in x.vertices for c in p)
 
 
-def path_system_alg1(scene: Scene = Scene()) -> ScenarioSystem:
+def path_system_alg1() -> ScenarioSystem:
     return ScenarioSystem(
         name="path-alg1",
-        decide=lambda vz: alg1_shortest_path(scene, vz),
-        satisfies=lambda x, z: barrier_satisfied(scene, x, z),
+        decide=lambda vz: alg1_shortest_path(SCENE, vz),
+        satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=_polyline_coords,
-        satisfies_many=lambda x, vz: barrier_satisfied_many(scene, x, vz),
+        satisfies_many=lambda x, vz: barrier_satisfied_many(SCENE, x, vz),
     )
 
 
-def path_system_alg2(scene: Scene = Scene()) -> ScenarioSystem:
+def path_system_alg2() -> ScenarioSystem:
     return ScenarioSystem(
         name="path-alg2",
-        decide=lambda vz: alg2_shortest_parabola(scene, vz),
-        satisfies=lambda x, z: barrier_satisfied(scene, x, z),
+        decide=lambda vz: alg2_shortest_parabola(SCENE, vz),
+        satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=lambda x: (x.height,),
-        decide_values=lambda thetas: alg2_parabola_of_angles(scene, thetas),
+        decide_values=lambda thetas: alg2_parabola_of_angles(SCENE, thetas),
     )
 
 
-def uniform_barrier_distribution(scene: Scene = Scene(),
-                                 analytic: bool = True) -> ConstraintDistribution:
+def uniform_barrier_distribution() -> ConstraintDistribution:
     """Uniform angle measure on (0, pi); the analytic evaluator covers
     parabola decisions only (an exact geodesic risk is not implemented)."""
     def sample(rng: np.random.Generator) -> BarrierConstraint:
@@ -355,12 +356,10 @@ def uniform_barrier_distribution(scene: Scene = Scene(),
             thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
         return thetas
 
-    violation = None
-    if analytic:
-        def violation(x: PathDecision) -> float:
-            if not isinstance(x, Parabola):
-                raise ValueError("analytic risk only available for parabolas")
-            return alg2_analytic_risk(x.height, scene.barrier_length)
+    def violation(x: PathDecision) -> float:
+        if not isinstance(x, Parabola):
+            raise ValueError("analytic risk only available for parabolas")
+        return alg2_analytic_risk(x.height, SCENE.barrier_length)
 
     return ConstraintDistribution(sample=sample, analytic_violation=violation,
                                   sample_values=sample_values,

@@ -4,14 +4,14 @@ Each :class:`SystemBundle` ties a system to its constraint classes (the
 kinds the CLI accepts for it), its default distribution, its random probe
 generator (used by the property suites) and its ``demo``
 (run by ``scenlab demo --example <key>``).  The registry is keyed by
-``system.name``; the CLI reads its keys and demos from here, so adding a
-system means adding one bundle.
+``system.name``; the CLI reads its keys, its demos and their inputs from
+here, so adding a system means adding one bundle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .counterexamples import (
     sum_system,
 )
 from .pathplan import (
+    SCENE,
     BarrierConstraint,
-    Scene,
     alg2_compression,
     band_shatter_candidates,
     path_system_alg1,
@@ -43,8 +43,6 @@ from .rng import stream
 
 MAX_PROBE_TUPLE_LEN = 6
 
-_SCENE = Scene()
-
 
 @dataclass(frozen=True)
 class SystemBundle:
@@ -52,8 +50,9 @@ class SystemBundle:
     constraint_types: tuple[type, ...]  # the constraint classes it decides
     distribution: ConstraintDistribution
     constraint_generator: Callable[[np.random.Generator], object]
-    # demo(bundle, args) -> (verdicts, passed), args as parsed by the CLI
-    demo: Callable[[SystemBundle, Any], tuple[dict, bool]]
+    # demo(bundle, seed, *, <inputs>) -> (verdicts, passed); the keyword-only
+    # inputs, with int or float defaults, become the CLI's ``demo`` flags
+    demo: Callable[..., tuple[dict, bool]]
 
     def tuple_generator(self, rng: np.random.Generator) -> tuple:
         n = int(rng.integers(0, MAX_PROBE_TUPLE_LEN + 1))
@@ -65,78 +64,83 @@ class SystemBundle:
 # ---------------------------------------------------------------------------
 
 
-def _demo_convex(bundle: SystemBundle, args) -> tuple[dict, bool]:
-    report = analyzers.verify_range_shattering_witness(args.k)
+def _demo_convex(bundle: SystemBundle, seed: int, *,
+                 k: int = 4) -> tuple[dict, bool]:
+    report = analyzers.verify_range_shattering_witness(k)
     return {"range_shattering": report.to_jsonable()}, report.passed
 
 
-def _demo_sum(bundle: SystemBundle, args) -> tuple[dict, bool]:
-    if args.k < 1:
+def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
+              capacity: int = 1) -> tuple[dict, bool]:
+    if k < 1:
         raise ValueError("k must be >= 1")
-    base = [ExclusionConstraint(1 << j) for j in range(args.k)]
+    base = [ExclusionConstraint(1 << j) for j in range(k)]
     report = analyzers.certify_no_compression_scheme(bundle.system, base,
-                                                     args.capacity)
+                                                     capacity)
     return {"scheme_counting": report.to_jsonable()}, report.impossible
 
 
-def _demo_min(bundle: SystemBundle, args) -> tuple[dict, bool]:
-    d = args.capacity
-    vz = tuple(ExclusionConstraint(a) for a in range(d + 1))
-    indices = analyzers.find_compression_subtuple(bundle.system, vz, d)
+def _demo_min(bundle: SystemBundle, seed: int, *,
+              capacity: int = 1) -> tuple[dict, bool]:
+    vz = tuple(ExclusionConstraint(a) for a in range(capacity + 1))
+    indices = analyzers.find_compression_subtuple(bundle.system, vz, capacity)
     verdict = {
         "tuple": [codecs.encode_constraint(z) for z in vz],
-        "capacity": d,
+        "capacity": capacity,
         "subtuple_indices": list(indices) if indices is not None else None,
         "none_certificate": indices is None,
     }
     return {"map_search": verdict}, indices is None
 
 
-def _demo_interval(bundle: SystemBundle, args) -> tuple[dict, bool]:
-    curve = core.pac_curve(bundle.system, bundle.distribution, args.eps,
-                           [args.N], args.trials, seed=args.seed)
+def _demo_interval(bundle: SystemBundle, seed: int, *, eps: float = 0.25,
+                   N: int = 10, trials: int = 200) -> tuple[dict, bool]:
+    curve = core.pac_curve(bundle.system, bundle.distribution, eps, [N],
+                           trials, seed=seed)
     q = curve.rows[0].q_hat
     return {"pac_curve": curve.to_jsonable(),
             "q_hat": q, "theoretical_lower_bound": 0.5}, q >= 0.5
 
 
-def _demo_path_alg1(bundle: SystemBundle, args) -> tuple[dict, bool]:
+def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
+                    eps: float = 0.25, trials: int = 200) -> tuple[dict, bool]:
     """Band shattering plus the adversarial experiment."""
     shatter = analyzers.check_shattered(
-        bundle.system, band_shatter_candidates(args.k), max_len=args.k)
+        bundle.system, band_shatter_candidates(k), max_len=k)
     adversarial = analyzers.adversarial_pac_experiment(
-        bundle.system, band_shatter_candidates(2 * args.k), n=args.k,
-        epsilon=args.eps, trials=args.trials, seed=args.seed)
+        bundle.system, band_shatter_candidates(2 * k), n=k,
+        epsilon=eps, trials=trials, seed=seed)
     passed = (shatter.shattered and adversarial.q_hat == 1.0
               and adversarial.min_risk >= 0.5)
     return {"shatter": shatter.to_jsonable(),
             "adversarial": adversarial.to_jsonable()}, passed
 
 
-def _demo_path_alg2(bundle: SystemBundle, args) -> tuple[dict, bool]:
+def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
+                    max_n: int = 20) -> tuple[dict, bool]:
     """The capacity-1 compression map reproduces every sampled decision."""
-    if args.trials < 1:
+    if trials < 1:
         raise ValueError("trials must be >= 1")
-    if args.max_n < 0:
+    if max_n < 0:
         raise ValueError("max_n must be >= 0")
     mismatches = []
-    for trial in range(args.trials):
-        rng = stream(args.seed, trial)
-        n = int(rng.integers(0, args.max_n + 1))
+    for trial in range(trials):
+        rng = stream(seed, trial)
+        n = int(rng.integers(0, max_n + 1))
         vz = bundle.distribution.sample_tuple(rng, n)
-        sub = tuple(vz[i] for i in alg2_compression(_SCENE, vz))
+        sub = tuple(vz[i] for i in alg2_compression(SCENE, vz))
         if bundle.system.decide(sub) != bundle.system.decide(vz):
             mismatches.append(trial)
     return {"compression_idempotence": {
-        "trials": args.trials, "max_n": args.max_n,
+        "trials": trials, "max_n": max_n,
         "mismatched_trials": mismatches}}, not mismatches
 
 
 def _build_registry() -> dict[str, SystemBundle]:
     geometric = geometric_exclusion_distribution()
     interval_dist = atom_plus_uniform()
-    barrier_dist = uniform_barrier_distribution(_SCENE)
-    barrier_dist_mc = uniform_barrier_distribution(_SCENE, analytic=False)
+    barrier_dist = uniform_barrier_distribution()
+    barrier_dist_mc = replace(barrier_dist, analytic_violation=None)
     convex_dist = convex_mixture_distribution()
     convex = (PolygonConstraint, BandConstraint)
     exclusion, barrier = (ExclusionConstraint,), (BarrierConstraint,)
@@ -149,9 +153,9 @@ def _build_registry() -> dict[str, SystemBundle]:
                      _demo_min),
         SystemBundle(interval_system, (MembershipConstraint,), interval_dist,
                      interval_dist.sample, _demo_interval),
-        SystemBundle(path_system_alg1(_SCENE), barrier, barrier_dist_mc,
+        SystemBundle(path_system_alg1(), barrier, barrier_dist_mc,
                      barrier_dist_mc.sample, _demo_path_alg1),
-        SystemBundle(path_system_alg2(_SCENE), barrier, barrier_dist,
+        SystemBundle(path_system_alg2(), barrier, barrier_dist,
                      barrier_dist.sample, _demo_path_alg2),
     ]
     return {b.system.name: b for b in bundles}

@@ -60,8 +60,10 @@ def test_criterion_01_interval_system_not_pac():
 
     analytic = pac_curve(bundle.system, bundle.distribution, eps, n_list,
                          trials, seed=101)
-    nested = pac_curve(bundle.system, atom_plus_uniform(analytic=False), eps,
-                       n_list, trials, seed=102)
+    nested = pac_curve(bundle.system,
+                       dataclasses.replace(atom_plus_uniform(),
+                                           analytic_violation=None),
+                       eps, n_list, trials, seed=102)
     ok = (not analytic.nested_mc
           and all(r.q_hat == 1.0 for r in analytic.rows)
           and nested.nested_mc
@@ -212,8 +214,8 @@ def test_criterion_08_interval_dvc_checker():
 
 def test_criterion_09_alg2_compression_and_pac_bound():
     """Compression is exact on 1000 tuples; the capacity-1 bound dominates."""
-    system = path_system_alg2(SCENE)
-    dist = uniform_barrier_distribution(SCENE)
+    system = path_system_alg2()
+    dist = uniform_barrier_distribution()
     ok = True
     for trial in range(1000):
         rng = stream(109, trial)
@@ -237,7 +239,7 @@ def test_criterion_09_alg2_compression_and_pac_bound():
 
 def test_criterion_10_alg1_shattering_and_adversarial_risk():
     """Band 5-set shattered; uniform measure on a 10-set forces risk >= 1/2."""
-    system = path_system_alg1(SCENE)
+    system = path_system_alg1()
     shatter = check_shattered(system, band_shatter_candidates(5), max_len=5)
     ok = shatter.shattered
 

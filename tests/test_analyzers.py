@@ -341,6 +341,16 @@ def test_vc_sample_bound_direct_evaluation():
         vc_sample_bound(BoundQuery(0.1, 0.05, 0))
 
 
+def test_vc_sample_bound_rejects_a_non_finite_bound():
+    with pytest.raises(ValueError, match="not finite"):
+        vc_sample_bound(BoundQuery(1e-310, 0.5, 1))
+
+
+def test_explicit_sample_bound_rejects_a_non_finite_bound():
+    with pytest.raises(ValueError, match="not finite"):
+        explicit_sample_bound(BoundQuery(1e-310, 0.5, 1))
+
+
 def test_explicit_sample_bound():
     assert explicit_sample_bound(BoundQuery(0.1, 0.01, 1)) == 113
     assert explicit_sample_bound(BoundQuery(0.5, 0.5, 0)) == \

@@ -1,5 +1,9 @@
 """End-to-end CLI tests (in-process via scenlab.cli.main)."""
 
+import argparse
+import dataclasses
+import functools
+import inspect
 import json
 import math
 import os
@@ -12,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import scenlab
-from scenlab.cli import load_config, main
+from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
-from scenlab.registry import get_bundle
+from scenlab.registry import SYSTEMS, get_bundle
 
 
 def run_cli(capsys, *argv):
@@ -265,6 +269,17 @@ def test_usage_errors_exit_2(capsys):
       "0.05"], {"n.cfg": "N = 100\n"}),
     (["compression", "--system", "min-no-map", "--capacity", "1",
       "--tuple", '[{"exclude": 0}]', "--permutations"], {}),
+    # A runner-time usage error removes the report file main created.
+    (["bounds", "--compression", "1", "--eps", "1e-12", "--beta", "0.01",
+      "--out", "r.json"], {}),
+    (["demo", "--example", "path-alg2", "--trials", "0", "--out", "r.json"],
+     {}),
+    (["pathplan", "--algo", "1", "--thetas", "1e-9", "--out", "r.json"], {}),
+    # A sample-size bound past the float range.
+    (["bounds", "--vc", "1", "--eps", "1e-310", "--beta", "0.5"], {}),
+    # Demo inputs the example does not read.
+    (["demo", "--example", "convex-vc", "--k", "3", "--N", "500", "--max-n",
+      "7"], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):
@@ -278,6 +293,104 @@ def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
     assert "error:" in err and "Traceback" not in err
     # Nothing ran, so nothing was written (the --csv file included).
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("earlier\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--example", "path-alg2", "--trials", "0",
+              "--out", str(out)])
+    assert exc.value.code == 2 and out.read_text() == "earlier\n"
+    capsys.readouterr()
+
+
+def demo_inputs(example: str) -> dict:
+    """The demo's keyword-only inputs with their defaults."""
+    params = inspect.signature(SYSTEMS[example].demo).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+ALL_DEMO_INPUTS = sorted({name for key in SYSTEMS for name in demo_inputs(key)})
+
+
+def test_demo_flags_are_the_registry_demo_inputs():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices["demo"]._actions
+             if a.dest not in ("help", "out", "seed", "example")}
+    types = {}
+    for key, bundle in SYSTEMS.items():
+        params = list(inspect.signature(bundle.demo).parameters.values())
+        assert [p.name for p in params[:2]] == ["bundle", "seed"], key
+        for p in params[2:]:
+            assert p.kind is p.KEYWORD_ONLY, (key, p.name)
+            assert type(p.default) in (int, float), (key, p.name)
+            # An input shared by two demos has one type.
+            assert types.setdefault(p.name, type(p.default)) \
+                is type(p.default), (key, p.name)
+    assert {dest: a.type for dest, a in flags.items()} == types
+    assert all(a.default is None for a in flags.values())
+
+
+@pytest.mark.parametrize("example", list(SYSTEMS))
+def test_demo_rejects_inputs_it_does_not_read(example, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    foreign = [n for n in ALL_DEMO_INPUTS if n not in demo_inputs(example)]
+    assert foreign
+    cfg = tmp_path / "f.cfg"
+    for name in foreign:
+        cfg.write_text(f"{name} = 1\n")
+        for argv in (["demo", "--example", example, flag(name), "1"],
+                     ["--config", "f.cfg", "demo", "--example", example]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", "r.json"])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, argv
+            assert f"{flag(name)} does not apply to demo {example}" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["f.cfg"]
+
+
+@pytest.mark.parametrize("example", list(SYSTEMS))
+def test_demo_config_echoes_exactly_its_inputs(example, monkeypatch, capsys):
+    inputs = demo_inputs(example)
+    code, report = run_cli(capsys, "demo", "--example", example)
+    assert report["config"] == {"example": example, "seed": 0, **inputs}
+
+    # Given inputs reach the demo as keywords and are echoed; the rest keep
+    # their defaults.
+    calls = []
+    bundle = SYSTEMS[example]
+
+    @functools.wraps(bundle.demo)
+    def record(bundle, seed, **kwargs):
+        calls.append((seed, kwargs))
+        return {}, True
+
+    monkeypatch.setitem(SYSTEMS, example,
+                        dataclasses.replace(bundle, demo=record))
+    for name, default in inputs.items():
+        given = default + 1 if isinstance(default, int) else default / 2
+        code, report = run_cli(capsys, "demo", "--example", example,
+                               "--seed", "5", flag(name), str(given))
+        expected = {**inputs, name: given}
+        assert code == 0 and calls.pop() == (5, expected)
+        assert report["config"] == {"example": example, "seed": 5, **expected}
+
+
+def test_readme_lists_each_demo_input():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", readme, re.M))
+    for key in SYSTEMS:
+        listed = re.findall(r"`--([A-Za-z-]+)` \(([^)]*)\)", rows[key])
+        assert listed == [(flag(n)[2:], str(d))
+                          for n, d in demo_inputs(key).items()], key
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Path-planner tests, including an exhaustive geodesic oracle."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -302,7 +303,8 @@ def test_alg2_analytic_risk_matches_mpmath(case):
 
 
 def test_alg2_analytic_risk_against_monte_carlo():
-    dist = uniform_barrier_distribution(SCENE, analytic=False)
+    dist = dataclasses.replace(uniform_barrier_distribution(),
+                               analytic_violation=None)
     rng = stream(43, 0)
     h = 0.25
     p = Parabola(h)
@@ -312,7 +314,7 @@ def test_alg2_analytic_risk_against_monte_carlo():
 
 
 def test_uniform_barrier_distribution_analytic_guard():
-    dist = uniform_barrier_distribution(SCENE)
+    dist = uniform_barrier_distribution()
     assert dist.analytic_violation(Parabola(0.5)) == 0.0
     with pytest.raises(ValueError):
         dist.analytic_violation(Polyline((START, TARGET)))
@@ -331,7 +333,7 @@ def test_band_shatter_candidates():
 
 
 def test_path_system_equality_and_keys():
-    s1, s2 = path_system_alg1(SCENE), path_system_alg2(SCENE)
+    s1, s2 = path_system_alg1(), path_system_alg2()
     a = alg1_shortest_path(SCENE, ())
     assert s1.decisions_equal(a, Polyline((START, TARGET)))
     assert s1.decision_key(a) == s1.decision_key(Polyline((START, TARGET)))
