@@ -279,6 +279,36 @@ def find_compression_subtuple(system: ScenarioSystem,
 
 
 @dataclass(frozen=True)
+class MapSearchReport:
+    """The first subtuple of ``vz`` of length <= ``capacity`` deciding as
+    ``vz`` does, or None: then no capacity-d compression map exists."""
+
+    vz: ConstraintTuple
+    capacity: int
+    subtuple_indices: Optional[tuple[int, ...]]
+
+    @property
+    def none_certificate(self) -> bool:
+        return self.subtuple_indices is None
+
+    def to_jsonable(self) -> dict:
+        indices = self.subtuple_indices
+        return {
+            "tuple": [codecs.encode_constraint(z) for z in self.vz],
+            "capacity": self.capacity,
+            "subtuple_indices": None if indices is None else list(indices),
+            "none_certificate": self.none_certificate,
+        }
+
+
+def search_compression_map(system: ScenarioSystem, vz: ConstraintTuple,
+                           capacity: int) -> MapSearchReport:
+    """``find_compression_subtuple`` as a report."""
+    return MapSearchReport(tuple(vz), capacity,
+                           find_compression_subtuple(system, vz, capacity))
+
+
+@dataclass(frozen=True)
 class CompressionSchemeReport:
     """Counting certificate against the existence of a compression scheme.
 

@@ -86,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, **kwargs):
         sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(subparser=sp)  # reports the command's usage errors
         sp.add_argument("--out", help="JSON report path (default: stdout)")
         sp.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized steps (echoed)")
@@ -208,13 +209,9 @@ def _run_compression(args) -> tuple[dict, bool]:
         if args.permutations:
             raise ValueError("--permutations applies to --base only")
         vz = tuple(_decode_constraints(bundle, args.tuple_json))
-        indices = analyzers.find_compression_subtuple(bundle.system, vz,
-                                                      args.capacity)
-        return {"map_search": {
-            "capacity": args.capacity,
-            "subtuple_indices": list(indices) if indices is not None else None,
-            "none_certificate": indices is None,
-        }}, True
+        report = analyzers.search_compression_map(bundle.system, vz,
+                                                  args.capacity)
+        return {"map_search": report.to_jsonable()}, True
     base = _decode_constraints(bundle, args.base)
     report = analyzers.certify_no_compression_scheme(
         bundle.system, base, args.capacity, permutations=args.permutations)
@@ -259,8 +256,9 @@ def main(argv=None) -> int:
     parser = build_parser()
 
     # Unreadable files (config, @file arguments or --out) and rejected
-    # values are usage errors, as are runner failures on bad input.
-    out = None
+    # values are usage errors, as are runner failures on bad input; once
+    # the command is parsed, its own parser reports them.
+    args = out = None
     try:
         known, argv = _config_parser().parse_known_args(argv)
         if known.config is not None:
@@ -280,10 +278,10 @@ def main(argv=None) -> int:
             raise
     except (OSError, ValueError, KeyError,
             analyzers.BudgetExceededError) as exc:
-        parser.error(str(exc))
+        getattr(args, "subparser", parser).error(str(exc))
 
     echo = {k: v for k, v in vars(args).items()
-            if k not in ("command", "out") and v is not None}
+            if k not in ("command", "out", "subparser") and v is not None}
     report = {
         "command": args.command,
         "config": echo,

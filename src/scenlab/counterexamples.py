@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -372,7 +373,7 @@ class IntervalDecision:
     def __post_init__(self) -> None:
         if self.points is not None:
             pts = self.points
-            if list(pts) != sorted(set(pts)):
+            if not all(map(operator.lt, pts, pts[1:])):
                 raise ValueError("finite-set points must be sorted, distinct")
             if pts and not (0.0 <= pts[0] and pts[-1] <= 1.0):
                 raise ValueError("finite-set points must lie in [0, 1]")

@@ -186,8 +186,56 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 # ---------------------------------------------------------------------------
 
 
-def _clearance_heights(scene: Scene, thetas: list[float]) -> list[float]:
-    return [clearance_height(theta, scene.barrier_length) for theta in thetas]
+def _binding_clearances(scene: Scene,
+                        thetas: list[float]) -> tuple[list[int], list[float]]:
+    """The indices, ascending, that may attain the largest ``math``
+    clearance among ``thetas``, with those clearances from
+    ``clearance_height``.
+
+    One numpy pass estimates every clearance a_i with the same formula;
+    the kept indices are those with a_i >= (1 - tau) max a, so only they
+    need the exact scalar call.  Nothing in the filter assumes a shape of
+    the clearance curve, so it holds for every L in (0, 1).  Why no index
+    attaining the exact maximum is dropped:
+
+    * Let u = 2^-53.  Assume ``math`` and numpy compute sin and cos of a
+      double within 4 ulp, a relative error e_f <= 8u (glibc is below 1
+      ulp; ``test_pathplan`` checks both against mpmath).  With
+      R = L^2 / (1 - L^2), one evaluation of L sin / (1 - L^2 cos^2) then
+      has relative error at most e_f + 3u + R (2 e_f + 3u) = (11 + 19 R) u
+      to first order: sin and the roundings of the numerator, the
+      subtraction and the quotient, plus the error of the rounded
+      L^2 cos^2 (two cos factors, three products), which the cancellation
+      in 1 - L^2 cos^2 magnifies by L^2 cos^2 / (1 - L^2 cos^2) <= R.
+      e = (16 + 32 R) u also covers the higher-order terms while
+      tau = 4 e < 1, and the two roundings of the threshold.  For
+      tau >= 1 (L close to 1) the threshold is <= 0 and every index is
+      kept.
+    * Both values of index i are within relative error e of its exact
+      clearance, so an index j attaining the ``math`` maximum has
+      a_j / max a >= ((1 - e) / (1 + e))^2 >= 1 - 4 e = 1 - tau, and is
+      kept; so is every tie for that maximum.
+    * The relative bounds need a normal numerator L sin (an underflowing
+      L^2 cos^2 only adds an absolute error far below u (1 - L^2)).  The
+      numerator of a clearance h is at least h (1 - L^2), so with
+      max a (1 - L^2) >= 2^-1020 the numerators of the numpy maximum and
+      of every clearance of at least 0.6 max a, the ``math`` maximum
+      among them while tau < 1, are normal.  Below that floor
+      every index is kept: the full scan, which covers subnormal
+      clearances.
+    """
+    if not thetas:
+        return [], []
+    length = scene.barrier_length
+    angles = np.asarray(thetas, dtype=float)
+    c = np.cos(angles)
+    approx = length * np.sin(angles) / (1.0 - length * length * c * c)
+    top, rest = float(approx.max()), 1.0 - length * length
+    tau = 4.0 * (16.0 + 32.0 * length * length / rest) * 2.0 ** -53
+    threshold = (1.0 - tau) * top if top * rest >= 2.0 ** -1020 \
+        else -math.inf
+    indices = np.flatnonzero(approx >= threshold).tolist()
+    return indices, [clearance_height(thetas[i], length) for i in indices]
 
 
 def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
@@ -202,9 +250,11 @@ def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
 def alg2_parabola_of_angles(scene: Scene, thetas: list[float]) -> Parabola:
     """``alg2_shortest_parabola`` on the barrier angles themselves.
 
-    The clearances come from ``math``, not from numpy, whose vectorized
-    trigonometry may round differently."""
-    return Parabola(max([0.0, *_clearance_heights(scene, thetas)]))
+    The height is the largest ``math`` clearance (0 for no barrier), taken
+    over the binding candidates of ``_binding_clearances``: numpy only
+    picks which angles to evaluate, so the bytes equal those of a scan of
+    every angle with ``clearance_height``."""
+    return Parabola(max([0.0, *_binding_clearances(scene, thetas)[1]]))
 
 
 def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
@@ -213,11 +263,14 @@ def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
     Returns the index of the first barrier attaining the maximal clearance
     requirement (the binding obstacle); the planner returns the same parabola
     on that singleton.  The empty tuple compresses to itself (height 0).
+    Every index attaining the maximum is a binding candidate, and the
+    candidates come in index order, so the first among them is the first
+    overall.
     """
     if not vz:
         return ()
-    heights = _clearance_heights(scene, [z.theta for z in vz])
-    return (heights.index(max(heights)),)
+    indices, heights = _binding_clearances(scene, [z.theta for z in vz])
+    return (indices[heights.index(max(heights))],)
 
 
 def parabola_arc_length(height: float) -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analyzers, codecs, core
+from . import analyzers, core
 from .core import ConstraintDistribution, ScenarioSystem
 from .counterexamples import (
     BandConstraint,
@@ -83,14 +83,8 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
 def _demo_min(bundle: SystemBundle, seed: int, *,
               capacity: int = 1) -> tuple[dict, bool]:
     vz = tuple(ExclusionConstraint(a) for a in range(capacity + 1))
-    indices = analyzers.find_compression_subtuple(bundle.system, vz, capacity)
-    verdict = {
-        "tuple": [codecs.encode_constraint(z) for z in vz],
-        "capacity": capacity,
-        "subtuple_indices": list(indices) if indices is not None else None,
-        "none_certificate": indices is None,
-    }
-    return {"map_search": verdict}, indices is None
+    report = analyzers.search_compression_map(bundle.system, vz, capacity)
+    return {"map_search": report.to_jsonable()}, report.none_certificate
 
 
 def _demo_interval(bundle: SystemBundle, seed: int, *, eps: float = 0.25,

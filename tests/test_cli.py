@@ -177,6 +177,10 @@ def test_compression_map_search(capsys):
         "--tuple", '[{"exclude": 0}, {"exclude": 1}, {"exclude": 2}]')
     assert code == 0
     assert report["verdicts"]["map_search"]["none_certificate"] is True
+    # The same verdict shape as the min-no-map demo's.
+    _, demo = run_cli(capsys, "demo", "--example", "min-no-map",
+                      "--capacity", "2")
+    assert report["verdicts"] == demo["verdicts"]
 
 
 def test_out_writes_report_file(tmp_path, capsys):
@@ -293,6 +297,20 @@ def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
     assert "error:" in err and "Traceback" not in err
     # Nothing ran, so nothing was written (the --csv file included).
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--example", "convex-vc", "--N", "5"],
+    ["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05", "--N", "100"],
+    ["pathplan", "--algo", "1", "--thetas", "1e-9"],
+])
+def test_runner_usage_errors_show_the_command_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: scenlab {argv[0]} [-h]")
+    assert f"scenlab {argv[0]}: error: " in err
 
 
 def test_failed_run_keeps_an_existing_report(tmp_path, capsys):

@@ -239,6 +239,38 @@ def test_interval_decision_validation():
     assert not IntervalDecision((0.0, 0.5)).is_full_interval
 
 
+@st.composite
+def point_tuples(draw):
+    """NaN-free float tuples, often sorted and often with repeats (-0.0 and
+    0.0 compare equal)."""
+    points = draw(st.lists(st.floats(allow_nan=False) | st.floats(0.0, 1.0)
+                           | st.sampled_from([-0.0, 0.0, 1.0]), max_size=6))
+    points += draw(st.lists(st.sampled_from(points), max_size=2)) \
+        if points else []
+    return tuple(draw(st.sampled_from([points, sorted(points),
+                                       sorted(set(points))])))
+
+
+@settings(max_examples=500)
+@given(point_tuples())
+def test_interval_decision_accepts_sorted_distinct_points(points):
+    expected = list(points) == sorted(set(points)) and (
+        not points or (0.0 <= points[0] and points[-1] <= 1.0))
+    try:
+        IntervalDecision(points)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+
+
+@pytest.mark.parametrize("points", [(math.nan,), (0.0, math.nan, 1.0),
+                                    (math.nan, 0.5), (0.0, math.nan)])
+def test_interval_decision_rejects_nan(points):
+    with pytest.raises(ValueError):
+        IntervalDecision(points)
+
+
 def test_alg_interval_branches():
     vz = (MembershipConstraint(0.3), MembershipConstraint(0.7))
     assert alg_interval(vz) is OPEN_UNIT_INTERVAL

@@ -7,6 +7,7 @@ import re
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,126 @@ def test_alg2_compression_selects_binding_obstacle():
     # First maximizer wins for duplicates.
     dup = (BarrierConstraint(math.pi / 2), BarrierConstraint(math.pi / 2))
     assert alg2_compression(SCENE, dup) == (0,)
+
+
+def full_scan(length: float, thetas: list) -> tuple[str, tuple[int, ...]]:
+    """alg2's height and compression index from a clearance of every angle,
+    the height as ``float.hex``."""
+    heights = [clearance_height(theta, length) for theta in thetas]
+    height = max([0.0, *heights])
+    return height.hex(), (heights.index(height),) if heights else ()
+
+
+PEAK = math.pi / 2.0
+LENGTHS = (1e-300, 1e-6, 0.3, 0.5, 1.0 / math.sqrt(2.0), 0.9)
+angles = st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                   exclude_max=True)
+near_peak = st.floats(min_value=-1e-7, max_value=1e-7).map(
+    lambda d: PEAK + d)
+# Down to the smallest subnormal angle, so that clearances can be subnormal.
+tiny_angles = st.floats(min_value=5e-324, max_value=1e-300)
+
+
+@st.composite
+def alg2_cases(draw):
+    length = draw(st.sampled_from(LENGTHS) | st.floats(
+        min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    thetas = draw(st.lists(angles | near_peak | tiny_angles, max_size=12))
+    # Mirrored pairs clear at (nearly) the same height; duplicates tie.
+    mirrored = [math.pi - t for t in thetas if math.pi - t < math.pi]
+    thetas += draw(st.lists(st.sampled_from(mirrored), max_size=4)) \
+        if mirrored else []
+    thetas += draw(st.lists(st.sampled_from(thetas), max_size=4)) \
+        if thetas else []
+    return length, draw(st.permutations(thetas))
+
+
+class SkewedNumpy:
+    """numpy whose sin and cos are pushed 3 ulp off, up or down by index
+    in the cycle ``signs``.  Where sin and cos are within 1 ulp (glibc's
+    are), that stays within the 4-ulp error the alg2 candidate filter
+    allows."""
+
+    def __init__(self, signs):
+        self.signs = signs
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _skew(self, values):
+        signs = np.resize(np.array(self.signs, dtype=float), values.shape)
+        for _ in range(3):
+            values = np.nextafter(values, signs * math.inf)
+        return values
+
+    def sin(self, x):
+        return self._skew(np.sin(x))
+
+    def cos(self, x):
+        return self._skew(np.cos(x))
+
+
+SUBNORMAL = 1e-320
+
+
+@pytest.mark.parametrize("signs", [None, (1,), (-1,), (1, -1), (-1, 1)])
+@settings(deadline=None, max_examples=300)
+@given(alg2_cases())
+@example((0.5, []))
+@example((0.5, [1.0]))
+@example((1.0 / math.sqrt(2.0), [PEAK, PEAK, math.pi - PEAK]))
+@example((0.5, [5e-324, 1e-310, 5e-324]))
+@example((0.9, [SUBNORMAL, math.nextafter(SUBNORMAL, 1.0)]))
+@example((0.9, [math.nextafter(SUBNORMAL, 1.0), SUBNORMAL]))
+@example((1e-300, [1e-20, 2e-20, math.pi - 1e-10, 1e-10]))
+@example((0.9, [0.9, math.pi - 0.9, PEAK]))
+def test_alg2_candidates_match_full_scan(signs, case):
+    """Heights (as float.hex) and compression indices of the candidate
+    path equal the full scan's, also with numpy's sin and cos skewed."""
+    length, thetas = case
+    scene = Scene(length)
+    vz = tuple(BarrierConstraint(theta) for theta in thetas)
+    with pytest.MonkeyPatch.context() as patch:
+        if signs is not None:
+            patch.setattr(pathplan, "np", SkewedNumpy(signs))
+        height = pathplan.alg2_parabola_of_angles(scene, thetas).height
+        assert (height.hex(), alg2_compression(scene, vz)) \
+            == full_scan(length, thetas)
+        assert alg2_shortest_parabola(scene, vz).height.hex() == height.hex()
+
+
+def test_alg2_heights_come_from_clearance_height(monkeypatch):
+    def marked(theta, length):
+        return math.nextafter(clearance_height(theta, length), math.inf)
+    monkeypatch.setattr(pathplan, "clearance_height", marked)
+    thetas = [0.3, PEAK, 2.5]
+    assert pathplan.alg2_parabola_of_angles(SCENE, thetas).height \
+        == marked(PEAK, SCENE.barrier_length)
+
+
+@pytest.mark.parametrize("length", LENGTHS)
+def test_alg2_uniform_draws_keep_few_candidates(length):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        thetas = rng.uniform(0.0, math.pi, 200).tolist()
+        indices, _ = pathplan._binding_clearances(Scene(length), thetas)
+        assert 1 <= len(indices) <= 2
+
+
+def test_sin_cos_within_the_assumed_ulp_bound():
+    """The candidate filter of alg2 assumes sin and cos within 4 ulp, from
+    ``math`` and from numpy alike."""
+    rng = np.random.default_rng(6)
+    thetas = np.concatenate([
+        rng.uniform(0.0, math.pi, 400), PEAK + rng.uniform(-1e-7, 1e-7, 100),
+        rng.uniform(0.0, 1e-3, 50), math.pi - rng.uniform(0.0, 1e-3, 50)])
+    for ours, theirs in ((np.sin, mpmath.sin), (np.cos, mpmath.cos)):
+        for theta, fast in zip(thetas.tolist(), ours(thetas).tolist()):
+            with mpmath.workprec(200):
+                exact = theirs(mpmath.mpf(theta))
+                ulp = math.ulp(float(exact))
+                for value in (fast, getattr(math, ours.__name__)(theta)):
+                    assert abs(mpmath.mpf(value) - exact) <= 4 * ulp
 
 
 def test_parabola_arc_length():
