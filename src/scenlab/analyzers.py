@@ -18,13 +18,14 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import codecs
 from .core import ConstraintTuple, Fold, ScenarioSystem, hoeffding_radius
 from .counterexamples import (
+    MAX_ARC_FAMILY,
     BandConstraint,
     alg_convex_maxx1,
     sigma_polygon,
@@ -34,6 +35,9 @@ from .geometry import points_equal, points_in_convex
 from .rng import stream
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
+
+# The walks recurse once per tuple element; Python's stack holds 1,000 frames.
+MAX_WALK_LENGTH = 500
 
 # Boundary slack (signed distance) for the arc-polygon membership tests in the
 # range-shattering witness.  Chord sag for unused arc points shrinks like the
@@ -49,6 +53,17 @@ WITNESS_MEMBERSHIP_TOL = 1e-15
 
 class BudgetExceededError(Exception):
     """Enumeration would exceed ``DEFAULT_TUPLE_BUDGET`` tuples."""
+
+
+def check_tuple_budget(counts: Iterable[int]) -> None:
+    """Raise ``BudgetExceededError`` once the running sum of ``counts``
+    passes ``DEFAULT_TUPLE_BUDGET``, forming no later count."""
+    total = 0
+    for count in counts:
+        total += count
+        if total > DEFAULT_TUPLE_BUDGET:
+            raise BudgetExceededError(
+                f"more than {DEFAULT_TUPLE_BUDGET} tuples to enumerate")
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +213,10 @@ def check_shattered(system: ScenarioSystem,
         raise ValueError("candidate constraints must be distinct")
     if max_len is None:
         max_len = max(1, len(candidates))
-    if max_len < 1:
-        raise ValueError("max tuple length must be >= 1")
-
-    k = len(candidates)
-    total = sum(k ** r for r in range(0 if include_empty else 1, max_len + 1))
-    if total > DEFAULT_TUPLE_BUDGET:
-        raise BudgetExceededError(
-            f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
+    if not 1 <= max_len <= MAX_WALK_LENGTH:
+        raise ValueError(f"max tuple length must be in [1, {MAX_WALK_LENGTH}]")
+    lengths = range(0 if include_empty else 1, max_len + 1)
+    check_tuple_budget(len(candidates) ** r for r in lengths)
 
     checked = 0
     realized = frozenset()
@@ -217,7 +228,7 @@ def check_shattered(system: ScenarioSystem,
         return realized != frozenset(candidates[i] for i in indices)
 
     fold = _walk_fold(system)
-    for r in range(0 if include_empty else 1, max_len + 1):
+    for r in lengths:
         indices = _first_leaf(fold, candidates, r, False, breaks)
         if indices is not None:
             vz = tuple(candidates[i] for i in indices)
@@ -262,14 +273,11 @@ def find_compression_subtuple(system: ScenarioSystem,
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    n = len(vz)
-    total = sum(math.comb(n, r) for r in range(min(capacity, n) + 1))
-    if total > DEFAULT_TUPLE_BUDGET:
-        raise BudgetExceededError(
-            f"{total} subtuples exceed budget {DEFAULT_TUPLE_BUDGET}")
+    lengths = range(min(capacity, len(vz)) + 1)
+    check_tuple_budget(math.comb(len(vz), r) for r in lengths)
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
-    for r in range(min(capacity, n) + 1):
+    for r in lengths:
         indices = _first_leaf(
             fold, vz, r, True,
             lambda indices, x: system.decisions_equal(x, target))
@@ -358,10 +366,7 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     count = math.perm if permutations else math.comb
-    total = sum(count(k, r) for r in range(k + 1))
-    if total > DEFAULT_TUPLE_BUDGET:
-        raise BudgetExceededError(
-            f"{total} tuples exceed budget {DEFAULT_TUPLE_BUDGET}")
+    check_tuple_budget(count(k, r) for r in range(k + 1))
 
     decisions = _decision_keys(system, base, permutations)
 
@@ -418,8 +423,8 @@ def verify_range_shattering_witness(k: int,
     mismatch and disagreement lists and their order (u by binary encoding,
     then i ascending) are those of the subset-by-subset loop.
     """
-    if not 1 <= k <= 12:
-        raise ValueError("witness geometry budget is 1 <= k <= 12")
+    if not 1 <= k <= MAX_ARC_FAMILY:
+        raise ValueError(f"the witness needs 1 <= k <= {MAX_ARC_FAMILY}")
     members = range(1, k + 1)
     subsets = [frozenset(i for i in members if mask >> (i - 1) & 1)
                for mask in range(1 << k)]

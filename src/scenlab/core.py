@@ -163,9 +163,6 @@ class RiskEstimate:
         return (max(0.0, self.estimate - self.confidence_radius),
                 min(1.0, self.estimate + self.confidence_radius))
 
-    def to_jsonable(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class PacRow:

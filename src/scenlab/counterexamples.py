@@ -35,6 +35,11 @@ from .geometry import (
 # Arc family: injective encodings of finite subsets into quarter-circle points
 # ---------------------------------------------------------------------------
 
+# Largest m of a polygon sigma(m, i) and k of the witness: xi(m, i) has
+# 2^(m - 1) subsets, and at m = 12 the chord sag of unused arc points
+# (~4e-15) nears the witness's 1e-15 membership slack.
+MAX_ARC_FAMILY = 12
+
 
 def n_of(u: Iterable[int]) -> int:
     """Binary encoding sum(2^(i-1) for i in u); injective on finite subsets."""
@@ -95,8 +100,9 @@ class PolygonConstraint:
     i: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.i <= self.m:
-            raise ValueError("polygon index pair must satisfy 1 <= i <= m")
+        if not 1 <= self.i <= self.m <= MAX_ARC_FAMILY:
+            raise ValueError("polygon index pair must satisfy "
+                             f"1 <= i <= m <= {MAX_ARC_FAMILY}")
 
 
 @dataclass(frozen=True)

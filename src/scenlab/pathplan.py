@@ -8,8 +8,8 @@ angle theta in (0, pi).  Two planners are provided:
   (shortest path in the visibility graph); its dVC dimension grows without
   bound along band witness families near pi/2.
 * ``alg2_shortest_parabola``  -- the lowest parabola y = h (1 - x^2) clearing
-  every barrier tip; it admits a capacity-1 compression map (any barrier that
-  touches the optimal parabola).
+  every barrier tip; it admits a capacity-1 compression map (the binding
+  barrier of ``alg2_binding``, which touches the optimal parabola).
 """
 
 from __future__ import annotations
@@ -186,16 +186,16 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 # ---------------------------------------------------------------------------
 
 
-def _binding_clearances(scene: Scene,
-                        thetas: list[float]) -> tuple[list[int], list[float]]:
-    """The indices, ascending, that may attain the largest ``math``
-    clearance among ``thetas``, with those clearances from
-    ``clearance_height``.
+def alg2_binding(scene: Scene,
+                 thetas: list[float]) -> tuple[int | None, float]:
+    """alg2's binding barrier: the first index of ``thetas`` attaining the
+    largest ``math`` clearance, and that clearance (``(None, 0.0)`` for no
+    barrier), with the bytes of a ``clearance_height`` scan of every angle.
 
     One numpy pass estimates every clearance a_i with the same formula;
-    the kept indices are those with a_i >= (1 - tau) max a, so only they
-    need the exact scalar call.  Nothing in the filter assumes a shape of
-    the clearance curve, so it holds for every L in (0, 1).  Why no index
+    only the candidates, a_i >= (1 - tau) max a in index order, get the
+    exact scalar call.  Nothing in the filter assumes a shape of the
+    clearance curve, so it holds for every L in (0, 1).  Why no index
     attaining the exact maximum is dropped:
 
     * Let u = 2^-53.  Assume ``math`` and numpy compute sin and cos of a
@@ -225,7 +225,7 @@ def _binding_clearances(scene: Scene,
       clearances.
     """
     if not thetas:
-        return [], []
+        return None, 0.0
     length = scene.barrier_length
     angles = np.asarray(thetas, dtype=float)
     c = np.cos(angles)
@@ -235,7 +235,9 @@ def _binding_clearances(scene: Scene,
     threshold = (1.0 - tau) * top if top * rest >= 2.0 ** -1020 \
         else -math.inf
     indices = np.flatnonzero(approx >= threshold).tolist()
-    return indices, [clearance_height(thetas[i], length) for i in indices]
+    heights = [clearance_height(thetas[i], length) for i in indices]
+    height = max(heights)  # max([0.0, *heights]): clearances are >= +0.0
+    return indices[heights.index(height)], height
 
 
 def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
@@ -244,33 +246,15 @@ def alg2_shortest_parabola(scene: Scene, vz: tuple) -> Parabola:
     Arc length is strictly increasing in the height, so the minimal feasible
     height is the shortest parabola.
     """
-    return alg2_parabola_of_angles(scene, [z.theta for z in vz])
-
-
-def alg2_parabola_of_angles(scene: Scene, thetas: list[float]) -> Parabola:
-    """``alg2_shortest_parabola`` on the barrier angles themselves.
-
-    The height is the largest ``math`` clearance (0 for no barrier), taken
-    over the binding candidates of ``_binding_clearances``: numpy only
-    picks which angles to evaluate, so the bytes equal those of a scan of
-    every angle with ``clearance_height``."""
-    return Parabola(max([0.0, *_binding_clearances(scene, thetas)[1]]))
+    return Parabola(alg2_binding(scene, [z.theta for z in vz])[1])
 
 
 def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
-    """Capacity-1 compression map for the parabola planner.
-
-    Returns the index of the first barrier attaining the maximal clearance
-    requirement (the binding obstacle); the planner returns the same parabola
-    on that singleton.  The empty tuple compresses to itself (height 0).
-    Every index attaining the maximum is a binding candidate, and the
-    candidates come in index order, so the first among them is the first
-    overall.
-    """
-    if not vz:
-        return ()
-    indices, heights = _binding_clearances(scene, [z.theta for z in vz])
-    return (indices[heights.index(max(heights))],)
+    """Capacity-1 compression map for the parabola planner: the binding
+    barrier, on whose singleton the planner returns the same parabola.  The
+    empty tuple compresses to itself (height 0)."""
+    index = alg2_binding(scene, [z.theta for z in vz])[0]
+    return () if index is None else (index,)
 
 
 def parabola_arc_length(height: float) -> float:
@@ -387,7 +371,8 @@ def path_system_alg2() -> ScenarioSystem:
         decide=lambda vz: alg2_shortest_parabola(SCENE, vz),
         satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=lambda x: (x.height,),
-        decide_values=lambda thetas: alg2_parabola_of_angles(SCENE, thetas),
+        decide_values=lambda thetas: Parabola(
+            alg2_binding(SCENE, thetas)[1]),
     )
 
 

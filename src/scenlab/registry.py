@@ -10,6 +10,7 @@ here, so adding a system means adding one bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -33,7 +34,8 @@ from .counterexamples import (
 from .pathplan import (
     SCENE,
     BarrierConstraint,
-    alg2_compression,
+    Parabola,
+    alg2_binding,
     band_shatter_candidates,
     path_system_alg1,
     path_system_alg2,
@@ -74,6 +76,8 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
               capacity: int = 1) -> tuple[dict, bool]:
     if k < 1:
         raise ValueError("k must be >= 1")
+    # Every subset is decided: refuse before building k big-integer weights.
+    analyzers.check_tuple_budget(math.comb(k, r) for r in range(k + 1))
     base = [ExclusionConstraint(1 << j) for j in range(k)]
     report = analyzers.certify_no_compression_scheme(bundle.system, base,
                                                      capacity)
@@ -112,7 +116,8 @@ def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
 
 def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
                     max_n: int = 20) -> tuple[dict, bool]:
-    """The capacity-1 compression map reproduces every sampled decision."""
+    """The binding angle alone decides every sampled tuple's parabola (the
+    angles are ``sample_tuple``'s draws, by the ``sample_values`` contract)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_n < 0:
@@ -121,9 +126,10 @@ def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
     for trial in range(trials):
         rng = stream(seed, trial)
         n = int(rng.integers(0, max_n + 1))
-        vz = bundle.distribution.sample_tuple(rng, n)
-        sub = tuple(vz[i] for i in alg2_compression(SCENE, vz))
-        if bundle.system.decide(sub) != bundle.system.decide(vz):
+        thetas = bundle.distribution.sample_values(rng, n)
+        index, height = alg2_binding(SCENE, thetas)
+        kept = [] if index is None else [thetas[index]]
+        if bundle.system.decide_values(kept) != Parabola(height):
             mismatches.append(trial)
     return {"compression_idempotence": {
         "trials": trials, "max_n": max_n,

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from scenlab import analyzers
 from scenlab.analyzers import (
     DEFAULT_TUPLE_BUDGET,
+    MAX_WALK_LENGTH,
     BoundQuery,
     BudgetExceededError,
     RangeShatterReport,
     adversarial_pac_experiment,
     certify_no_compression_scheme,
     check_shattered,
+    check_tuple_budget,
     compression_beta,
     compression_bound,
     explicit_sample_bound,
@@ -87,6 +89,26 @@ def test_check_shattered_validation_and_budget():
     zs = [MembershipConstraint(a / 10) for a in range(10)]
     with pytest.raises(BudgetExceededError):
         check_shattered(interval_system, zs, max_len=10)
+
+
+def test_check_shattered_walks_up_to_its_length_limit():
+    zs = [MembershipConstraint(0.5)]
+    report = check_shattered(interval_system, zs, max_len=MAX_WALK_LENGTH,
+                             include_empty=False)
+    assert report.shattered and report.tuples_checked == MAX_WALK_LENGTH
+    with pytest.raises(ValueError, match="max tuple length"):
+        check_shattered(interval_system, zs, max_len=MAX_WALK_LENGTH + 1)
+
+
+def test_tuple_budget_stops_summing_past_the_budget():
+    def counts():
+        yield DEFAULT_TUPLE_BUDGET
+        yield 1
+        raise AssertionError("summed past the budget")
+    with pytest.raises(BudgetExceededError,
+                       match=f"^more than {DEFAULT_TUPLE_BUDGET} tuples"):
+        check_tuple_budget(counts())
+    check_tuple_budget([DEFAULT_TUPLE_BUDGET, 0])
 
 
 def test_revalidate_rejects_positive_reports():

@@ -284,6 +284,18 @@ def test_usage_errors_exit_2(capsys):
     # Demo inputs the example does not read.
     (["demo", "--example", "convex-vc", "--k", "3", "--N", "500", "--max-n",
       "7"], {}),
+    # Refused before any work: a scheme-counting base past the tuple budget,
+    # a shattering walk too deep for the stack (past the budget, or within
+    # it on one candidate) and polygons past the arc-family limit.
+    (["demo", "--example", "sum-no-scheme", "--k", "20000"], {}),
+    (["shatter", "--system", "interval-not-pac", "--candidates",
+      '[{"member": 0.0}, {"member": 0.5}]', "--max-len", "100000000"], {}),
+    (["shatter", "--system", "interval-not-pac", "--candidates",
+      '[{"member": 0.5}]', "--max-len", "1200", "--no-include-empty"], {}),
+    (["shatter", "--system", "convex-vc", "--candidates",
+      '[{"polygon": [26, 1]}]'], {}),
+    (["compression", "--system", "convex-vc", "--capacity", "1", "--tuple",
+      '[{"polygon": [22, 1]}]'], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):

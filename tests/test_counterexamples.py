@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenlab.counterexamples import (
+    MAX_ARC_FAMILY,
     BandConstraint,
     ExclusionConstraint,
     IntervalDecision,
@@ -113,6 +114,13 @@ def test_constraint_validation():
         PolygonConstraint(2, 3)
     with pytest.raises(ValueError):
         BandConstraint(1.5)
+
+
+def test_polygon_family_size_is_bounded():
+    z = PolygonConstraint(MAX_ARC_FAMILY, 1)
+    assert len(sigma_polygon(z.m, z.i)) == 2 ** (MAX_ARC_FAMILY - 1) + 1
+    with pytest.raises(ValueError, match=f"m <= {MAX_ARC_FAMILY}"):
+        PolygonConstraint(MAX_ARC_FAMILY + 1, 1)
 
 
 def test_alg_convex_empty_and_bands():

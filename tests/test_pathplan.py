@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenlab import pathplan
+from scenlab import pathplan, registry
 from scenlab.counterexamples import convex_system
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
@@ -35,6 +35,7 @@ from scenlab.pathplan import (
     path_system_alg2,
     uniform_barrier_distribution,
 )
+from scenlab.registry import get_bundle
 from scenlab.rng import stream
 
 SCENE = Scene()
@@ -201,6 +202,50 @@ def test_alg2_compression_selects_binding_obstacle():
     assert alg2_compression(SCENE, dup) == (0,)
 
 
+def constraint_loop(seed: int, trials: int, max_n: int) -> tuple[dict, bool]:
+    """The alg2 demo's verdict from constraint objects: each trial's tuple
+    against the planner on its compression."""
+    system, dist = path_system_alg2(), uniform_barrier_distribution()
+    mismatches = []
+    for trial in range(trials):
+        rng = stream(seed, trial)
+        vz = dist.sample_tuple(rng, int(rng.integers(0, max_n + 1)))
+        sub = tuple(vz[i] for i in alg2_compression(SCENE, vz))
+        if system.decide(sub) != system.decide(vz):
+            mismatches.append(trial)
+    return {"compression_idempotence": {
+        "trials": trials, "max_n": max_n,
+        "mismatched_trials": mismatches}}, not mismatches
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_alg2_demo_matches_the_constraint_loop(seed):
+    bundle = get_bundle("path-alg2")
+    assert bundle.demo(bundle, seed, trials=60, max_n=40) \
+        == constraint_loop(seed, 60, 40)
+
+
+def test_alg2_demo_reports_a_wrong_binding_index(monkeypatch):
+    """With the last angle passed off as the binding one, the demo names
+    exactly the trials whose last angle does not bind."""
+    def last(scene, thetas):
+        return (len(thetas) - 1 if thetas else None), \
+            pathplan.alg2_binding(scene, thetas)[1]
+    monkeypatch.setattr(registry, "alg2_binding", last)
+    bundle = get_bundle("path-alg2")
+    expected = []
+    for trial in range(40):
+        rng = stream(3, trial)
+        thetas = bundle.distribution.sample_values(
+            rng, int(rng.integers(0, 9)))
+        if thetas and clearance_height(thetas[-1], SCENE.barrier_length) \
+                != pathplan.alg2_binding(SCENE, thetas)[1]:
+            expected.append(trial)
+    verdicts, passed = bundle.demo(bundle, 3, trials=40, max_n=8)
+    assert expected and not passed
+    assert verdicts["compression_idempotence"]["mismatched_trials"] == expected
+
+
 def full_scan(length: float, thetas: list) -> tuple[str, tuple[int, ...]]:
     """alg2's height and compression index from a clearance of every angle,
     the height as ``float.hex``."""
@@ -281,7 +326,7 @@ def test_alg2_candidates_match_full_scan(signs, case):
     with pytest.MonkeyPatch.context() as patch:
         if signs is not None:
             patch.setattr(pathplan, "np", SkewedNumpy(signs))
-        height = pathplan.alg2_parabola_of_angles(scene, thetas).height
+        height = pathplan.alg2_binding(scene, thetas)[1]
         assert (height.hex(), alg2_compression(scene, vz)) \
             == full_scan(length, thetas)
         assert alg2_shortest_parabola(scene, vz).height.hex() == height.hex()
@@ -292,17 +337,24 @@ def test_alg2_heights_come_from_clearance_height(monkeypatch):
         return math.nextafter(clearance_height(theta, length), math.inf)
     monkeypatch.setattr(pathplan, "clearance_height", marked)
     thetas = [0.3, PEAK, 2.5]
-    assert pathplan.alg2_parabola_of_angles(SCENE, thetas).height \
+    assert pathplan.alg2_binding(SCENE, thetas)[1] \
         == marked(PEAK, SCENE.barrier_length)
 
 
 @pytest.mark.parametrize("length", LENGTHS)
-def test_alg2_uniform_draws_keep_few_candidates(length):
+def test_alg2_uniform_draws_keep_few_candidates(length, monkeypatch):
+    calls = []
+
+    def counted(theta, length):
+        calls.append(theta)
+        return clearance_height(theta, length)
+    monkeypatch.setattr(pathplan, "clearance_height", counted)
     rng = np.random.default_rng(5)
     for _ in range(50):
         thetas = rng.uniform(0.0, math.pi, 200).tolist()
-        indices, _ = pathplan._binding_clearances(Scene(length), thetas)
-        assert 1 <= len(indices) <= 2
+        calls.clear()
+        pathplan.alg2_binding(Scene(length), thetas)
+        assert 1 <= len(calls) <= 2
 
 
 def test_sin_cos_within_the_assumed_ulp_bound():
