@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .geometry import POINT_TOL, Point, segment_conflicts, segments_conflict
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
+# Entries in each alg1 memo (``_alg1_geodesic``, ``_polyline_clears``).  A
+# geodesic entry keeps its key's tips alive, about 0.1 kB per tip, so the
+# memo holds at most about 47 MB of N = 100 tuples.
+ALG1_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -98,13 +103,24 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
     A parabola clears the barrier iff its height reaches the tip clearance
     (the region under the parabola is convex, so tip clearance implies the
     whole barrier stays below the curve).
+
+    The polyline test is memoized on (vertices, tip), so an exhaustive walk
+    that meets one decision and one candidate again tests them once.  The
+    memo is exact: keys compare floats with ``==``, so only a zero's sign
+    can tell two equal keys apart, and ``segments_conflict`` reads that sign
+    only through ``abs``, ``hypot`` and ordered comparisons.
     """
     tip = barrier_tip(z, scene.barrier_length)
     if isinstance(path, Parabola):
         return clearance_height(z.theta, scene.barrier_length) \
             <= path.height + POINT_TOL
+    return _polyline_clears(path.vertices, tip)
+
+
+@lru_cache(maxsize=ALG1_MEMO_SIZE)
+def _polyline_clears(vertices: tuple[Point, ...], tip: Point) -> bool:
     return not any(segments_conflict(a, b, tip)
-                   for a, b in zip(path.vertices, path.vertices[1:]))
+                   for a, b in zip(vertices, vertices[1:]))
 
 
 def barrier_satisfied_many(scene: Scene, path: PathDecision,
@@ -145,9 +161,37 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     I-T is as short.  With a barrier within ``POINT_TOL`` of the I-T axis
     and no higher tip to pass over, the edge from its tip down to I or T
     runs along it, so no path exists: ``ValueError`` names that barrier.
+
+    The search runs once per distinct tip sequence: ``_alg1_geodesic`` is
+    memoized on the distinct tips in first-occurrence order, and returns
+    node indices, from which each call builds its polyline out of its own
+    tips.  This is exact:
+
+    * the search reads only the nodes ``dict.fromkeys([I, T, *tips])`` and
+      the boolean ``any(segments_conflict(p, q, tip) for tip in tips)``,
+      which is the same over the distinct tips (no tip equals I or T, as
+      |L cos theta| <= L < 1);
+    * the scene enters only through the tips;
+    * keys compare floats with ``==``, so two equal keys differ at most in
+      a zero's sign; ``segments_conflict`` reads that sign only through
+      ``abs``, ``hypot`` and ordered comparisons, so both keys give the
+      same indices, and the vertices, signs included, are this call's.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
-    nodes = list(dict.fromkeys([START, TARGET, *tips]))
+    nodes = (START, TARGET, *dict.fromkeys(tips))
+    path = _alg1_geodesic(nodes[2:])
+    if path is None:
+        z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
+        raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
+                         f"the I-T axis (tip height {tip[1]:.3g})")
+    return Polyline(tuple(nodes[i] for i in path))
+
+
+@lru_cache(maxsize=ALG1_MEMO_SIZE)
+def _alg1_geodesic(tips: tuple[Point, ...]) -> tuple[int, ...] | None:
+    """Node indices of alg1's path from I to T over the nodes
+    (I, T, *tips), for distinct ``tips``; None if no path exists."""
+    nodes = (START, TARGET, *tips)
     n = len(nodes)
     dist = [math.inf] * n
     prev = [-1] * n
@@ -172,13 +216,11 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
                 prev[j] = i
                 heapq.heappush(heap, (nd, j))
     if not math.isfinite(dist[1]):
-        z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
-        raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
-                         f"the I-T axis (tip height {tip[1]:.3g})")
+        return None
     path = [1]
     while path[-1] != 0:
         path.append(prev[path[-1]])
-    return Polyline(tuple(nodes[i] for i in reversed(path)))
+    return tuple(reversed(path))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +251,9 @@ def alg2_binding(scene: Scene,
       in 1 - L^2 cos^2 magnifies by L^2 cos^2 / (1 - L^2 cos^2) <= R.
       e = (16 + 32 R) u also covers the higher-order terms while
       tau = 4 e < 1, and the two roundings of the threshold.  For
-      tau >= 1 (L close to 1) the threshold is <= 0 and every index is
-      kept.
+      tau >= 1 (L close to 1) every index is kept and nothing is
+      estimated: an estimate's denominator may then even change sign, so
+      a threshold of (1 - tau) max a <= 0 could still drop the maximum.
     * Both values of index i are within relative error e of its exact
       clearance, so an index j attaining the ``math`` maximum has
       a_j / max a >= ((1 - e) / (1 + e))^2 >= 1 - 4 e = 1 - tau, and is
@@ -227,14 +270,16 @@ def alg2_binding(scene: Scene,
     if not thetas:
         return None, 0.0
     length = scene.barrier_length
-    angles = np.asarray(thetas, dtype=float)
-    c = np.cos(angles)
-    approx = length * np.sin(angles) / (1.0 - length * length * c * c)
-    top, rest = float(approx.max()), 1.0 - length * length
+    rest = 1.0 - length * length
     tau = 4.0 * (16.0 + 32.0 * length * length / rest) * 2.0 ** -53
-    threshold = (1.0 - tau) * top if top * rest >= 2.0 ** -1020 \
-        else -math.inf
-    indices = np.flatnonzero(approx >= threshold).tolist()
+    indices = range(len(thetas))
+    if tau < 1.0:
+        angles = np.asarray(thetas, dtype=float)
+        c = np.cos(angles)
+        approx = length * np.sin(angles) / (1.0 - length * length * c * c)
+        top = float(approx.max())
+        if top * rest >= 2.0 ** -1020:
+            indices = np.flatnonzero(approx >= (1.0 - tau) * top).tolist()
     heights = [clearance_height(thetas[i], length) for i in indices]
     height = max(heights)  # max([0.0, *heights]): clearances are >= +0.0
     return indices[heights.index(height)], height

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenlab import pathplan, registry
+from scenlab import analyzers, pathplan, registry
 from scenlab.counterexamples import convex_system
 from scenlab.geometry import segments_conflict
 from scenlab.pathplan import (
@@ -170,7 +170,9 @@ def test_alg1_tests_edges_lazily_lower_index_first(monkeypatch):
     rng = stream(43, 0)
     vz = tuple(BarrierConstraint(float(t))
                for t in rng.uniform(0.05, math.pi - 0.05, size=50))
+    pathplan._alg1_geodesic.cache_clear()  # an earlier decide would record nothing
     alg1_shortest_path(SCENE, vz)
+    assert recorded
     tips = [barrier_tip(z, SCENE.barrier_length) for z in vz]
     order = {node: i for i, node in
              enumerate(dict.fromkeys([START, TARGET, *tips]))}
@@ -178,6 +180,108 @@ def test_alg1_tests_edges_lazily_lower_index_first(monkeypatch):
     assert all(order[p] < order[q] for p, q in pairs)
     # Edges that could not shorten a tentative distance are never tested.
     assert len(pairs) < math.comb(len(order), 2)
+
+
+def grazing_pair(phi: float, from_target: bool) -> tuple[float, float]:
+    """Angles of the two barriers whose tips lie on the ray from I at
+    elevation ``phi`` (mirrored onto T): the path to the far tip grazes the
+    near one, up to rounding."""
+    length = SCENE.barrier_length
+    c, root = math.cos(phi), math.sqrt(math.cos(phi) ** 2 - 1.0 + length ** 2)
+    angles = [math.atan2(t * math.sin(phi), t * c - 1.0)
+              for t in (c - root, c + root)]
+    return tuple(math.pi - a for a in angles) if from_target \
+        else tuple(angles)
+
+
+ALG1_POOL = tuple(BarrierConstraint(theta) for theta in (
+    *(z.theta for z in band_shatter_candidates(4)),
+    *stream(47, 0).uniform(0.05, math.pi - 0.05, size=3).tolist(),
+    *grazing_pair(0.3, False), *grazing_pair(0.2, True),
+    1e-9, math.pi - 6e-10))  # near the axis: no path unless a tip is higher
+
+
+def hex_vertices(path: Polyline) -> list[tuple[str, str]]:
+    return [(x.hex(), y.hex()) for x, y in path.vertices]
+
+
+def direct_clears(path: Polyline, z: BarrierConstraint) -> bool:
+    tip = barrier_tip(z, SCENE.barrier_length)
+    return not any(segments_conflict(a, b, tip)
+                   for a, b in zip(path.vertices, path.vertices[1:]))
+
+
+def signed_zeros(path: Polyline) -> Polyline:
+    return Polyline(tuple(tuple(-0.0 if c == 0.0 else c for c in v)
+                          for v in path.vertices))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6), st.randoms(),
+       st.integers(0, 3))
+def test_alg1_memo_is_exact(vz, random, extra):
+    """Across ordered tuples, their permutations and duplicate-extended
+    tuples, the memoized planner equals the uncached search on the distinct
+    tips (bit for bit) or raises the same error on every call, and the
+    memoized crossing test equals the direct loop, also on polylines that
+    carry -0.0."""
+    permuted = random.sample(vz, len(vz))
+    for tup in (vz, permuted, vz + permuted[:extra]):
+        tup = tuple(tup)
+        distinct = tuple(dict.fromkeys(
+            barrier_tip(z, SCENE.barrier_length) for z in tup))
+        path = pathplan._alg1_geodesic.__wrapped__(distinct)
+        if path is None:
+            messages = []
+            for _ in range(2):  # the second call is answered by the memo
+                with pytest.raises(ValueError) as error:
+                    alg1_shortest_path(SCENE, tup)
+                messages.append(str(error.value))
+            assert messages[0] == messages[1]
+            continue
+        expected = Polyline(tuple((START, TARGET, *distinct)[i]
+                                  for i in path))
+        decided = alg1_shortest_path(SCENE, tup)
+        assert hex_vertices(decided) == hex_vertices(expected)
+        for polyline in (decided, signed_zeros(decided)):
+            for z in ALG1_POOL:
+                assert barrier_satisfied(SCENE, polyline, z) \
+                    == direct_clears(polyline, z)
+
+
+def scenlab_memo_caches() -> list:
+    """Module-level lru caches of scenlab, found as the benchmark harness
+    finds the caches it clears before every command."""
+    caches = []
+    for name, module in sorted(sys.modules.items()):
+        if name.startswith("scenlab."):
+            caches += [value for value in vars(module).values()
+                       if hasattr(value, "cache_clear")
+                       and hasattr(value, "cache_info")
+                       and value not in caches]
+    return caches
+
+
+def test_alg1_memos_are_visible_bounded_and_transparent():
+    caches = scenlab_memo_caches()
+    for memo in (pathplan._alg1_geodesic, pathplan._polyline_clears):
+        assert memo in caches
+        assert memo.cache_info().maxsize == pathplan.ALG1_MEMO_SIZE
+    system, candidates = path_system_alg1(), band_shatter_candidates(4)
+
+    def shatter_report(pool) -> dict:
+        return analyzers.check_shattered(system, pool,
+                                         max_len=4).to_jsonable()
+
+    for memo in caches:
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+    cold = shatter_report(candidates)
+    for memo in caches:
+        memo.cache_clear()
+    shatter_report(candidates[::-1])  # warms the memos in another order
+    assert pathplan._alg1_geodesic.cache_info().currsize > 0
+    assert shatter_report(candidates) == cold
 
 
 def test_alg2_values_and_feasibility():
@@ -317,6 +421,7 @@ SUBNORMAL = 1e-320
 @example((0.9, [math.nextafter(SUBNORMAL, 1.0), SUBNORMAL]))
 @example((1e-300, [1e-20, 2e-20, math.pi - 1e-10, 1e-10]))
 @example((0.9, [0.9, math.pi - 0.9, PEAK]))
+@example((0.9999999999999998, [1.0, 1.0, 1.0, 1.0, 1.0, 1e-09]))
 def test_alg2_candidates_match_full_scan(signs, case):
     """Heights (as float.hex) and compression indices of the candidate
     path equal the full scan's, also with numpy's sin and cos skewed."""
