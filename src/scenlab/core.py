@@ -82,23 +82,22 @@ class ScenarioSystem:
     decide=functools.wraps(fold)(wrapper))`` is still walked as the fold;
     any other ``decide`` is decided whole.
 
-    ``satisfies_many``, when provided, is an array-native form of
-    ``satisfies`` for the nested Monte Carlo risk oracle:
-    ``satisfies_many(x, vz)`` must equal ``[satisfies(x, z) for z in vz]``
-    element for element, so risk estimates do not depend on it.
+    Two optional hooks work on the plain values that a distribution's
+    ``sample_values`` draws, so the caller builds no constraint objects; for
+    the distribution's ``constraint_class`` ``cls``:
 
-    ``decide_values``, when provided, decides on the plain values that a
-    distribution's ``sample_values`` draws: ``decide_values(values)`` must
-    equal ``decide(tuple(map(cls, values)))`` for the distribution's
-    ``constraint_class`` ``cls``, so PAC curves do not depend on it.
+    * ``decide_values(values)`` must equal ``decide(tuple(map(cls,
+      values)))``, so PAC curves do not depend on it;
+    * ``satisfies_values(x, values)`` must equal ``[satisfies(x, cls(v))
+      for v in values]`` element for element, so nested Monte Carlo risk
+      estimates do not depend on it.
     """
 
     name: str
     decide: Callable[[ConstraintTuple], Any]
     satisfies: Callable[[Any, Any], bool]
     coords: Optional[Callable[[Any], Sequence[float]]] = None
-    satisfies_many: Optional[
-        Callable[[Any, ConstraintTuple], Sequence[bool]]] = None
+    satisfies_values: Optional[Callable[[Any, list], Sequence[bool]]] = None
     decide_values: Optional[Callable[[list], Any]] = None
 
     def decisions_equal(self, a: Any, b: Any) -> bool:
@@ -123,15 +122,16 @@ class ConstraintDistribution:
 
     ``sample_values``, when provided, is a batch sampler: ``sample_values(rng,
     n)`` must give exactly the constraints of ``n`` calls of ``sample``,
-    wrapped by ``constraint_class`` when that is set (it then draws plain
-    values), and leave ``rng`` at exactly their stream position, so seeded
-    outputs do not depend on whether a tuple was drawn in batch.
+    each passed through ``constraint_class`` when that is set (it then draws
+    plain values, and ``constraint_class`` builds a value's constraint), and
+    leave ``rng`` at exactly their stream position, so seeded outputs do not
+    depend on whether a tuple was drawn in batch.
     """
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
     sample_values: Optional[Callable[[np.random.Generator, int], list]] = None
-    constraint_class: Optional[type] = None
+    constraint_class: Optional[Callable[[Any], Any]] = None
 
     def __post_init__(self) -> None:
         if self.constraint_class is not None and self.sample_values is None:
@@ -306,7 +306,9 @@ def _violation_rate(system: ScenarioSystem,
                     rng: np.random.Generator,
                     samples: int) -> float:
     """Risk of ``x``: exact when ``dist`` is analytic, else the fraction of
-    ``samples`` fresh draws from ``rng`` that ``x`` violates."""
+    ``samples`` fresh draws from ``rng`` that ``x`` violates, checked on the
+    drawn values when ``dist`` has a ``constraint_class`` and ``system`` has
+    ``satisfies_values`` (both contracts make that fraction the same)."""
     if dist.analytic_violation is not None:
         v = dist.analytic_violation(x)
         if not 0.0 <= v <= 1.0:
@@ -314,11 +316,12 @@ def _violation_rate(system: ScenarioSystem,
         return v
     # satisfies never touches rng, so drawing all samples first consumes the
     # same stream as interleaving draws and checks.
-    vz = dist.sample_tuple(rng, samples)
-    if system.satisfies_many is not None:
-        satisfied = system.satisfies_many(x, vz)
+    if (dist.constraint_class is not None
+            and system.satisfies_values is not None):
+        satisfied = system.satisfies_values(x, dist.sample_values(rng, samples))
     else:
-        satisfied = [system.satisfies(x, z) for z in vz]
+        satisfied = [system.satisfies(x, z)
+                     for z in dist.sample_tuple(rng, samples)]
     return sum(1 for ok in satisfied if not ok) / samples
 
 

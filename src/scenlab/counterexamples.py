@@ -161,19 +161,36 @@ def convex_satisfies(x: Point, z: ConvexConstraint) -> bool:
     return point_in_convex(sigma_polygon(z.m, z.i), x)
 
 
-def convex_satisfies_many(x: Point, vz: tuple) -> list[bool]:
-    """``[convex_satisfies(x, z) for z in vz]``, testing polygon membership
-    once per distinct ``(m, i)``."""
+def convex_constraint(value) -> ConvexConstraint:
+    """The constraint of a convex-mixture value: a band at the level
+    ``value``, or ``value`` itself when it is a polygon constraint."""
+    return value if isinstance(value, PolygonConstraint) \
+        else BandConstraint(value)
+
+
+def convex_satisfies_values(x: Point, values: list) -> list[bool]:
+    """``[convex_satisfies(x, convex_constraint(v)) for v in values]``,
+    testing polygon membership once per distinct ``(m, i)``.
+
+    A value that is neither a level in [0, 1] nor a
+    :class:`PolygonConstraint` raises ``ValueError``, as
+    :func:`convex_constraint` does for a level out of range.
+    """
+    y, tol = x[1], POINT_TOL
     inside: dict[tuple[int, int], bool] = {}
-    out = []
-    for z in vz:
-        if isinstance(z, BandConstraint):
-            out.append(x[1] >= z.y - POINT_TOL)
-            continue
-        key = (z.m, z.i)
-        if key not in inside:
-            inside[key] = point_in_convex(sigma_polygon(z.m, z.i), x)
-        out.append(inside[key])
+    out: list[bool] = []
+    append = out.append
+    for v in values:
+        if isinstance(v, PolygonConstraint):
+            key = (v.m, v.i)
+            if key not in inside:
+                inside[key] = point_in_convex(sigma_polygon(v.m, v.i), x)
+            append(inside[key])
+        elif isinstance(v, (float, int)) and 0.0 <= v <= 1.0:
+            append(y >= v - tol)
+        else:
+            raise ValueError(f"{v!r} is neither a band level in [0, 1] "
+                             "nor a polygon constraint")
     return out
 
 
@@ -182,7 +199,7 @@ convex_system = ScenarioSystem(
     decide=alg_convex_maxx1,
     satisfies=convex_satisfies,
     coords=tuple,  # a decision is a point, its own coordinate vector
-    satisfies_many=convex_satisfies_many,
+    satisfies_values=convex_satisfies_values,
 )
 
 
@@ -191,70 +208,94 @@ _POLYGON_CONSTRAINTS = {(m, i): PolygonConstraint(m, i)
                         for m in range(1, 5) for i in range(1, m + 1)}
 
 
-def _raw_words(bitgen: np.random.BitGenerator, block: int):
-    """Endless raw 64-bit words of ``bitgen``, fetched ``block`` at a time."""
-    while True:
-        yield from bitgen.random_raw(block).tolist()
+def _decode_mixture(words, n: int, has_half: int,
+                    half: int) -> Optional[tuple[list, int, int, int]]:
+    """The values of ``n`` scalar convex-mixture draws from raw PCG64
+    ``words``, decoded as numpy decodes them.
+
+    A double is the top 53 bits of a word.  ``integers`` takes 32-bit
+    halves, low half first, draws again after a Lemire rejection, and the
+    generator buffers the spare high half (``has_half``, ``half``) across
+    double draws.  Returns the values, the number of words read and the
+    buffered half after them, or None when rejections read past ``words``.
+    """
+    raw = np.asarray(words, dtype=np.uint64)
+    doubles = ((raw >> np.uint64(11)) * 2.0**-53).tolist()
+    lows = (raw & np.uint64(_UINT32)).tolist()
+    highs = (raw >> np.uint64(32)).tolist()
+    out: list = []
+    append = out.append
+    k = 0
+    try:  # only running out of words raises IndexError here
+        for _ in range(n):
+            if doubles[k] < 0.5:  # the coin: a band at the next double
+                append(doubles[k + 1])
+                k += 2
+                continue
+            k += 1
+            if has_half:
+                has_half, draw = 0, half
+            else:
+                has_half, half, draw = 1, highs[k], lows[k]
+                k += 1
+            m = 1 + (draw >> 30)  # 1 + integers(0, 4), which never rejects
+            if m == 1:  # integers(1, 2) draws nothing
+                append(_POLYGON_CONSTRAINTS[1, 1])
+                continue
+            while True:  # 1 + integers(0, m)
+                if has_half:
+                    has_half, draw = 0, half
+                else:
+                    has_half, half, draw = 1, highs[k], lows[k]
+                    k += 1
+                product = draw * m
+                # Lemire's threshold: only m = 3 rejects, and only draw 0.
+                if product & _UINT32 >= (_UINT32 + 1 - m) % m:
+                    break
+            append(_POLYGON_CONSTRAINTS[m, 1 + (product >> 32)])
+    except IndexError:
+        return None
+    return out, k, has_half, half
 
 
 def convex_mixture_distribution() -> ConstraintDistribution:
     """Half a band at a uniform level in [0, 1), half a polygon sigma(m, i)
-    with m uniform on 1..4 and i uniform on 1..m."""
-    def sample(rng: np.random.Generator) -> ConvexConstraint:
+    with m uniform on 1..4 and i uniform on 1..m.
+
+    Its values are band levels (floats) and shared polygon constraints;
+    :func:`convex_constraint` turns a value into its constraint.
+    """
+    def sample_value(rng: np.random.Generator):
         if rng.random() < 0.5:
-            return BandConstraint(float(rng.random()))
+            return float(rng.random())
         m = int(rng.integers(1, 5))
-        i = int(rng.integers(1, m + 1))
-        return PolygonConstraint(m, i)
+        return _POLYGON_CONSTRAINTS[m, int(rng.integers(1, m + 1))]
+
+    def sample(rng: np.random.Generator) -> ConvexConstraint:
+        return convex_constraint(sample_value(rng))
 
     def sample_values(rng: np.random.Generator, n: int) -> list:
-        # Replays the scalar stream from raw PCG64 words, decoded as numpy
-        # does: a double is the top 53 bits of a word; ``integers`` takes
-        # 32-bit halves, low half first, and the generator buffers the spare
-        # high half across double draws.  The generator is then moved to
-        # exactly where the scalar loop leaves it.
+        # Replays the scalar stream from one block of raw PCG64 words, then
+        # moves the generator to exactly where the scalar loop leaves it.
         bitgen = rng.bit_generator
         if type(bitgen) is not np.random.PCG64:
-            return [sample(rng) for _ in range(n)]
+            return [sample_value(rng) for _ in range(n)]
         saved = bitgen.state
-        has_half, half = saved["has_uint32"], saved["uinteger"]
-        # A constraint takes at most two words unless Lemire rejects, so
-        # refills are rare; the state is restored below either way.
-        words = _raw_words(bitgen, 2 * n + 2)
-        used = 0
-
-        def below(bound: int) -> int:
-            # numpy's Lemire draw of rng.integers(0, bound) for bound >= 2.
-            nonlocal has_half, half, used
-            threshold = (_UINT32 + 1 - bound) % bound
-            while True:
-                if has_half:
-                    has_half, draw = 0, half
-                else:
-                    w = next(words)
-                    used += 1
-                    has_half, half, draw = 1, w >> 32, w & _UINT32
-                product = draw * bound
-                if product & _UINT32 >= threshold:
-                    return product >> 32
-
-        out = []
-        for _ in range(n):
-            used += 1
-            if (next(words) >> 11) * 2.0**-53 < 0.5:
-                used += 1
-                out.append(BandConstraint((next(words) >> 11) * 2.0**-53))
-                continue
-            m = 1 + below(4)
-            out.append(_POLYGON_CONSTRAINTS[m, 1 + below(m) if m > 1 else 1])
+        # A value takes at most two words unless Lemire rejects.
+        decoded = _decode_mixture(bitgen.random_raw(2 * n + 2), n,
+                                  saved["has_uint32"], saved["uinteger"])
         bitgen.state = saved
+        if decoded is None:
+            return [sample_value(rng) for _ in range(n)]
+        out, used, has_half, half = decoded
         bitgen.advance(used)
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = has_half, half
         bitgen.state = state
         return out
 
-    return ConstraintDistribution(sample=sample, sample_values=sample_values)
+    return ConstraintDistribution(sample=sample, sample_values=sample_values,
+                                  constraint_class=convex_constraint)
 
 
 # ---------------------------------------------------------------------------

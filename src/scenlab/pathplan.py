@@ -123,20 +123,28 @@ def _polyline_clears(vertices: tuple[Point, ...], tip: Point) -> bool:
                    for a, b in zip(vertices, vertices[1:]))
 
 
-def barrier_satisfied_many(scene: Scene, path: PathDecision,
-                           vz: tuple) -> list[bool]:
-    """``[barrier_satisfied(scene, path, z) for z in vz]``, with the
-    polyline crossing test run per segment over all tips at once.
+def barrier_satisfied_values(scene: Scene, path: PathDecision,
+                             thetas: list[float]) -> list[bool]:
+    """``[barrier_satisfied(scene, path, BarrierConstraint(t)) for t in
+    thetas]``, with the polyline crossing test run per segment over all tips
+    at once.  An angle outside (0, pi) raises ``ValueError``, as
+    :class:`BarrierConstraint` does.
 
     Tips and their lengths come from ``math`` exactly as in the scalar
     predicate (``np.hypot`` may differ from ``math.hypot`` in the last bit).
     """
-    if isinstance(path, Parabola) or not vz:
-        return [barrier_satisfied(scene, path, z) for z in vz]
-    tips = [barrier_tip(z, scene.barrier_length) for z in vz]
+    if not all(0.0 < t < math.pi for t in thetas):
+        raise ValueError("barrier angle must lie strictly in (0, pi)")
+    length = scene.barrier_length
+    if isinstance(path, Parabola):
+        return [clearance_height(t, length) <= path.height + POINT_TOL
+                for t in thetas]
+    if not thetas:
+        return []
+    tips = [(length * math.cos(t), length * math.sin(t)) for t in thetas]
     tip_lengths = np.array([math.hypot(*tip) for tip in tips])
     tips = np.array(tips)
-    blocked = np.zeros(len(vz), dtype=bool)
+    blocked = np.zeros(len(thetas), dtype=bool)
     for a, b in zip(path.vertices, path.vertices[1:]):
         blocked |= segment_conflicts(a, b, tips, tip_lengths)
     return (~blocked).tolist()
@@ -406,7 +414,8 @@ def path_system_alg1() -> ScenarioSystem:
         decide=lambda vz: alg1_shortest_path(SCENE, vz),
         satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=_polyline_coords,
-        satisfies_many=lambda x, vz: barrier_satisfied_many(SCENE, x, vz),
+        satisfies_values=lambda x, thetas: barrier_satisfied_values(
+            SCENE, x, thetas),
     )
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenlab import counterexamples
 from scenlab.core import violation_probability_mc
 from scenlab.counterexamples import (
     BandConstraint,
     PolygonConstraint,
+    _decode_mixture,
     atom_plus_uniform,
     convex_mixture_distribution,
     geometric_exclusion_distribution,
@@ -67,10 +69,8 @@ VALUE_SAMPLED = [name for name, dist in BATCHED.items()
                  if dist.constraint_class is not None]
 
 
-def test_value_samplers_cover_all_but_the_convex_mixture():
-    # The convex mixture's batch sampler returns the constraints themselves.
-    assert VALUE_SAMPLED == ["barrier", "geometric", "atom_plus_uniform"]
-    assert BATCHED["convex_mixture"].constraint_class is None
+def test_value_samplers_cover_all_four():
+    assert VALUE_SAMPLED == list(BATCHED)
 
 
 @pytest.mark.parametrize("name", VALUE_SAMPLED)
@@ -153,6 +153,34 @@ def test_convex_mixture_replays_lemire_rejection():
     assert batch == scalar
     assert batch[0].m == 3
     assert_same_stream_position(batch_rng, scalar_rng)
+
+
+def test_convex_decoder_reports_rejections_past_its_words():
+    """Zero 32-bit halves are rejected by ``integers(1, 4)`` (m = 3); when
+    they run to the end of the block the decoder reads no further."""
+    polygon_coin = 1 << 63
+    m_is_3 = 0xA0000000  # the buffered half: integers(0, 4) draws 2
+    assert _decode_mixture([polygon_coin, 0, 0], 1, 1, m_is_3) is None
+    assert _decode_mixture([polygon_coin], 1, 0, 0) is None  # no half for m
+    assert _decode_mixture([0], 1, 0, 0) is None  # a band coin, no level
+    values, used, has_half, half = _decode_mixture(
+        [polygon_coin, 0, 0, 0x7FFFFFFF_80000000], 1, 1, m_is_3)
+    assert values == [PolygonConstraint(3, 2)]
+    assert (used, has_half, half) == (4, 1, 0x7FFFFFFF)
+
+
+def test_convex_mixture_falls_back_to_scalar_loop_when_words_run_out(
+        monkeypatch):
+    monkeypatch.setattr(counterexamples, "_decode_mixture",
+                        lambda words, n, has_half, half: None)
+    dist = BATCHED["convex_mixture"]
+    values_rng, scalar_rng = stream(4), stream(4)
+    values_rng.integers(0, 7)
+    scalar_rng.integers(0, 7)
+    values = dist.sample_values(values_rng, 30)
+    scalar = tuple(dist.sample(scalar_rng) for _ in range(30))
+    assert tuple(map(dist.constraint_class, values)) == scalar
+    assert_same_stream_position(values_rng, scalar_rng)
 
 
 def test_convex_mixture_draws_both_kinds():

@@ -1,6 +1,7 @@
-"""Contract of the array-native satisfaction checks: ``satisfies_many(x, vz)``
-equals ``[satisfies(x, z) for z in vz]`` element for element, so nested Monte
-Carlo risk estimates do not depend on it."""
+"""Contract of the batch satisfaction checks on values:
+``satisfies_values(x, values)`` equals ``[satisfies(x, cls(v)) for v in
+values]`` element for element, for the distribution's ``constraint_class``
+``cls``, so nested Monte Carlo risk estimates do not depend on it."""
 
 import dataclasses
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenlab.core import violation_probability_mc
+from scenlab.core import pac_curve, violation_probability_mc
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
 from scenlab.geometry import POINT_TOL, segment_conflicts, segments_conflict
 from scenlab.pathplan import START, TARGET, BarrierConstraint, Parabola, Polyline
@@ -20,32 +21,36 @@ from scenlab.rng import stream
 ORACLE_SYSTEMS = ("path-alg1", "convex-vc")
 
 
-def scalar(system, x, vz):
-    return [system.satisfies(x, z) for z in vz]
+def scalar(key, x, values):
+    bundle = get_bundle(key)
+    cls = bundle.distribution.constraint_class
+    return [bundle.system.satisfies(x, cls(v)) for v in values]
+
+
+def batch(key, x, values):
+    return get_bundle(key).system.satisfies_values(x, values)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
        n=st.sampled_from([0, 1, 5, 20, 50]))
-def test_satisfies_many_matches_scalar_on_fresh_draws(key, seed, n):
+def test_satisfies_values_matches_scalar_on_fresh_draws(key, seed, n):
     bundle = get_bundle(key)
     system, dist = bundle.system, bundle.distribution
     rng = stream(seed)
-    vz = dist.sample_tuple(rng, n)
-    x = system.decide(vz)
-    fresh = dist.sample_tuple(rng, 2000)
-    assert system.satisfies_many(x, fresh) == scalar(system, x, fresh)
+    values = dist.sample_values(rng, n)
+    x = system.decide(tuple(map(dist.constraint_class, values)))
+    fresh = dist.sample_values(rng, 2000)
+    assert batch(key, x, fresh) == scalar(key, x, fresh)
     # The decision's own input constraints: barrier tips are grazed.
-    assert system.satisfies_many(x, vz) == scalar(system, x, vz) \
-        == [True] * n
+    assert batch(key, x, values) == scalar(key, x, values) == [True] * n
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
-def test_satisfies_many_of_empty_tuple(key):
-    system = get_bundle(key).system
-    x = system.decide(())
-    assert system.satisfies_many(x, ()) == []
+def test_satisfies_values_of_empty_tuple(key):
+    x = get_bundle(key).system.decide(())
+    assert batch(key, x, []) == []
 
 
 def test_barrier_checks_match_on_the_parallel_branch():
@@ -54,6 +59,7 @@ def test_barrier_checks_match_on_the_parallel_branch():
                  math.pi - 5e-13, math.nextafter(math.pi, 0.0),
                  math.pi / 2.0, 0.3, 2.8]
     vz = tuple(BarrierConstraint(t) for t in near_ends)
+    key = "path-alg1"
     paths = [
         Polyline((START, TARGET)),
         Polyline((START, (0.0, 0.0), TARGET)),
@@ -63,10 +69,10 @@ def test_barrier_checks_match_on_the_parallel_branch():
         system.decide(vz[3:]),
     ]
     for x in paths:
-        assert system.satisfies_many(x, vz) == scalar(system, x, vz)
-    straight = system.satisfies_many(paths[0], vz)
+        assert batch(key, x, near_ends) == scalar(key, x, near_ends)
+    straight = batch(key, paths[0], near_ends)
     assert straight[:6] == [False] * 6  # collinear with the straight path
-    assert system.satisfies_many(paths[3], vz)[:6] == [True] * 6
+    assert batch(key, paths[3], near_ends)[:6] == [True] * 6
 
 
 def test_segment_kernel_matches_scalar_predicate_lane_by_lane():
@@ -97,12 +103,21 @@ def test_segment_kernel_rejects_a_tip_at_the_origin():
 
 
 def test_barrier_checks_on_a_parabola_use_the_scalar_predicate():
-    system = get_bundle("path-alg1").system
-    vz = get_bundle("path-alg1").distribution.sample_tuple(stream(2), 200)
+    thetas = get_bundle("path-alg1").distribution.sample_values(stream(2), 200)
     x = Parabola(0.3)
-    result = system.satisfies_many(x, vz)
-    assert result == scalar(system, x, vz)
+    result = batch("path-alg1", x, thetas)
+    assert result == scalar("path-alg1", x, thetas)
     assert True in result and False in result
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0, math.pi, -1.0, 4.0, math.nan,
+                                   math.inf])
+@pytest.mark.parametrize("x", [Parabola(0.3), Polyline((START, TARGET))])
+def test_barrier_checks_reject_an_angle_outside_the_open_half_turn(theta, x):
+    with pytest.raises(ValueError):
+        BarrierConstraint(theta)
+    with pytest.raises(ValueError):
+        batch("path-alg1", x, [math.pi / 2.0, theta])
 
 
 def test_band_checks_match_at_the_tolerance_edges():
@@ -113,9 +128,8 @@ def test_band_checks_match_at_the_tolerance_edges():
         levels = [y, y + POINT_TOL, y - POINT_TOL,
                   math.nextafter(y + POINT_TOL, 2.0),
                   math.nextafter(y + POINT_TOL, -1.0), 0.0, 1.0]
-        vz = tuple(BandConstraint(level) for level in levels
-                   if 0.0 <= level <= 1.0)
-        assert system.satisfies_many(x, vz) == scalar(system, x, vz)
+        levels = [level for level in levels if 0.0 <= level <= 1.0]
+        assert batch("convex-vc", x, levels) == scalar("convex-vc", x, levels)
 
 
 def test_polygon_checks_match_for_all_ten_polygons():
@@ -126,18 +140,47 @@ def test_polygon_checks_match_for_all_ten_polygons():
     decisions = [system.decide((z,)) for z in polygons] + [(1.0, 0.0),
                                                            (0.0, 1.0)]
     for x in decisions:
-        vz = polygons + polygons[::-1]
-        result = system.satisfies_many(x, vz)
-        assert result == scalar(system, x, vz)
-    assert any(not ok for ok in system.satisfies_many((1.0, 0.0), polygons))
+        values = list(polygons + polygons[::-1])
+        assert batch("convex-vc", x, values) == scalar("convex-vc", x, values)
+    assert not all(batch("convex-vc", (1.0, 0.0), list(polygons)))
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, math.inf, "0.5",
+                                   None, (3, 2), BandConstraint(0.5)])
+def test_convex_checks_reject_a_value_that_is_no_level_or_polygon(value):
+    with pytest.raises(ValueError):
+        batch("convex-vc", (1.0, 0.0), [0.5, PolygonConstraint(3, 2), value])
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
-def test_nested_mc_estimate_does_not_depend_on_satisfies_many(key):
+def test_pac_curve_does_not_depend_on_satisfies_values(key):
     bundle = get_bundle(key)
     system, dist = bundle.system, bundle.distribution
-    scalar_system = dataclasses.replace(system, satisfies_many=None)
+    scalar_system = dataclasses.replace(system, satisfies_values=None)
     x = system.decide(dist.sample_tuple(stream(7, 1), 5))
     batched = violation_probability_mc(system, x, dist, 500, seed=3)
     looped = violation_probability_mc(scalar_system, x, dist, 500, seed=3)
     assert batched == looped
+    n_list, trials = [0, 2, 6], 4
+    assert pac_curve(system, dist, 0.1, n_list, trials, seed=9) == \
+        pac_curve(scalar_system, dist, 0.1, n_list, trials, seed=9)
+
+
+@pytest.mark.parametrize("key", ORACLE_SYSTEMS)
+def test_nested_mc_builds_no_constraint_objects(key, monkeypatch):
+    """The inner draws go through the values path: a silent fallback to
+    ``sample_tuple`` would build a band or barrier per draw."""
+    bundle = get_bundle(key)
+    system, dist = bundle.system, bundle.distribution
+    x = system.decide(dist.sample_tuple(stream(7, 1), 5))
+    built = []
+    for cls in (BandConstraint, BarrierConstraint):
+        def counting(self, check=cls.__post_init__):
+            built.append(self)
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    estimate = violation_probability_mc(system, x, dist, 500, seed=3)
+    assert 0.0 < estimate.estimate < 1.0
+    assert built == []
+    dist.sample_tuple(stream(0), 50)  # the counter sees constraint objects
+    assert built
