@@ -256,8 +256,9 @@ def main(argv=None) -> int:
     parser = build_parser()
 
     # Unreadable files (config, @file arguments or --out) and rejected
-    # values are usage errors, as are runner failures on bad input; once
-    # the command is parsed, its own parser reports them.
+    # values are usage errors, as are runner failures on bad input (an
+    # integer past the float range among them); once the command is
+    # parsed, its own parser reports them.
     args = out = None
     try:
         known, argv = _config_parser().parse_known_args(argv)
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
                 if created:
                     Path(args.out).unlink()
             raise
-    except (OSError, ValueError, KeyError,
+    except (OSError, ValueError, KeyError, OverflowError,
             analyzers.BudgetExceededError) as exc:
         getattr(args, "subparser", parser).error(str(exc))
 

@@ -5,7 +5,7 @@ Random barriers radiate from the midpoint O = (0, 0) with fixed length L at an
 angle theta in (0, pi).  Two planners are provided:
 
 * ``alg1_shortest_path``      -- the taut-string geodesic over barrier tips
-  (shortest path in the visibility graph); its dVC dimension grows without
+  (the upper hull of I, T and the tips); its dVC dimension grows without
   bound along band witness families near pi/2.
 * ``alg2_shortest_parabola``  -- the lowest parabola y = h (1 - x^2) clearing
   every barrier tip; it admits a capacity-1 compression map (the binding
@@ -14,7 +14,6 @@ angle theta in (0, pi).  Two planners are provided:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,12 +21,18 @@ from functools import lru_cache
 import numpy as np
 
 from .core import ConstraintDistribution, ScenarioSystem
-from .geometry import POINT_TOL, Point, segment_conflicts, segments_conflict
+from .geometry import (
+    POINT_TOL,
+    Point,
+    cross,
+    segment_conflicts,
+    segments_conflict,
+)
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
-# Entries in each alg1 memo (``_alg1_geodesic``, ``_polyline_clears``).  A
-# geodesic entry keeps its key's tips alive, about 0.1 kB per tip, so the
+# Entries in each alg1 memo (``_alg1_hull``, ``_polyline_clears``).  A
+# hull entry keeps its key's tips alive, about 0.1 kB per tip, so the
 # memo holds at most about 47 MB of N = 100 tuples.
 ALG1_MEMO_SIZE = 4096
 
@@ -151,84 +156,63 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
 
 
 # ---------------------------------------------------------------------------
-# Alg1: visibility-graph geodesic
+# Alg1: upper hull of the tips
 # ---------------------------------------------------------------------------
 
 
 def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     """Shortest path from I to T avoiding all sampled barriers.
 
-    Uniform-cost search over the implicit visibility graph on
-    {I, T, tips}: an edge is tested against the sampled barriers only
-    when it would shorten a tentative distance, always with its lower-index
-    node first (``segments_conflict`` is not symmetric in p and q).  Settled
-    nodes are skipped: their distance is at most the popped one, so no edge
-    could relax them.  Ties are broken deterministically by node index
-    (I, T, then tips in sample order).  O is no node: an edge ending at O
-    meets every barrier at its base, and with no barriers the direct edge
-    I-T is as short.  With a barrier within ``POINT_TOL`` of the I-T axis
-    and no higher tip to pass over, the edge from its tip down to I or T
-    runs along it, so no path exists: ``ValueError`` names that barrier.
+    A feasible path and the segment I-T together enclose every barrier, so
+    the shortest one bounds the region of least perimeter that holds them
+    all: the convex hull of {I, T, tips} (each barrier's base O lies on
+    I-T).  The path is the upper hull of {I, T, tips}, built by
+    ``_alg1_hull``.  With a barrier within ``POINT_TOL`` of the I-T axis
+    and no higher tip to pass over, the hull edge from its tip down to I
+    or T runs along it, so no path exists: ``ValueError`` names that
+    barrier.
 
-    The search runs once per distinct tip sequence: ``_alg1_geodesic`` is
-    memoized on the distinct tips in first-occurrence order, and returns
-    node indices, from which each call builds its polyline out of its own
-    tips.  This is exact:
-
-    * the search reads only the nodes ``dict.fromkeys([I, T, *tips])`` and
-      the boolean ``any(segments_conflict(p, q, tip) for tip in tips)``,
-      which is the same over the distinct tips (no tip equals I or T, as
-      |L cos theta| <= L < 1);
-    * the scene enters only through the tips;
-    * keys compare floats with ``==``, so two equal keys differ at most in
-      a zero's sign; ``segments_conflict`` reads that sign only through
-      ``abs``, ``hypot`` and ordered comparisons, so both keys give the
-      same indices, and the vertices, signs included, are this call's.
+    The hull depends on the set of tips only, so the planner is
+    order-invariant by construction, and it is memoized on the sorted
+    distinct tips.  The memo returns vertices, which are exactly this
+    call's: keys compare floats with ``==``, and x = L cos theta is never 0
+    while y = L sin theta is at least +0.0, so tips that compare equal are
+    the same floats.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
-    nodes = (START, TARGET, *dict.fromkeys(tips))
-    path = _alg1_geodesic(nodes[2:])
-    if path is None:
+    vertices = _alg1_hull(tuple(sorted(set(tips))))
+    if vertices is None:
         z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
         raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
                          f"the I-T axis (tip height {tip[1]:.3g})")
-    return Polyline(tuple(nodes[i] for i in path))
+    return Polyline(vertices)
 
 
 @lru_cache(maxsize=ALG1_MEMO_SIZE)
-def _alg1_geodesic(tips: tuple[Point, ...]) -> tuple[int, ...] | None:
-    """Node indices of alg1's path from I to T over the nodes
-    (I, T, *tips), for distinct ``tips``; None if no path exists."""
-    nodes = (START, TARGET, *tips)
-    n = len(nodes)
-    dist = [math.inf] * n
-    prev = [-1] * n
-    dist[0] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, 0)]
-    done = [False] * n
-    while heap:
-        d, i = heapq.heappop(heap)
-        if done[i]:
-            continue
-        done[i] = True
-        if i == 1:
-            break
-        for j in range(n):
-            if done[j]:
-                continue
-            p, q = (nodes[i], nodes[j]) if i < j else (nodes[j], nodes[i])
-            nd = d + math.dist(p, q)
-            if nd < dist[j] and not any(segments_conflict(p, q, tip)
-                                        for tip in tips):
-                dist[j] = nd
-                prev[j] = i
-                heapq.heappush(heap, (nd, j))
-    if not math.isfinite(dist[1]):
+def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...] | None:
+    """Vertices of the upper hull of I, the sorted distinct ``tips`` and T,
+    or None if a hull edge crosses a barrier.
+
+    Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979): no tip has
+    x = +-1, as |L cos theta| <= L < 1, so the walk runs from I to T.  The
+    last vertex b is popped while it is not strictly above the chord from
+    the vertex a before it to the next point p (``cross(a, b, p) >= 0``)
+    or that chord only grazes b's tip (``not segments_conflict(a, p, b)``,
+    left endpoint first): the grazing chord is the shorter path and clears
+    b's barrier.  Each hull edge, left endpoint first, is then tested
+    against every barrier.
+    """
+    hull = [START]
+    for p in (*tips, TARGET):
+        while len(hull) > 1 and (cross(hull[-2], hull[-1], p) >= 0.0
+                                 or not segments_conflict(hull[-2], p,
+                                                          hull[-1])):
+            hull.pop()
+        hull.append(p)
+    if any(segments_conflict(a, b, tip)
+           for a, b in zip(hull, hull[1:]) for tip in tips):
         return None
-    path = [1]
-    while path[-1] != 0:
-        path.append(prev[path[-1]])
-    return tuple(reversed(path))
+    return tuple(hull)
 
 
 # ---------------------------------------------------------------------------

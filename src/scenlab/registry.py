@@ -103,6 +103,10 @@ def _demo_interval(bundle: SystemBundle, seed: int, *, eps: float = 0.25,
 def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
                     eps: float = 0.25, trials: int = 200) -> tuple[dict, bool]:
     """Band shattering plus the adversarial experiment."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     shatter = analyzers.check_shattered(
         bundle.system, band_shatter_candidates(k), max_len=k)
     adversarial = analyzers.adversarial_pac_experiment(

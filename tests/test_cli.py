@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import scenlab
+from scenlab import analyzers
 from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
 from scenlab.registry import SYSTEMS, get_bundle
@@ -296,6 +297,12 @@ def test_usage_errors_exit_2(capsys):
       '[{"polygon": [26, 1]}]'], {}),
     (["compression", "--system", "convex-vc", "--capacity", "1", "--tuple",
       '[{"polygon": [22, 1]}]'], {}),
+    # Integers past the float range.
+    (["bounds", "--vc", "9" * 400, "--eps", "0.1", "--beta", "0.01"], {}),
+    (["bounds", "--compression", "1", "--eps", "0.1", "--beta", "0.01",
+      "--N", "9" * 400], {}),
+    (["risk-curve", "--system", "sum-no-scheme", "--eps", "0.1", "--n-list",
+      "9" * 400], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):
@@ -309,6 +316,19 @@ def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
     assert "error:" in err and "Traceback" not in err
     # Nothing ran, so nothing was written (the --csv file included).
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "2"), ("--trials", "0")])
+def test_demo_path_alg1_rejects_bad_inputs_before_shattering(flag, value,
+                                                             monkeypatch,
+                                                             capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the shatter walk ran")
+    monkeypatch.setattr(analyzers, "check_shattered", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--example", "path-alg1", "--k", "6", flag, value])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,8 @@
-"""Path-planner tests, including an exhaustive geodesic oracle."""
+"""Path-planner tests, including an exhaustive geodesic oracle and the
+visibility-graph search alg1 used to run, kept as a reference."""
 
 import dataclasses
+import heapq
 import itertools
 import math
 import re
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from scenlab import analyzers, pathplan, registry
 from scenlab.counterexamples import convex_system
-from scenlab.geometry import segments_conflict
+from scenlab.geometry import cross, segments_conflict
 from scenlab.pathplan import (
     START,
     TARGET,
@@ -68,6 +70,43 @@ def geodesic_oracle(scene: Scene, vz: tuple) -> float:
                 length = sum(math.dist(a, b) for a, b in zip(path, path[1:]))
                 best = min(best, length)
     return best
+
+
+def reference_search(tips) -> tuple | None:
+    """alg1's former planner: uniform-cost search over the visibility graph
+    on (I, T, distinct tips in first-occurrence order), each edge tested
+    with its lower-index node first and ties broken by node index; the
+    path's vertices, or None if no path exists."""
+    nodes = (START, TARGET, *dict.fromkeys(tips))
+    n = len(nodes)
+    dist = [math.inf] * n
+    prev = [-1] * n
+    dist[0] = 0.0
+    heap = [(0.0, 0)]
+    done = [False] * n
+    while heap:
+        d, i = heapq.heappop(heap)
+        if done[i]:
+            continue
+        done[i] = True
+        if i == 1:
+            break
+        for j in range(n):
+            if done[j]:
+                continue
+            p, q = (nodes[i], nodes[j]) if i < j else (nodes[j], nodes[i])
+            nd = d + math.dist(p, q)
+            if nd < dist[j] and not any(segments_conflict(p, q, tip)
+                                        for tip in nodes[2:]):
+                dist[j] = nd
+                prev[j] = i
+                heapq.heappush(heap, (nd, j))
+    if not math.isfinite(dist[1]):
+        return None
+    path = [1]
+    while path[-1] != 0:
+        path.append(prev[path[-1]])
+    return tuple(nodes[i] for i in reversed(path))
 
 
 def test_scene_and_constraint_validation():
@@ -159,29 +198,6 @@ def test_alg1_duplicate_barriers():
     assert path.vertices == (START, barrier_tip(z, 0.5), TARGET)
 
 
-def test_alg1_tests_edges_lazily_lower_index_first(monkeypatch):
-    recorded = []
-
-    def recorder(p, q, tip):
-        recorded.append((p, q))
-        return segments_conflict(p, q, tip)
-
-    monkeypatch.setattr(pathplan, "segments_conflict", recorder)
-    rng = stream(43, 0)
-    vz = tuple(BarrierConstraint(float(t))
-               for t in rng.uniform(0.05, math.pi - 0.05, size=50))
-    pathplan._alg1_geodesic.cache_clear()  # an earlier decide would record nothing
-    alg1_shortest_path(SCENE, vz)
-    assert recorded
-    tips = [barrier_tip(z, SCENE.barrier_length) for z in vz]
-    order = {node: i for i, node in
-             enumerate(dict.fromkeys([START, TARGET, *tips]))}
-    pairs = set(recorded)
-    assert all(order[p] < order[q] for p, q in pairs)
-    # Edges that could not shorten a tentative distance are never tested.
-    assert len(pairs) < math.comb(len(order), 2)
-
-
 def grazing_pair(phi: float, from_target: bool) -> tuple[float, float]:
     """Angles of the two barriers whose tips lie on the ray from I at
     elevation ``phi`` (mirrored onto T): the path to the far tip grazes the
@@ -201,6 +217,34 @@ ALG1_POOL = tuple(BarrierConstraint(theta) for theta in (
     1e-9, math.pi - 6e-10))  # near the axis: no path unless a tip is higher
 
 
+@pytest.mark.parametrize("phi, from_target", [(0.3, False), (0.2, True)])
+@pytest.mark.parametrize("lift", [1e-10, 3e-10])
+def test_alg1_chord_passes_a_tip_it_grazes(phi, from_target, lift):
+    """The tip of a grazing pair next to I (or T), lifted strictly above the
+    chord from there to the other tip but by less than ``POINT_TOL``, is
+    grazed by that chord and is no vertex of the path."""
+    length = SCENE.barrier_length
+    end = TARGET if from_target else START
+
+    def tip(theta):
+        return barrier_tip(BarrierConstraint(theta), length)
+
+    near, far = sorted(grazing_pair(phi, from_target),
+                       key=lambda theta: math.dist(tip(theta), end))
+    a, p = (tip(far), end) if from_target else (end, tip(far))
+
+    def height(theta):  # of the tip above the chord a-p
+        return -cross(a, tip(theta), p) / math.dist(a, p)
+
+    slope = (height(near + 1e-9) - height(near - 1e-9)) / 2e-9
+    theta = near + (lift - height(near)) / slope
+    assert 0.9 * lift < height(theta) < 1.1 * lift
+    vz = (BarrierConstraint(theta), BarrierConstraint(far))
+    path = alg1_shortest_path(SCENE, vz)
+    assert path.vertices == (START, tip(far), TARGET)
+    assert all(barrier_satisfied(SCENE, path, z) for z in vz)
+
+
 def hex_vertices(path: Polyline) -> list[tuple[str, str]]:
     return [(x.hex(), y.hex()) for x, y in path.vertices]
 
@@ -216,37 +260,102 @@ def signed_zeros(path: Polyline) -> Polyline:
                           for v in path.vertices))
 
 
+def tips_of(vz) -> list:
+    return [barrier_tip(z, SCENE.barrier_length) for z in vz]
+
+
+def band_tuples(max_k: int = 6, max_len: int = 5):
+    """Ordered tuples over the band witness family of size k <= ``max_k``."""
+    return st.integers(1, max_k).flatmap(lambda k: st.lists(
+        st.sampled_from(band_shatter_candidates(k)), max_size=max_len))
+
+
+def uniform_tuples(max_n: int = 59):
+    """Seeded draws of the registry's uniform barrier distribution."""
+    dist = uniform_barrier_distribution()
+    return st.builds(
+        lambda seed, n: [BarrierConstraint(theta) for theta in
+                         dist.sample_values(stream(53, seed), n)],
+        st.integers(0, 2 ** 32 - 1), st.integers(0, max_n))
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6), st.randoms(),
-       st.integers(0, 3))
-def test_alg1_memo_is_exact(vz, random, extra):
-    """Across ordered tuples, their permutations and duplicate-extended
-    tuples, the memoized planner equals the uncached search on the distinct
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6))
+def test_alg1_memo_is_exact(vz):
+    """The memoized planner equals the uncached hull on the sorted distinct
     tips (bit for bit) or raises the same error on every call, and the
     memoized crossing test equals the direct loop, also on polylines that
     carry -0.0."""
+    vz = tuple(vz)
+    hull = pathplan._alg1_hull.__wrapped__(tuple(sorted(set(tips_of(vz)))))
+    if hull is None:
+        messages = []
+        for _ in range(2):  # the second call is answered by the memo
+            with pytest.raises(ValueError) as error:
+                alg1_shortest_path(SCENE, vz)
+            messages.append(str(error.value))
+        assert messages[0] == messages[1]
+        return
+    for _ in range(2):
+        decided = alg1_shortest_path(SCENE, vz)
+        assert hex_vertices(decided) == hex_vertices(Polyline(hull))
+    for polyline in (decided, signed_zeros(decided)):
+        for z in ALG1_POOL:
+            assert barrier_satisfied(SCENE, polyline, z) \
+                == direct_clears(polyline, z)
+
+
+@settings(deadline=None, max_examples=200)
+@given(uniform_tuples() | band_tuples())
+def test_alg1_hull_is_the_reference_search(vz):
+    """Away from grazing ties the hull is the visibility-graph search's
+    path, bit for bit, and has none exactly when the search has none."""
+    expected = reference_search(tips_of(vz))
+    if expected is None:
+        with pytest.raises(ValueError):
+            alg1_shortest_path(SCENE, tuple(vz))
+        return
+    assert hex_vertices(alg1_shortest_path(SCENE, tuple(vz))) \
+        == hex_vertices(Polyline(expected))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=5))
+def test_alg1_matches_the_reference_on_the_grazing_pool(vz):
+    """Where a tip lies on the chord of its neighbours within rounding, the
+    hull drops it and the search may keep it: either way a path exists
+    exactly when the search finds one, clears every barrier and is as long
+    as the search's path and as the exhaustive oracle, within 1e-12."""
+    vz = tuple(vz)
+    expected = reference_search(tips_of(vz))
+    best = geodesic_oracle(SCENE, vz)
+    assert (expected is None) == (best == math.inf)
+    if expected is None:
+        with pytest.raises(ValueError):
+            alg1_shortest_path(SCENE, vz)
+        return
+    path = alg1_shortest_path(SCENE, vz)
+    assert all(barrier_satisfied(SCENE, path, z) for z in vz)
+    assert abs(path.length() - Polyline(expected).length()) <= 1e-12
+    assert abs(path.length() - best) <= 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | band_tuples()
+       | uniform_tuples(30), st.randoms(), st.integers(0, 3))
+def test_alg1_is_order_invariant(vz, random, extra):
+    """Permuted and duplicate-extended tuples give the same polyline, bit
+    for bit, or the same error, each planned afresh."""
     permuted = random.sample(vz, len(vz))
+    outcomes = set()
     for tup in (vz, permuted, vz + permuted[:extra]):
-        tup = tuple(tup)
-        distinct = tuple(dict.fromkeys(
-            barrier_tip(z, SCENE.barrier_length) for z in tup))
-        path = pathplan._alg1_geodesic.__wrapped__(distinct)
-        if path is None:
-            messages = []
-            for _ in range(2):  # the second call is answered by the memo
-                with pytest.raises(ValueError) as error:
-                    alg1_shortest_path(SCENE, tup)
-                messages.append(str(error.value))
-            assert messages[0] == messages[1]
-            continue
-        expected = Polyline(tuple((START, TARGET, *distinct)[i]
-                                  for i in path))
-        decided = alg1_shortest_path(SCENE, tup)
-        assert hex_vertices(decided) == hex_vertices(expected)
-        for polyline in (decided, signed_zeros(decided)):
-            for z in ALG1_POOL:
-                assert barrier_satisfied(SCENE, polyline, z) \
-                    == direct_clears(polyline, z)
+        pathplan._alg1_hull.cache_clear()
+        try:
+            path = alg1_shortest_path(SCENE, tuple(tup))
+            outcomes.add(tuple(hex_vertices(path)))
+        except ValueError as error:
+            outcomes.add(str(error))
+    assert len(outcomes) == 1
 
 
 def scenlab_memo_caches() -> list:
@@ -264,7 +373,7 @@ def scenlab_memo_caches() -> list:
 
 def test_alg1_memos_are_visible_bounded_and_transparent():
     caches = scenlab_memo_caches()
-    for memo in (pathplan._alg1_geodesic, pathplan._polyline_clears):
+    for memo in (pathplan._alg1_hull, pathplan._polyline_clears):
         assert memo in caches
         assert memo.cache_info().maxsize == pathplan.ALG1_MEMO_SIZE
     system, candidates = path_system_alg1(), band_shatter_candidates(4)
@@ -280,7 +389,7 @@ def test_alg1_memos_are_visible_bounded_and_transparent():
     for memo in caches:
         memo.cache_clear()
     shatter_report(candidates[::-1])  # warms the memos in another order
-    assert pathplan._alg1_geodesic.cache_info().currsize > 0
+    assert pathplan._alg1_hull.cache_info().currsize > 0
     assert shatter_report(candidates) == cold
 
 
