@@ -218,39 +218,3 @@ def segments_conflict(p: Point, q: Point, tip: Point) -> bool:
         return False
     return lo < 1.0 - tol / len2
 
-
-def segment_conflicts(p: Point, q: Point, tips: np.ndarray,
-                      tip_lengths: np.ndarray) -> np.ndarray:
-    """:func:`segments_conflict` of the segment p-q against every row of the
-    ``(n, 2)`` array ``tips``, whose Euclidean lengths are ``tip_lengths``.
-
-    General-position lanes are evaluated with the scalar operation order and
-    tolerances; the (rare) parallel lanes go through the scalar predicate
-    itself, so the result is bit-for-bit that of :func:`segments_conflict`.
-    Parallel lanes may divide by zero or overflow in the array pass; those
-    values are discarded.
-    """
-    if not tip_lengths.all():
-        raise ValueError("barrier tip coincides with the origin")
-    tol = POINT_TOL
-    d1 = (q[0] - p[0], q[1] - p[1])
-    tx, ty = tips[:, 0], tips[:, 1]
-    len1 = math.hypot(*d1)
-    len2 = tip_lengths
-    with np.errstate(all="ignore"):
-        denom = d1[0] * ty - d1[1] * tx
-        general = np.abs(denom) > tol * max(len1, 1.0) * np.maximum(len2, 1.0)
-        # General position: p + t*d1 = s*d2.
-        w = (-p[0], -p[1])
-        t = (w[0] * ty - w[1] * tx) / denom
-        s = (w[0] * d1[1] - w[1] * d1[0]) / denom
-        t_tol = tol / max(len1, tol)
-        s_tol = tol / len2
-        crosses = ((-t_tol <= t) & (t <= 1.0 + t_tol)
-                   & (-s_tol <= s) & (s <= 1.0 + s_tol))
-        grazes = ((np.abs(p[0] + t * d1[0] - tx) <= tol)
-                  & (np.abs(p[1] + t * d1[1] - ty) <= tol))
-    conflicts = general & crosses & ~grazes
-    for i in np.flatnonzero(~general).tolist():
-        conflicts[i] = segments_conflict(p, q, tuple(tips[i].tolist()))
-    return conflicts

@@ -25,7 +25,6 @@ from .geometry import (
     POINT_TOL,
     Point,
     cross,
-    segment_conflicts,
     segments_conflict,
 )
 
@@ -35,6 +34,12 @@ TARGET: Point = (1.0, 0.0)
 # hull entry keeps its key's tips alive, about 0.1 kB per tip, so the
 # memo holds at most about 47 MB of N = 100 tuples.
 ALG1_MEMO_SIZE = 4096
+# Angle count below which ``alg2_binding`` scans every clearance with
+# ``math`` instead of filtering candidates with numpy first.
+ALG2_SCAN_BELOW = 40
+# Crossing depth beyond which ``barrier_satisfied_values`` trusts its numpy
+# pass (derived in its docstring).
+DEPTH_MARGIN = 8.0 * POINT_TOL
 
 
 @dataclass(frozen=True)
@@ -131,28 +136,107 @@ def _polyline_clears(vertices: tuple[Point, ...], tip: Point) -> bool:
 def barrier_satisfied_values(scene: Scene, path: PathDecision,
                              thetas: list[float]) -> list[bool]:
     """``[barrier_satisfied(scene, path, BarrierConstraint(t)) for t in
-    thetas]``, with the polyline crossing test run per segment over all tips
-    at once.  An angle outside (0, pi) raises ``ValueError``, as
+    thetas]``.  An angle outside (0, pi) raises ``ValueError``, as
     :class:`BarrierConstraint` does.
 
-    Tips and their lengths come from ``math`` exactly as in the scalar
-    predicate (``np.hypot`` may differ from ``math.hypot`` in the last bit).
+    A polyline that ``_star_edges`` accepts (every alg1 hull but the
+    straight path) is star-shaped about O, and each angle is classified by
+    its signed crossing depth L - r: the ray u = (cos theta, sin theta)
+    meets the one edge A -> A + d in whose angular span it lies at
+    r = cross(A, d) / cross(u, d).  One numpy pass calls a depth above m = ``DEPTH_MARGIN``
+    violated and one below -m satisfied.  Every other angle, and every
+    angle within alpha = m / rho (rho the least vertex radius) of its
+    edge's end angles, takes the exact lane: the crossing test of
+    ``barrier_satisfied`` on the tip computed by ``math``, without its
+    memo.  Every angle against any other polyline takes the exact lane.
+    Why the lanes agree with ``segments_conflict`` (p = A, d1 = d, the math
+    tip P with |P| = L up to rounding; tol = ``POINT_TOL``, u = 2^-53):
+
+    * Star shape.  ``_star_edges`` requires vertex angles phi_j falling
+      strictly from pi at I to 0 at T, every vertex in the closed unit disk
+      and, on every edge, the guard |cross(A, d)| >= g max(|d|, 1) with
+      g = 1e3 tol / L, so the edge line's distance h from O is at least g.
+      Edge j then subtends exactly [phi_(j+1), phi_j], the spans tile
+      [0, pi], and ``np.searchsorted`` finds theta's edge.  The ray meets it
+      at r <= 1 and an angle beta with |sin beta| = h / r >= g.
+    * Rounding.  Assume, as ``alg2_binding`` does, that ``math`` and numpy
+      sin and cos are within relative error 8u.  cross(A, d) is within
+      3u |A| |d| <= 3u |d| and cross(u, d) within 21u |d| (u's direction is
+      within 18u of P's, and |cos d_y| + |sin d_x| <= |d|), relative errors
+      3u / h and 21u r / h, so r is within 25u / g of the exact crossing
+      distance r_P on the ray through P.  The scalar test forms s and t
+      from the same products, so s |P| is within 7u / g of r_P and its
+      crossing point x = p + t d1 within 10u / g of the exact one.  With
+      g >= 1e3 tol these are 2.8 tol, 0.8 tol and 1.1 tol.
+    * The depth margin m = 8 tol.  If L - r > m, then |P| - r_P > 5.2 tol,
+      so s < 1 and x lies at least 5.2 tol / sqrt(2) - 1.1 tol > tol from
+      P in its larger coordinate: ``points_equal`` fails and the edge
+      conflicts.  If r - L > m, then s |P| > |P| + 4.4 tol, so
+      s > 1 + s_tol and the edge does not conflict.  In between,
+      ``points_equal``, s_tol and the rounding above decide.
+    * The end-angle band alpha.  An angle more than alpha from both end
+      angles (atan2 and the tip's direction are off by less than 1e-14) has
+      its exact crossing point at least 7.99 tol from both vertices, so the
+      scalar's t lies inside (t_tol, 1 - t_tol), as t_tol |d| <= tol.  Any
+      other edge conflicts only if the scalar's t puts the crossing within
+      tol of that edge, so within 2.1 tol of it exactly.  The ray misses
+      that edge, and a crossing behind O would lie within 2 tol of O,
+      closer than g, so the crossing lies beyond one of its vertices V.
+      That puts theta within 2.2 tol / |V| < alpha of V's angle.
+    * The parallel branch.  On theta's edge |denom| = |d| |P| h / r >=
+      |P| |cross(A, d)| >= 1e3 tol max(|d|, 1) (up to rounding), far above
+      the branch's threshold tol max(|d|, 1) max(|P|, 1).  On any edge the
+      branch finds a conflict only if A lies within tol of the ray's line
+      while |sin beta| <= tol max(|d|, 1) / (|d| |P|).  Then
+      |cross(A, d)| <= tol max(|d|, 1) (1 / |P| + 1) < g max(|d|, 1), which
+      the guard excludes.
     """
-    if not all(0.0 < t < math.pi for t in thetas):
+    angles = np.array(thetas, dtype=float)
+    if not ((angles > 0.0) & (angles < math.pi)).all():
         raise ValueError("barrier angle must lie strictly in (0, pi)")
     length = scene.barrier_length
     if isinstance(path, Parabola):
         return [clearance_height(t, length) <= path.height + POINT_TOL
                 for t in thetas]
-    if not thetas:
-        return []
-    tips = [(length * math.cos(t), length * math.sin(t)) for t in thetas]
-    tip_lengths = np.array([math.hypot(*tip) for tip in tips])
-    tips = np.array(tips)
-    blocked = np.zeros(len(thetas), dtype=bool)
-    for a, b in zip(path.vertices, path.vertices[1:]):
-        blocked |= segment_conflicts(a, b, tips, tip_lengths)
-    return (~blocked).tolist()
+    vertices = path.vertices
+    satisfied = np.ones(len(thetas), dtype=bool)
+    exact = np.ones(len(thetas), dtype=bool)
+    edges = _star_edges(vertices, length)
+    if edges is not None:
+        ends, crosses, dx, dy, alpha = edges
+        j = np.searchsorted(-ends, -angles, side="right") - 1
+        depth = length - crosses[j] / (np.cos(angles) * dy[j]
+                                       - np.sin(angles) * dx[j])
+        satisfied = depth <= DEPTH_MARGIN
+        exact = ((np.abs(depth) <= DEPTH_MARGIN) | (ends[j] - angles <= alpha)
+                 | (angles - ends[j + 1] <= alpha))
+    for i in np.flatnonzero(exact).tolist():
+        theta = thetas[i]
+        tip = (length * math.cos(theta), length * math.sin(theta))
+        satisfied[i] = _polyline_clears.__wrapped__(vertices, tip)
+    return satisfied.tolist()
+
+
+def _star_edges(vertices: tuple[Point, ...], length: float):
+    """The vertex angles and, per edge A -> A + d, cross(A, d), d_x and d_y
+    as arrays, and the end-angle band alpha, of a polyline that
+    ``barrier_satisfied_values`` may classify by depth; None for any other
+    polyline."""
+    ends = [math.atan2(y, x) for x, y in vertices]
+    radii = [math.hypot(x, y) for x, y in vertices]
+    if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
+        return None
+    guard = 1e3 * POINT_TOL / length
+    crosses, steps = [], []
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        d = (x1 - x0, y1 - y0)
+        crosses.append(x0 * d[1] - y0 * d[0])
+        if abs(crosses[-1]) < guard * max(math.hypot(*d), 1.0):
+            return None
+        steps.append(d)
+    dx, dy = np.array(steps).T
+    return (np.array(ends), np.array(crosses), dx, dy,
+            DEPTH_MARGIN / min(radii))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +342,9 @@ def alg2_binding(scene: Scene,
       among them while tau < 1, are normal.  Below that floor
       every index is kept: the full scan, which covers subnormal
       clearances.
+    * Fewer than ``ALG2_SCAN_BELOW`` angles are scanned in full: there the
+      numpy pass, about 6 us whatever the length, costs more than the
+      ``math`` scan of about 0.4 us an angle.
     """
     if not thetas:
         return None, 0.0
@@ -265,7 +352,7 @@ def alg2_binding(scene: Scene,
     rest = 1.0 - length * length
     tau = 4.0 * (16.0 + 32.0 * length * length / rest) * 2.0 ** -53
     indices = range(len(thetas))
-    if tau < 1.0:
+    if tau < 1.0 and len(thetas) >= ALG2_SCAN_BELOW:
         angles = np.asarray(thetas, dtype=float)
         c = np.cos(angles)
         approx = length * np.sin(angles) / (1.0 - length * length * c * c)

