@@ -257,8 +257,9 @@ def main(argv=None) -> int:
 
     # Unreadable files (config, @file arguments or --out) and rejected
     # values are usage errors, as are runner failures on bad input (an
-    # integer past the float range among them); once the command is
-    # parsed, its own parser reports them.
+    # integer past the float range, or a size whose arrays cannot be
+    # allocated, among them); once the command is parsed, its own parser
+    # reports them.
     args = out = None
     try:
         known, argv = _config_parser().parse_known_args(argv)
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
                 if created:
                     Path(args.out).unlink()
             raise
-    except (OSError, ValueError, KeyError, OverflowError,
+    except (OSError, ValueError, KeyError, OverflowError, MemoryError,
             analyzers.BudgetExceededError) as exc:
         getattr(args, "subparser", parser).error(str(exc))
 

@@ -126,12 +126,20 @@ class ConstraintDistribution:
     plain values, and ``constraint_class`` builds a value's constraint), and
     leave ``rng`` at exactly their stream position, so seeded outputs do not
     depend on whether a tuple was drawn in batch.
+
+    ``dominating`` is a tuple of constraints that dominate the measure: under
+    the satisfaction relation of the systems the distribution is paired
+    with, a decision that satisfies every one of them satisfies every
+    constraint ``sample`` can draw.  Such a decision has risk exactly 0, and
+    nested Monte Carlo returns that without drawing (see
+    :func:`violation_probability_mc`).
     """
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
     sample_values: Optional[Callable[[np.random.Generator, int], list]] = None
     constraint_class: Optional[Callable[[Any], Any]] = None
+    dominating: tuple = ()
 
     def __post_init__(self) -> None:
         if self.constraint_class is not None and self.sample_values is None:
@@ -308,12 +316,22 @@ def _violation_rate(system: ScenarioSystem,
     """Risk of ``x``: exact when ``dist`` is analytic, else the fraction of
     ``samples`` fresh draws from ``rng`` that ``x`` violates, checked on the
     drawn values when ``dist`` has a ``constraint_class`` and ``system`` has
-    ``satisfies_values`` (both contracts make that fraction the same)."""
+    ``satisfies_values`` (both contracts make that fraction the same).
+
+    A decision that satisfies every constraint of ``dist.dominating``
+    violates no draw, so its fraction is 0 / ``samples`` on every stream;
+    it is returned without drawing.  ``rng`` is then left where it was,
+    which no caller sees: ``pac_curve`` gives each trial its own stream and
+    ``violation_probability_mc`` uses ``stream(seed, 0)``, and both discard
+    it after this call."""
     if dist.analytic_violation is not None:
         v = dist.analytic_violation(x)
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"analytic violation {v} outside [0, 1]")
         return v
+    if dist.dominating and all(system.satisfies(x, z)
+                               for z in dist.dominating):
+        return 0.0
     # satisfies never touches rng, so drawing all samples first consumes the
     # same stream as interleaving draws and checks.
     if (dist.constraint_class is not None
@@ -322,7 +340,7 @@ def _violation_rate(system: ScenarioSystem,
     else:
         satisfied = [system.satisfies(x, z)
                      for z in dist.sample_tuple(rng, samples)]
-    return sum(1 for ok in satisfied if not ok) / samples
+    return (len(satisfied) - sum(satisfied)) / samples
 
 
 def violation_probability_mc(system: ScenarioSystem,
@@ -332,8 +350,11 @@ def violation_probability_mc(system: ScenarioSystem,
                              seed: int = 0) -> RiskEstimate:
     """Estimate the risk of ``x`` under ``dist``.
 
-    When the distribution carries an analytic evaluator, the exact value is
-    returned with radius 0 and the Monte Carlo path is bypassed.
+    Two cases skip the draws.  When the distribution carries an analytic
+    evaluator, the exact value is returned with radius 0.  When ``x``
+    satisfies every constraint of ``dist.dominating``, the estimate is 0,
+    the count that all ``samples`` draws would give, and it keeps the
+    Hoeffding radius and ``analytic=False`` of a drawn estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -356,7 +377,10 @@ def pac_curve(system: ScenarioSystem,
     N entries that are negative, boolean or not integral and analytic risks
     outside [0, 1] raise ``ValueError``.  Without an analytic evaluator the
     risk is estimated by nested Monte Carlo and the curve is flagged
-    ``nested_mc`` (wider, unreported uncertainty on each inner estimate).
+    ``nested_mc`` (wider, unreported uncertainty on each inner estimate);
+    a decision that satisfies every constraint of ``dist.dominating`` has
+    risk 0 without inner draws, the same count the draws would give, so the
+    rows and the flag do not depend on that shortcut.
 
     When ``dist`` carries a ``constraint_class`` and ``system`` carries
     ``decide_values``, each decision is taken on the sampled values without

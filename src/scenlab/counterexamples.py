@@ -264,6 +264,15 @@ def convex_mixture_distribution() -> ConstraintDistribution:
 
     Its values are band levels (floats) and shared polygon constraints;
     :func:`convex_constraint` turns a value into its constraint.
+
+    Under :func:`convex_satisfies` the band at level 1 and the ten polygons
+    sigma(m, i), m <= 4, dominate the mixture.  Every drawn level y is
+    below 1, and ``y - POINT_TOL`` rounds monotonically in y, so a point
+    with ``x[1] >= 1 - POINT_TOL`` satisfies every band the mixture draws.
+    The ten polygons are the only ones it draws, tested by the same
+    ``point_in_convex`` call.  A decision inside all eleven (the top of the
+    disk, where sampled polygons collapse the max-x1 decision) has risk 0,
+    which nested Monte Carlo then returns without drawing.
     """
     def sample_value(rng: np.random.Generator):
         if rng.random() < 0.5:
@@ -294,8 +303,10 @@ def convex_mixture_distribution() -> ConstraintDistribution:
         bitgen.state = state
         return out
 
-    return ConstraintDistribution(sample=sample, sample_values=sample_values,
-                                  constraint_class=convex_constraint)
+    return ConstraintDistribution(
+        sample=sample, sample_values=sample_values,
+        constraint_class=convex_constraint,
+        dominating=(BandConstraint(1.0), *_POLYGON_CONSTRAINTS.values()))
 
 
 # ---------------------------------------------------------------------------

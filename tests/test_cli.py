@@ -303,6 +303,13 @@ def test_usage_errors_exit_2(capsys):
       "--N", "9" * 400], {}),
     (["risk-curve", "--system", "sum-no-scheme", "--eps", "0.1", "--n-list",
       "9" * 400], {}),
+    # Sizes whose arrays the kernel refuses (at least 10^15 values, 7 PiB),
+    # so these touch no memory.
+    *((["risk-curve", "--system", system, "--eps", "0.1", "--n-list",
+        "1000000000000000", "--trials", "1", "--out", "r.json"], {})
+      for system in ("convex-vc", "path-alg1", "sum-no-scheme")),
+    (["demo", "--example", "path-alg2", "--max-n", "1000000000000000000",
+      "--out", "r.json"], {}),
 ])
 def test_usage_errors_exit_2_without_traceback(argv, files, tmp_path,
                                                monkeypatch, capsys):

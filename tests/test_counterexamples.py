@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scenlab.counterexamples import (
@@ -24,7 +24,9 @@ from scenlab.counterexamples import (
     analytic_risk_sum_min,
     angle_of,
     atom_plus_uniform,
+    convex_mixture_distribution,
     convex_satisfies,
+    convex_satisfies_values,
     convex_system,
     geometric_exclusion_distribution,
     geometric_mass,
@@ -37,7 +39,7 @@ from scenlab.counterexamples import (
     tau,
     xi,
 )
-from scenlab.geometry import cross, points_equal
+from scenlab.geometry import POINT_TOL, cross, points_equal
 from scenlab.rng import stream
 
 subsets = st.frozensets(st.integers(min_value=1, max_value=16), max_size=6)
@@ -177,6 +179,68 @@ def test_convex_system_consistency_randomized():
                 vz.append(PolygonConstraint(m, int(rng.integers(1, m + 1))))
         x = convex_system.decide(tuple(vz))
         assert all(convex_system.satisfies(x, z) for z in vz)
+
+
+TEN_POLYGONS = tuple(PolygonConstraint(m, i)
+                     for m in range(1, 5) for i in range(1, m + 1))
+
+
+def outside_points(polygon, gaps=(0.5, 1.0, 1.5, 3.0, 1e3)):
+    """Each edge midpoint and vertex of ``polygon`` moved out across the
+    edge by ``gap * POINT_TOL``, where the move stays in the unit disk."""
+    out = []
+    for a, b in zip(polygon, polygon[1:] + polygon[:1]):
+        d = math.dist(a, b)
+        normal = ((b[1] - a[1]) / d, (a[0] - b[0]) / d)  # outward for CCW
+        for base in (a, ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)):
+            for gap in gaps:
+                p = (base[0] + gap * POINT_TOL * normal[0],
+                     base[1] + gap * POINT_TOL * normal[1])
+                if math.hypot(*p) <= 1.0:
+                    out.append(p)
+    return out
+
+
+TOP_LEVEL = 1.0 - POINT_TOL
+CONVEX_KEY_POINTS = sorted({
+    (0.0, 1.0),
+    *(v for z in TEN_POLYGONS for v in sigma_polygon(z.m, z.i)),
+    *(p for z in TEN_POLYGONS for p in outside_points(sigma_polygon(z.m, z.i))),
+    *((x0, y) for x0 in (0.0, -1e-9, 1e-9, 3e-9)
+      for y in (TOP_LEVEL, *(TOP_LEVEL + k * math.ulp(TOP_LEVEL)
+                             for k in (-3, -2, -1, 1, 2, 3)))),
+})
+disk_points = st.builds(
+    lambda r, a: (r * math.cos(a), r * math.sin(a)),
+    st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+# Within 5e-8 of the top (0, 1), where the eleven constraints meet.
+top_points = st.builds(
+    lambda r, a: (r * math.cos(a), 1.0 + r * math.sin(a)),
+    st.floats(0.0, 5e-8), st.floats(-math.pi, 0.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(CONVEX_KEY_POINTS) | top_points | disk_points,
+       st.integers(0, 2 ** 32 - 1))
+@example((0.0, 1.0), 0)
+@example((0.0, TOP_LEVEL), 0)
+# In band 1 and nine polygons but not sigma(1, 1), and in the ten polygons
+# and the band at 0.999 but not the band at nextafter(1, 0).
+@example((-8.889195065356239e-10, 0.999999999859209), 0)
+@example((4.5616256692186286e-10, 0.9999999989990426), 0)
+def test_convex_dominating_constraints_are_sound(x, seed):
+    """A point of the unit disk that satisfies the mixture's dominating
+    constraints satisfies every constraint the mixture can draw: all ten
+    polygons, bands at 0, 0.5 and just below 1, and fresh draws."""
+    dist = convex_mixture_distribution()
+    assume(math.hypot(*x) <= 1.0)
+    if not all(convex_satisfies(x, z) for z in dist.dominating):
+        return
+    assert all(convex_satisfies(x, z) for z in TEN_POLYGONS)
+    assert all(convex_satisfies(x, BandConstraint(level))
+               for level in (0.0, 0.5, math.nextafter(1.0, 0.0)))
+    assert all(convex_satisfies_values(x, dist.sample_values(stream(seed),
+                                                             2000)))
 
 
 # ---------------------------------------------------------------------------

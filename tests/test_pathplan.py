@@ -416,10 +416,25 @@ def key_angles(path: Polyline) -> list[float]:
 
 NEAR_OFFSETS = tuple(sign * scale * 10.0 ** e for e in range(-12, -4)
                      for scale in (1.0, 3.0) for sign in (1.0, -1.0))
+# Star polylines that no alg1 hull is.  The first has a vertex 1e-6 inside
+# the barrier circle at pi/2, left along an edge that rises almost
+# radially: a barrier 1e-10 to 1e-9 past pi/2 meets that edge beyond its
+# tip (depth below -DEPTH_MARGIN), yet it crosses the extension of the edge
+# into the vertex within POINT_TOL, which the scalar test counts, so only
+# the end-angle band sends it to the exact lane.  The others have an edge
+# within the guard distance of O: nearly horizontal just above it, or
+# nearly radial 1e-8 from it.
+STAR_PATHS = (
+    Polyline((START, (-0.56, 0.56), (0.0, 0.499999), (1e-5, 0.9), TARGET)),
+    Polyline((START, (-0.6, 1e-8), (0.6, 1e-8), TARGET)),
+    Polyline((START, (0.05, 0.05 + 1e-8 * math.sqrt(2.0)), (0.6, 0.6),
+              TARGET)),
+)
 
 
 @settings(deadline=None, max_examples=120)
-@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | uniform_tuples(100),
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | uniform_tuples(100)
+       | st.sampled_from(STAR_PATHS),
        st.integers(0, 2 ** 32 - 1),
        st.lists(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
                 max_size=4))
@@ -428,15 +443,22 @@ NEAR_OFFSETS = tuple(sign * scale * 10.0 ** e for e in range(-12, -4)
 # angle, 2.3e-9 from one of them, so that barrier is only grazed.
 @example([BarrierConstraint(1.5717001992825232),
           BarrierConstraint(1.5702283724613944)], 0, [1.5716979132584483])
+@example(STAR_PATHS[0], 0, [])
+@example(STAR_PATHS[1], 0, [])
+@example(STAR_PATHS[2], 0, [])
 def test_barrier_values_are_the_scalar_test_on_alg1_paths(vz, seed, extra):
     """The depth filter of ``barrier_satisfied_values`` equals the scalar
     test on fresh draws, the tuple's own angles and angles from 1e-12 to
     3e-5 off every hull vertex angle, theta_in and theta_out, on alg1's
-    paths (the straight one when no path exists)."""
-    try:
-        path = alg1_shortest_path(SCENE, tuple(vz))
-    except ValueError:
-        path = Polyline((START, TARGET))
+    paths (the straight one when no path exists) and on hand-built star
+    polylines (given in place of a tuple)."""
+    if isinstance(vz, Polyline):
+        path, vz = vz, []
+    else:
+        try:
+            path = alg1_shortest_path(SCENE, tuple(vz))
+        except ValueError:
+            path = Polyline((START, TARGET))
     thetas = [*stream(61, seed).uniform(0.0, math.pi, 200).tolist(),
               *(z.theta for z in vz), *extra,
               *(key + offset for key in key_angles(path)

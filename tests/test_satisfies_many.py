@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenlab.core import pac_curve, violation_probability_mc
+from scenlab.core import (NESTED_MC_SAMPLES, pac_curve,
+                          violation_probability_mc)
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
 from scenlab.geometry import POINT_TOL
 from scenlab.pathplan import START, TARGET, BarrierConstraint, Parabola, Polyline
@@ -126,6 +127,9 @@ def test_convex_checks_reject_a_value_that_is_no_level_or_polygon(value):
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
 def test_pac_curve_does_not_depend_on_satisfies_values(key):
+    """Nor on the ``dominating`` shortcut: a distribution with it emptied
+    gives the same estimates and curves, on decisions the shortcut settles
+    without drawing (convex-vc only) and on decisions it does not."""
     bundle = get_bundle(key)
     system, dist = bundle.system, bundle.distribution
     scalar_system = dataclasses.replace(system, satisfies_values=None)
@@ -136,6 +140,37 @@ def test_pac_curve_does_not_depend_on_satisfies_values(key):
     n_list, trials = [0, 2, 6], 4
     assert pac_curve(system, dist, 0.1, n_list, trials, seed=9) == \
         pac_curve(scalar_system, dist, 0.1, n_list, trials, seed=9)
+
+    sizes = []  # the n of every sample_values call on the registry measure
+
+    def counted_values(rng, n):
+        sizes.append(n)
+        return dist.sample_values(rng, n)
+
+    counted = dataclasses.replace(dist, sample_values=counted_values)
+    undominated = dataclasses.replace(dist, dominating=())
+    # decide(dominating) is the top of the disk for convex-vc; decide(())
+    # is (1, 0), which lies in no polygon and no band above POINT_TOL.
+    drew = []
+    for x in (system.decide(dist.dominating), system.decide(())):
+        sizes.clear()
+        estimate = violation_probability_mc(system, x, counted, 500, seed=3)
+        assert estimate == violation_probability_mc(system, x, undominated,
+                                                    500, seed=3)
+        drew.append(sizes == [500])
+    assert drew == [not dist.dominating, True]
+    settled = 0
+    n_list, trials = [0, 1, 5, 20, 50], 10
+    for seed in (9, 10, 11):
+        sizes.clear()
+        assert pac_curve(system, counted, 0.1, n_list, trials, seed=seed) == \
+            pac_curve(system, undominated, 0.1, n_list, trials, seed=seed)
+        inner = sizes.count(NESTED_MC_SAMPLES)
+        assert inner > 0  # some trials drew
+        settled += len(n_list) * trials - inner
+    # The shortcut settled some estimates exactly where it is declared;
+    # alg1 risks are at least 1/3, so nothing could settle them anyway.
+    assert (settled > 0) == bool(dist.dominating)
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
