@@ -6,11 +6,14 @@ can be re-validated independently from its serialized report.  Positive
 shattering verdicts are truncated to tuples of length at most L and labelled
 accordingly.
 
-The exhaustive searches walk prefix trees of the enumerated tuples depth
-first.  For a system whose ``decide`` is a ``Fold`` (``convex-vc``,
-``sum-no-scheme``, ``min-no-map``), or wraps one by ``functools.wraps``,
-each node extends its parent's state once; any other system decides each
-enumerated tuple whole.
+The exhaustive searches extend each enumerated tuple from its parent
+prefix.  Scheme counting over subsets doubles a list of states over each
+half of the base, to bound the live states; permutations, subtuple search
+and shattering walk their prefix trees depth first, by recursion.  For a
+system whose ``decide`` is a ``Fold`` (``convex-vc``, ``sum-no-scheme``,
+``min-no-map``), or wraps one by ``functools.wraps``, each tuple extends
+its parent's state once; any other system decides each enumerated tuple
+whole.
 """
 
 from __future__ import annotations
@@ -120,22 +123,43 @@ def _first_leaf(fold: Fold, items: Sequence, length: int, ascending: bool,
     return walk(fold.init, (), -1, length)
 
 
+def _subsets(extend: Callable[[Any, Any], Any], state: Any,
+             items: Sequence) -> list:
+    """``state`` extended by every subset of ``items`` in item order, each
+    from its parent by one ``extend``: the list doubles once per item."""
+    states = [state]
+    for z in items:
+        states += [extend(s, z) for s in states]
+    return states
+
+
 def _decision_keys(system: ScenarioSystem, base: tuple,
                    permutations: bool) -> set:
     """Decision keys of every tuple of distinct base elements: each subset
-    in base order, or with ``permutations`` in every order.  The tree of
-    these tuples is walked depth first, each node extending its parent's
-    state once."""
+    in base order, or with ``permutations`` in every order.  Each tuple
+    extends its parent's state once.
+
+    Subsets are enumerated by doubling over two halves of the base: every
+    state of the first half's subsets is doubled over the second half, so
+    at most 2^floor(k/2) + 2^ceil(k/2) states are live, where doubling over
+    the whole base would hold all 2^k.  The permutation tree is not a
+    product of two halves, so it is walked depth first, by recursion."""
     fold = _walk_fold(system)
     extend, finish, key = fold.extend, fold.finish, system.decision_key
+    if not permutations:
+        half = len(base) // 2
+        keys = set()
+        for state in _subsets(extend, fold.init, base[:half]):
+            keys.update([key(finish(t))
+                         for t in _subsets(extend, state, base[half:])])
+        return keys
     keys = {key(finish(fold.init))}
 
     def walk(state: Any, rest: tuple) -> None:
         for j, z in enumerate(rest):
             child = extend(state, z)
             keys.add(key(finish(child)))
-            rest_after = rest[:j] + rest[j + 1:] if permutations \
-                else rest[j + 1:]
+            rest_after = rest[:j] + rest[j + 1:]
             if rest_after:
                 walk(child, rest_after)
 
@@ -353,11 +377,14 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     By default each subset of the base set is decided once, in canonical
     (input) order -- exact for order-insensitive systems.  The
     ``permutations`` flag decides all orderings of each subset instead, for
-    order-sensitive systems.  A system that decides by a ``Fold`` walks the
-    prefix tree of these tuples depth first, so each tuple costs one
-    ``extend`` and one ``finish``; others decide every tuple whole.  More tuples than
-    ``DEFAULT_TUPLE_BUDGET`` raise ``BudgetExceededError`` before any is
-    decided.
+    order-sensitive systems.  A system that decides by a ``Fold`` extends
+    each tuple from its parent, so each tuple costs one ``extend`` and one
+    ``finish``; others decide every tuple whole.  Subsets are enumerated by
+    doubling over the two halves of the base, which keeps about 2^(k/2)
+    states live instead of 2^k; permutations are walked depth first.  If
+    deciding several tuples raises, which error surfaces depends on that
+    order.  More tuples than ``DEFAULT_TUPLE_BUDGET`` raise
+    ``BudgetExceededError`` before any is decided.
     """
     base = tuple(base_set)
     if len(set(base)) != len(base):

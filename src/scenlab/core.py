@@ -50,8 +50,10 @@ class Fold:
     Calling the fold on ``vz`` decides it: ``finish`` of ``extend`` folded
     over ``vz`` from ``init``.  ``extend(state, z)`` returns a new state and
     never mutates its input, so a state can be shared by every tuple that
-    extends the same prefix; the exhaustive searches in ``analyzers`` walk
-    prefix trees this way, extending each prefix once.
+    extends the same prefix; the exhaustive searches in ``analyzers`` extend
+    each prefix once.  Scheme counting doubles lists of subset states over
+    the two halves of its base, to bound memory; the other walks recurse
+    depth first.
     """
 
     init: Any

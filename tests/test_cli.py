@@ -352,6 +352,25 @@ def test_runner_usage_errors_show_the_command_usage(argv, capsys):
     assert f"scenlab {argv[0]}: error: " in err
 
 
+def test_scheme_counting_names_a_barrier_that_leaves_no_path(tmp_path,
+                                                             monkeypatch,
+                                                             capsys):
+    """Several subsets of this base leave no path; which one is decided
+    first is the walk's business, so any barrier of the base may be named."""
+    monkeypatch.chdir(tmp_path)
+    thetas = ["1e-12", "3.14159265358", "1.5"]
+    base = "[" + ", ".join(f'{{"theta": {t}}}' for t in thetas) + "]"
+    with pytest.raises(SystemExit) as exc:
+        main(["compression", "--system", "path-alg1", "--capacity", "1",
+              "--base", base, "--out", "r.json"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: scenlab compression [-h]")
+    assert "scenlab compression: error: no path clears barrier theta=" in err
+    assert any(f"theta={t}," in err for t in thetas)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     out.write_text("earlier\n")

@@ -36,6 +36,7 @@ from scenlab.counterexamples import (
     sum_system,
 )
 from scenlab.geometry import clip_band, clip_polygon, max_x_vertex
+from scenlab.pathplan import BarrierConstraint
 from scenlab.registry import SYSTEMS
 
 FOLD_SYSTEMS = {s.name: s for s in (convex_system, sum_system, min_system)}
@@ -193,6 +194,80 @@ def test_scheme_walk_gives_the_loop_keys(key, data, permutations):
     assert analyzers._decision_keys(system, base, permutations) == keys
     report = certify_no_compression_scheme(system, base, 1, permutations)
     assert report.distinct_decisions == len(keys)
+
+
+WHOLE_SYSTEMS = ("interval-not-pac", "path-alg1", "path-alg2")
+BARRIER = st.builds(BarrierConstraint, st.floats(min_value=1e-3,
+                                                 max_value=math.pi - 1e-3))
+WHOLE_CONSTRAINTS = {
+    "interval-not-pac": st.builds(MembershipConstraint,
+                                  st.floats(min_value=0.0, max_value=1.0)),
+    "path-alg1": BARRIER, "path-alg2": BARRIER}
+
+
+@pytest.mark.parametrize("size", range(9))
+@pytest.mark.parametrize("key", WHOLE_SYSTEMS)
+@settings(deadline=None, max_examples=4)
+@given(data=st.data())
+def test_subset_walk_of_systems_without_a_fold_gives_the_loop_keys(
+        key, size, data):
+    system = SYSTEMS[key].system
+    base = tuple(data.draw(st.lists(WHOLE_CONSTRAINTS[key], min_size=size,
+                                    max_size=size, unique=True)))
+    keys = loop_keys(system, base, False)
+    assert analyzers._decision_keys(system, base, False) == keys
+    report = certify_no_compression_scheme(system, base, 1)
+    assert report.distinct_decisions == len(keys)
+
+
+@pytest.mark.parametrize("key", ["sum-no-scheme", "min-no-map"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_subsets_count_every_order_of_an_order_insensitive_system(key, data):
+    """The default mode decides each subset in base order only, which is
+    exact for systems whose decision ignores the order of the tuple."""
+    system = FOLD_SYSTEMS[key]
+    base = data.draw(distinct(key, 5))
+    assert certify_no_compression_scheme(system, base, 1).distinct_decisions \
+        == certify_no_compression_scheme(system, base, 1,
+                                         permutations=True).distinct_decisions
+
+
+class Counted:
+    """A fold state that counts the instances alive (freed by refcount)."""
+
+    live = peak = 0
+
+    def __init__(self, mask):
+        self.mask = mask
+        Counted.live += 1
+        Counted.peak = max(Counted.peak, Counted.live)
+
+    def __del__(self):
+        Counted.live -= 1
+
+
+def test_subset_walk_extends_each_subset_once_with_two_halves_live():
+    k = 12
+    extends = 0
+
+    def extend(state, z):
+        nonlocal extends
+        extends += 1
+        return Counted(state.mask | z.a)
+
+    system = ScenarioSystem("counted", Fold(Counted(0), extend,
+                                            lambda state: state.mask),
+                            lambda x, z: True)
+    base = tuple(ExclusionConstraint(1 << j) for j in range(k))
+    Counted.peak = Counted.live
+    keys = analyzers._decision_keys(system, base, False)
+    assert keys == set(range(1 << k))
+    assert extends == (1 << k) - 1
+    # The first half's 2^6 subset states (the init among them) and the
+    # 2^6 - 1 that one of them grows over the second half: 127 at most.
+    assert Counted.peak <= 2 ** 6 + 2 ** 6 + 2
+    assert Counted.live == 1  # only the fold's init state is left
 
 
 @pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
