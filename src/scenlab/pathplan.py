@@ -15,8 +15,10 @@ angle theta in (0, pi).  Two planners are provided:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 import numpy as np
 
@@ -129,8 +131,7 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
 
 @lru_cache(maxsize=ALG1_MEMO_SIZE)
 def _polyline_clears(vertices: tuple[Point, ...], tip: Point) -> bool:
-    return not any(segments_conflict(a, b, tip)
-                   for a, b in zip(vertices, vertices[1:]))
+    return not _edges_conflict(vertices, None, tip)
 
 
 def barrier_satisfied_values(scene: Scene, path: PathDecision,
@@ -148,7 +149,9 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     angle within alpha = m / rho (rho the least vertex radius) of its
     edge's end angles, takes the exact lane: the crossing test of
     ``barrier_satisfied`` on the tip computed by ``math``, without its
-    memo.  Every angle against any other polyline takes the exact lane.
+    memo, against only the edges that tip can reach (``_edges_conflict``,
+    the test ``_alg1_hull`` makes too).  Every angle against any other
+    polyline takes the exact lane against every edge.
     Why the lanes agree with ``segments_conflict`` (p = A, d1 = d, the math
     tip P with |P| = L up to rounding; tol = ``POINT_TOL``, u = 2^-53):
 
@@ -182,7 +185,8 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
       tol of that edge, so within 2.1 tol of it exactly.  The ray misses
       that edge, and a crossing behind O would lie within 2 tol of O,
       closer than g, so the crossing lies beyond one of its vertices V.
-      That puts theta within 2.2 tol / |V| < alpha of V's angle.
+      That puts theta within 2.2 tol / |V| < alpha of V's angle, so
+      ``_edges_conflict`` tests that edge too.
     * The parallel branch.  On theta's edge |denom| = |d| |P| h / r >=
       |P| |cross(A, d)| >= 1e3 tol max(|d|, 1) (up to rounding), far above
       the branch's threshold tol max(|d|, 1) max(|P|, 1).  On any edge the
@@ -201,9 +205,11 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     vertices = path.vertices
     satisfied = np.ones(len(thetas), dtype=bool)
     exact = np.ones(len(thetas), dtype=bool)
-    edges = _star_edges(vertices, length)
-    if edges is not None:
-        ends, crosses, dx, dy, alpha = edges
+    star = _star_edges(vertices, length)
+    if star is not None:
+        ends, crosses, steps, alpha = star
+        ends, crosses = np.array(ends), np.array(crosses)
+        dx, dy = np.array(steps).T
         j = np.searchsorted(-ends, -angles, side="right") - 1
         depth = length - crosses[j] / (np.cos(angles) * dy[j]
                                        - np.sin(angles) * dx[j])
@@ -213,15 +219,15 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     for i in np.flatnonzero(exact).tolist():
         theta = thetas[i]
         tip = (length * math.cos(theta), length * math.sin(theta))
-        satisfied[i] = _polyline_clears.__wrapped__(vertices, tip)
+        satisfied[i] = not _edges_conflict(vertices, star, tip)
     return satisfied.tolist()
 
 
 def _star_edges(vertices: tuple[Point, ...], length: float):
-    """The vertex angles and, per edge A -> A + d, cross(A, d), d_x and d_y
-    as arrays, and the end-angle band alpha, of a polyline that
-    ``barrier_satisfied_values`` may classify by depth; None for any other
-    polyline."""
+    """The vertex angles and, per edge A -> A + d, cross(A, d) and d, as
+    lists, and the end-angle band alpha, of a polyline that passes the star
+    test of ``barrier_satisfied_values`` for barriers of ``length``; None
+    for any other polyline."""
     ends = [math.atan2(y, x) for x, y in vertices]
     radii = [math.hypot(x, y) for x, y in vertices]
     if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
@@ -234,9 +240,29 @@ def _star_edges(vertices: tuple[Point, ...], length: float):
         if abs(crosses[-1]) < guard * max(math.hypot(*d), 1.0):
             return None
         steps.append(d)
-    dx, dy = np.array(steps).T
-    return (np.array(ends), np.array(crosses), dx, dy,
-            DEPTH_MARGIN / min(radii))
+    return ends, crosses, steps, DEPTH_MARGIN / min(radii)
+
+
+def _edges_conflict(vertices: tuple[Point, ...], star, tip: Point) -> bool:
+    """Whether ``segments_conflict`` finds the barrier with tip ``tip``
+    crossing an edge of ``vertices`` it can reach, each edge left endpoint
+    first; ``star`` is ``_star_edges`` of the vertices.  Without a star
+    test every edge is reachable.  With one, the reachable edges are the
+    edge whose span [phi_(j+1), phi_j] holds theta = atan2 of the tip and
+    every edge incident to a vertex within alpha of theta.  They are
+    consecutive, from the edge that ends at the first vertex at most
+    theta + alpha to the one that starts at the last vertex at least
+    theta - alpha, and the vertex angles fall, so two bisections on their
+    negations find them."""
+    edges = range(len(vertices) - 1)
+    if star is not None:
+        ends, alpha = star[0], star[-1]
+        theta = math.atan2(tip[1], tip[0])
+        first = bisect_left(ends, -theta - alpha, key=neg)
+        last = bisect_right(ends, alpha - theta, key=neg)
+        edges = range(max(first - 1, 0), min(last, len(edges)))
+    return any(segments_conflict(vertices[e], vertices[e + 1], tip)
+               for e in edges)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +284,14 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 
     The hull depends on the set of tips only, so the planner is
     order-invariant by construction, and it is memoized on the sorted
-    distinct tips.  The memo returns vertices, which are exactly this
-    call's: keys compare floats with ``==``, and x = L cos theta is never 0
-    while y = L sin theta is at least +0.0, so tips that compare equal are
-    the same floats.
+    distinct tips and L (which the tips imply; the star test reads it).
+    The memo returns vertices, which are exactly this call's: keys compare
+    floats with ``==``, and x = L cos theta is never 0 while
+    y = L sin theta is at least +0.0, so tips that compare equal are the
+    same floats.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
-    vertices = _alg1_hull(tuple(sorted(set(tips))))
+    vertices = _alg1_hull(tuple(sorted(set(tips))), scene.barrier_length)
     if vertices is None:
         z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
         raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
@@ -273,9 +300,10 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
 
 
 @lru_cache(maxsize=ALG1_MEMO_SIZE)
-def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...] | None:
-    """Vertices of the upper hull of I, the sorted distinct ``tips`` and T,
-    or None if a hull edge crosses a barrier.
+def _alg1_hull(tips: tuple[Point, ...],
+               length: float) -> tuple[Point, ...] | None:
+    """Vertices of the upper hull of I, the sorted distinct ``tips`` of
+    barriers of ``length`` and T, or None if a hull edge crosses a barrier.
 
     Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979): no tip has
     x = +-1, as |L cos theta| <= L < 1, so the walk runs from I to T.  The
@@ -283,8 +311,21 @@ def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...] | None:
     the vertex a before it to the next point p (``cross(a, b, p) >= 0``)
     or that chord only grazes b's tip (``not segments_conflict(a, p, b)``,
     left endpoint first): the grazing chord is the shorter path and clears
-    b's barrier.  Each hull edge, left endpoint first, is then tested
-    against every barrier.
+    b's barrier.
+
+    Each tip is then tested against the hull edges it can reach
+    (``_edges_conflict``).  A hull that passes the star test of
+    ``barrier_satisfied_values`` (``_star_edges``) is star-shaped about O,
+    and only the edge whose angular span holds the tip's angle theta and
+    every edge incident to a vertex within alpha of theta are tested (the
+    wedge method of point location in a star-shaped polygon: Preparata
+    and Shamos, Computational Geometry, 1985, section 2.2).  No other edge
+    conflicts, by the "end-angle band" and "parallel branch" steps of that
+    docstring; the one new step is that theta is atan2 of the ``math``
+    tip itself, so within a few ulp of the tip's direction, closer than
+    the 1e-14 those steps allow.  Any other hull, the straight path and
+    every hull that fails the guard g among them, tests every edge against
+    every tip.
     """
     hull = [START]
     for p in (*tips, TARGET):
@@ -293,8 +334,8 @@ def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...] | None:
                                                           hull[-1])):
             hull.pop()
         hull.append(p)
-    if any(segments_conflict(a, b, tip)
-           for a, b in zip(hull, hull[1:]) for tip in tips):
+    star = _star_edges(hull, length)
+    if any(_edges_conflict(hull, star, tip) for tip in tips):
         return None
     return tuple(hull)
 

@@ -180,6 +180,23 @@ def test_alg1_two_barriers_routes_over_both_tips():
     assert all(barrier_satisfied(SCENE, path, z) for z in (left, right))
 
 
+def reference_hull(tips) -> tuple | None:
+    """alg1's hull with its former final check: the monotone chain of
+    ``_alg1_hull`` on the sorted distinct ``tips``, then every hull edge,
+    left endpoint first, tested against every tip."""
+    hull = [START]
+    for p in (*tips, TARGET):
+        while len(hull) > 1 and (cross(hull[-2], hull[-1], p) >= 0.0
+                                 or not segments_conflict(hull[-2], p,
+                                                          hull[-1])):
+            hull.pop()
+        hull.append(p)
+    if any(segments_conflict(a, b, tip)
+           for a, b in zip(hull, hull[1:]) for tip in tips):
+        return None
+    return tuple(hull)
+
+
 def test_alg1_matches_exhaustive_oracle():
     for trial in range(150):
         rng = stream(41, trial)
@@ -287,7 +304,8 @@ def test_alg1_memo_is_exact(vz):
     memoized crossing test equals the direct loop, also on polylines that
     carry -0.0."""
     vz = tuple(vz)
-    hull = pathplan._alg1_hull.__wrapped__(tuple(sorted(set(tips_of(vz)))))
+    hull = pathplan._alg1_hull.__wrapped__(tuple(sorted(set(tips_of(vz)))),
+                                           SCENE.barrier_length)
     if hull is None:
         messages = []
         for _ in range(2):  # the second call is answered by the memo
@@ -317,6 +335,57 @@ def test_alg1_hull_is_the_reference_search(vz):
         return
     assert hex_vertices(alg1_shortest_path(SCENE, tuple(vz))) \
         == hex_vertices(Polyline(expected))
+
+
+def near_duplicates(max_n: int = 8):
+    """Angles with two neighbours 1e-12 above and 3e-10 below each."""
+    return st.lists(st.floats(1e-3, math.pi - 1e-3), max_size=max_n).map(
+        lambda thetas: [BarrierConstraint(t + offset) for t in thetas
+                        for offset in (0.0, 1e-12, -3e-10)])
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | band_tuples(9, 9)
+       | uniform_tuples(100) | near_duplicates(),
+       st.sampled_from((0.01, 0.1, 0.5, 0.9, 0.99)))
+@example([ALG1_POOL[-2]], 0.5)  # near the axis, no higher tip: no path
+@example([ALG1_POOL[-1], ALG1_POOL[-2]], 0.5)
+@example([ALG1_POOL[-1], *band_shatter_candidates(3)], 0.5)
+def test_alg1_hull_tests_reachable_edges_as_all_edges(vz, length):
+    """Testing each tip against only the hull edges its angle can reach
+    gives the vertices of the chain plus the all-edges check, bit for bit,
+    or None exactly when that check finds a crossing."""
+    tips = tuple(sorted({barrier_tip(z, length) for z in vz}))
+    hull = pathplan._alg1_hull.__wrapped__(tips, length)
+    expected = reference_hull(tips)
+    assert (hull is None) == (expected is None)
+    if hull is not None:
+        assert hex_vertices(Polyline(hull)) \
+            == hex_vertices(Polyline(expected))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_alg1_hull_makes_few_crossing_tests(seed):
+    """A cold N = 100 hull, chain included, makes at most 4N
+    ``segments_conflict`` calls (about 2N; testing every edge against every
+    tip takes about 36N).  A hull that fails the star test is tested in
+    full: 5 of the first 1,000 seeded N = 100 tuples of stream 53 have two
+    hull tips too close for the guard (seed 26 the first), none of these
+    ten."""
+    n = 100
+    thetas = uniform_barrier_distribution().sample_values(stream(53, seed), n)
+    tips = tuple(sorted({barrier_tip(BarrierConstraint(t), 0.5)
+                         for t in thetas}))
+    calls = []
+
+    def counted(p, q, tip):
+        calls.append(tip)
+        return segments_conflict(p, q, tip)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathplan, "segments_conflict", counted)
+        hull = pathplan._alg1_hull.__wrapped__(tips, 0.5)
+    assert hull == reference_hull(tips)
+    assert len(calls) <= 4 * n
 
 
 @settings(deadline=None, max_examples=150)
