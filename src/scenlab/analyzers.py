@@ -8,8 +8,12 @@ accordingly.
 
 The exhaustive searches extend each enumerated tuple from its parent
 prefix.  Scheme counting over subsets doubles a list of states over each
-half of the base, to bound the live states; permutations, subtuple search
-and shattering walk their prefix trees depth first, by recursion.  For a
+half of the base, to bound the live states; permutations are walked depth
+first, by recursion.  Compression-map search is one depth-first pass over
+the subtuple tree, bounded by the shortest match found so far, and decides
+each subtuple at most once; shattering walks the product tree of each
+length in turn, so that its first counterexample and its count of tuples
+checked follow the shortest-first order.  For a
 system whose ``decide`` is a ``Fold`` (``convex-vc``, ``sum-no-scheme``,
 ``min-no-map``), or wraps one by ``functools.wraps``, each tuple extends
 its parent's state once; any other system decides each enumerated tuple
@@ -90,37 +94,36 @@ def _walk_fold(system: ScenarioSystem) -> Fold:
     return _fold_of(system) or Fold((), _append, system.decide)
 
 
-def _first_leaf(fold: Fold, items: Sequence, length: int, ascending: bool,
+def _first_leaf(fold: Fold, items: Sequence, length: int,
                 accept: Callable[[tuple, Any], bool]) -> Optional[tuple]:
-    """Walk the index tuples of ``length`` in lexicographic order and return
-    the first for which ``accept(indices, decision)`` holds, or ``None``.
+    """Walk the index tuples of ``length`` over ``items`` (those of
+    ``itertools.product``) in lexicographic order and return the first for
+    which ``accept(indices, decision)`` holds, or ``None``.
 
-    The tuples are those of ``itertools.combinations`` when ``ascending``,
-    else of ``itertools.product``.  The walk is depth first over their
-    prefix tree, each node extending its parent's state by its item once,
-    so only ``length`` states are live.
+    The walk is depth first over their prefix tree, each node extending its
+    parent's state by its item once, so only ``length`` states are live.
+    Shattering checks walk each length in turn, so that the tuples are
+    decided shortest first.
     """
     extend, finish = fold.extend, fold.finish
     n = len(items)
 
-    def walk(state: Any, path: tuple, last: int, need: int) -> Optional[tuple]:
-        # Ascending indices leave room for the ones still to place.
-        indices = range(last + 1, n - need + 1) if ascending else range(n)
+    def walk(state: Any, path: tuple, need: int) -> Optional[tuple]:
         if need == 1:
-            for i in indices:
+            for i in range(n):
                 leaf = path + (i,)
                 if accept(leaf, finish(extend(state, items[i]))):
                     return leaf
             return None
-        for i in indices:
-            found = walk(extend(state, items[i]), path + (i,), i, need - 1)
+        for i in range(n):
+            found = walk(extend(state, items[i]), path + (i,), need - 1)
             if found is not None:
                 return found
         return None
 
     if length == 0:
         return () if accept((), finish(fold.init)) else None
-    return walk(fold.init, (), -1, length)
+    return walk(fold.init, (), length)
 
 
 def _subsets(extend: Callable[[Any, Any], Any], state: Any,
@@ -253,7 +256,7 @@ def check_shattered(system: ScenarioSystem,
 
     fold = _walk_fold(system)
     for r in lengths:
-        indices = _first_leaf(fold, candidates, r, False, breaks)
+        indices = _first_leaf(fold, candidates, r, breaks)
         if indices is not None:
             vz = tuple(candidates[i] for i in indices)
             return ShatterCheckReport(
@@ -286,28 +289,66 @@ def find_compression_subtuple(system: ScenarioSystem,
     """Exhaustive search for an order-preserving subtuple of length <= d
     giving the same decision as the full tuple.
 
-    Search order is shortest first, then lexicographic on (0-based) index
-    tuples, so the result is deterministic.  A system that decides by a
-    ``Fold`` walks, per length, the tree of index prefixes in that order
-    depth first, extending each prefix's state once; others decide every
-    subtuple.
-    ``None`` is a per-tuple impossibility certificate.  More subtuples than
+    The result is the shortest such subtuple, then the lexicographically
+    first of its (0-based) index tuples, so it is deterministic.  ``None``
+    is a per-tuple impossibility certificate.  More subtuples than
     ``DEFAULT_TUPLE_BUDGET`` raise ``BudgetExceededError`` before anything
     is decided.
+
+    The search is one depth-first pass over the tree of ascending index
+    tuples, children in index order.  Each node extends its parent's state
+    once (a system without a fold decides each node whole) and is decided
+    before the pass descends into it.  ``bound`` starts at
+    ``min(capacity, len(vz))``; a match of length r becomes ``best`` and
+    sets ``bound`` to r - 1, and no node deeper than ``bound`` is decided.
+    Why ``best`` ends as the shortest, then first, match: let t be that
+    match and r its length.
+
+    * Pre-order visits the index tuples of one length in lexicographic
+      order.
+    * ``bound`` only ever falls to one below the length of a match.  No
+      match is shorter than r and none of length r precedes t, so
+      ``bound`` >= r until t is visited.
+    * Every node at depth <= ``bound`` is visited.  None of its ancestors
+      matched (that would have put ``bound`` below it), and each was
+      shallower than ``bound``, so the pass descended into each.
+
+    So t is visited and becomes ``best``; then ``bound`` = r - 1, and no
+    later node is shorter than r, so none is decided.
+
+    The pass decides every subtuple that a walk of each length in turn
+    would decide before it stopped, and may decide longer ones in earlier
+    subtrees, never more than the budget admits.  Only the states on the
+    recursion stack are live: at most ``bound`` + 1.  The budget keeps the
+    recursion shallow: it admits sum_{r <= d} C(n, r) >= 2^d subtuples
+    (d <= n), so d <= 20.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    lengths = range(min(capacity, len(vz)) + 1)
-    check_tuple_budget(math.comb(len(vz), r) for r in lengths)
+    n = len(vz)
+    bound = min(capacity, n)
+    check_tuple_budget(math.comb(n, r) for r in range(bound + 1))
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
-    for r in lengths:
-        indices = _first_leaf(
-            fold, vz, r, True,
-            lambda indices, x: system.decisions_equal(x, target))
-        if indices is not None:
-            return indices
-    return None
+    extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
+    if equal(finish(fold.init), target):
+        return ()
+    best, last = None, n - 1
+
+    def walk(state: Any, path: tuple, start: int, depth: int) -> None:
+        nonlocal best, bound
+        for i in range(start, n):
+            child = extend(state, vz[i])
+            if equal(finish(child), target):
+                # The siblings left are as long as this match.
+                best, bound = path + (i,), depth - 1
+                return
+            if depth < bound and i < last:  # the last index has no children
+                walk(child, path + (i,), i + 1, depth + 1)
+
+    if bound:
+        walk(fold.init, (), 0, 1)
+    return best
 
 
 @dataclass(frozen=True)

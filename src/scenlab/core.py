@@ -52,8 +52,9 @@ class Fold:
     never mutates its input, so a state can be shared by every tuple that
     extends the same prefix; the exhaustive searches in ``analyzers`` extend
     each prefix once.  Scheme counting doubles lists of subset states over
-    the two halves of its base, to bound memory; the other walks recurse
-    depth first.
+    the two halves of its base, to bound memory; compression-map search
+    recurses depth first in one pass bounded by its shortest match, and
+    shattering checks recurse depth first once per length.
     """
 
     init: Any

@@ -86,6 +86,9 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
 
 def _demo_min(bundle: SystemBundle, seed: int, *,
               capacity: int = 1) -> tuple[dict, bool]:
+    # Refuse an oversized search before building its capacity + 1 constraints.
+    analyzers.check_tuple_budget(math.comb(capacity + 1, r)
+                                 for r in range(capacity + 1))
     vz = tuple(ExclusionConstraint(a) for a in range(capacity + 1))
     report = analyzers.search_compression_map(bundle.system, vz, capacity)
     return {"map_search": report.to_jsonable()}, report.none_certificate
@@ -107,6 +110,8 @@ def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
         raise ValueError("epsilon must be in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # Refuse an oversized walk before building its 3k band constraints.
+    analyzers.check_tuple_budget(k ** r for r in range(k + 1))
     shatter = analyzers.check_shattered(
         bundle.system, band_shatter_candidates(k), max_len=k)
     adversarial = analyzers.adversarial_pac_experiment(

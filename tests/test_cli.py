@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import scenlab
-from scenlab import analyzers
+from scenlab import analyzers, registry
 from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
 from scenlab.registry import SYSTEMS, get_bundle
@@ -336,6 +336,30 @@ def test_demo_path_alg1_rejects_bad_inputs_before_shattering(flag, value,
         main(["demo", "--example", "path-alg1", "--k", "6", flag, value])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, builder", [
+    (["demo", "--example", "min-no-map", "--capacity", "2000000"],
+     "ExclusionConstraint"),
+    (["demo", "--example", "path-alg1", "--k", "1000000"],
+     "band_shatter_candidates"),
+    # Past the budget within the walk-length limit.
+    (["demo", "--example", "path-alg1", "--k", "8"],
+     "band_shatter_candidates"),
+])
+def test_oversized_demos_refuse_before_building_constraints(argv, builder,
+                                                            monkeypatch,
+                                                            capsys):
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError(f"{builder} was called")
+    monkeypatch.setattr(registry, builder, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2 and built == []
+    assert "more than 2000000 tuples to enumerate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

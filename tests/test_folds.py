@@ -270,15 +270,75 @@ def test_subset_walk_extends_each_subset_once_with_two_halves_live():
     assert Counted.live == 1  # only the fold's init state is left
 
 
-@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+@pytest.mark.parametrize(
+    "key", sorted(FOLD_SYSTEMS) + ["interval-not-pac", "path-alg2"])
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_subtuple_walk_gives_the_loop_subtuple(key, data):
-    system = FOLD_SYSTEMS[key]
-    vz = tuple(data.draw(st.lists(CONSTRAINTS[key], max_size=7)))
+    """Fold systems and, with the tuple itself as the walked state, the
+    systems without a fold."""
+    system = SYSTEMS[key].system
+    strategy = {**CONSTRAINTS, **WHOLE_CONSTRAINTS}[key]
+    vz = tuple(data.draw(st.lists(strategy, max_size=7)))
     capacity = data.draw(st.integers(min_value=0, max_value=len(vz)))
     assert find_compression_subtuple(system, vz, capacity) == \
         loop_subtuple(system, vz, capacity)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_subtuple_search_decides_each_subtuple_once(data):
+    """Constraints 0..n-1 are their own indices and the fold state is the
+    index tuple, so every finished state names the subtuple decided."""
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    capacity = data.draw(st.integers(min_value=0, max_value=n + 1))
+    weights = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                 min_size=n, max_size=n))
+    finished, decided = [], []
+
+    def finish(state):
+        finished.append(state)
+        return sum(weights[i] for i in state)
+
+    def decide(vz):
+        decided.append(vz)
+        return sum(weights[i] for i in vz)
+
+    folded = ScenarioSystem("indexed", Fold((), lambda s, z: s + (z,), finish),
+                            lambda x, z: True)
+    whole = ScenarioSystem("indexed-whole", decide, lambda x, z: True)
+    vz = tuple(range(n))
+    assert find_compression_subtuple(folded, vz, capacity) == \
+        loop_subtuple(whole, vz, capacity)
+    # The first finish and the first decide are of vz itself, the target.
+    walked = finished[1:]
+    assert len(set(walked)) == len(walked)
+    assert set(decided[1:]) <= set(walked)
+    assert len(walked) <= sum(math.comb(n, r)
+                              for r in range(min(capacity, n) + 1))
+
+
+def test_subtuple_search_counts_on_the_min_no_map_certificate():
+    extends = finishes = 0
+
+    def extend(state, z):
+        nonlocal extends
+        extends += 1
+        return alg_min.extend(state, z)
+
+    def finish(state):
+        nonlocal finishes
+        finishes += 1
+        return alg_min.finish(state)
+
+    system = dataclasses.replace(min_system,
+                                 decide=Fold(alg_min.init, extend, finish))
+    vz = tuple(ExclusionConstraint(a) for a in range(11))
+    assert find_compression_subtuple(system, vz, 10) is None
+    # The 2^11 - 1 subtuples of length <= 10 are each extended from their
+    # parent once and finished once; folding vz itself for the target adds
+    # 11 extends and 1 finish.
+    assert (extends, finishes) == (2 ** 11 - 2 + 11, 2 ** 11)
 
 
 @pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
