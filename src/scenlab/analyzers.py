@@ -35,8 +35,8 @@ from .counterexamples import (
     MAX_ARC_FAMILY,
     BandConstraint,
     alg_convex_maxx1,
+    arc_point,
     sigma_polygon,
-    tau,
 )
 from .geometry import points_equal, points_in_convex
 from .rng import stream
@@ -316,6 +316,10 @@ def find_compression_subtuple(system: ScenarioSystem,
     So t is visited and becomes ``best``; then ``bound`` = r - 1, and no
     later node is shorter than r, so none is decided.
 
+    A subtuple whose ``finish`` raises ``ValueError`` (``path-alg1`` on a
+    barrier no path clears) is soundly no match, as it has no decision, but
+    the pass still descends into it; the target's own error propagates.
+
     The pass decides every subtuple that a walk of each length in turn
     would decide before it stopped, and may decide longer ones in earlier
     subtrees, never more than the budget admits.  Only the states on the
@@ -331,15 +335,22 @@ def find_compression_subtuple(system: ScenarioSystem,
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
     extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
-    if equal(finish(fold.init), target):
-        return ()
+    try:
+        if equal(finish(fold.init), target):
+            return ()
+    except ValueError:  # undecidable, so no match (see above)
+        pass
     best, last = None, n - 1
 
     def walk(state: Any, path: tuple, start: int, depth: int) -> None:
         nonlocal best, bound
         for i in range(start, n):
             child = extend(state, vz[i])
-            if equal(finish(child), target):
+            try:
+                match = equal(finish(child), target)
+            except ValueError:
+                match = False
+            if match:
                 # The siblings left are as long as this match.
                 best, bound = path + (i,), depth - 1
                 return
@@ -485,38 +496,39 @@ def verify_range_shattering_witness(k: int,
     pattern of tau(u) over the polygons sigma(k, i) must equal {i in u},
     checked both geometrically (point in polygon) and combinatorially.
 
-    The 2^k points tau(u) are built once, and membership in each sigma(k, i)
-    is one :func:`points_in_convex` call over all of them.  That kernel is
-    element for element the scalar ``point_in_convex``, so the verdicts, the
-    mismatch and disagreement lists and their order (u by binary encoding,
-    then i ascending) are those of the subset-by-subset loop.
+    The 2^k points tau(u) = arc_point(n), n < 2^k, are built once, and
+    membership in each sigma(k, i) is one :func:`points_in_convex` call over
+    all of them.  That kernel is element for element the scalar
+    ``point_in_convex``, so the verdicts, the mismatch and disagreement
+    lists and their order (u by binary encoding, then i ascending) are
+    those of the subset-by-subset loop; only their entries build u.
     """
     if not 1 <= k <= MAX_ARC_FAMILY:
         raise ValueError(f"the witness needs 1 <= k <= {MAX_ARC_FAMILY}")
     members = range(1, k + 1)
-    subsets = [frozenset(i for i in members if mask >> (i - 1) & 1)
-               for mask in range(1 << k)]
-    points = [tau(u) for u in subsets]
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+
+    def subset(n: int) -> frozenset:
+        return frozenset(i for i in members if n >> (i - 1) & 1)
+
+    points = [arc_point(n) for n in range(1 << k)]
+    xs, ys = np.array(points).T.copy()
     masks = np.arange(1 << k)
-    # disagree[i - 1, mask]: geometric membership differs from i in u.
+    # disagree[i - 1, n]: geometric membership differs from i in u.
     disagree = np.array([
         points_in_convex(sigma_polygon(k, i), xs, ys, WITNESS_MEMBERSHIP_TOL)
         != (masks >> (i - 1) & 1).astype(bool)
         for i in members])
     decision_mismatches = []
     realized = 0
-    for u, point, pattern_bad in zip(subsets, points,
+    for n, point, pattern_bad in zip(range(1 << k), points,
                                      disagree.any(axis=0).tolist()):
         decision = alg_convex_maxx1((BandConstraint(point[1]),))
-        ok = points_equal(decision, point, tolerance)
-        if not ok:
-            decision_mismatches.append((u, decision))
-        if ok and not pattern_bad:
+        if not points_equal(decision, point, tolerance):
+            decision_mismatches.append((subset(n), decision))
+        elif not pattern_bad:
             realized += 1
     membership_disagreements = tuple(
-        (subsets[mask], i + 1) for mask, i in np.argwhere(disagree.T).tolist())
+        (subset(n), i + 1) for n, i in np.argwhere(disagree.T).tolist())
     return RangeShatterReport(
         k=k, subsets_checked=1 << k, subsets_realized=realized,
         vc_lower_bound=k if realized == 1 << k else 0,

@@ -51,10 +51,7 @@ class Fold:
     over ``vz`` from ``init``.  ``extend(state, z)`` returns a new state and
     never mutates its input, so a state can be shared by every tuple that
     extends the same prefix; the exhaustive searches in ``analyzers`` extend
-    each prefix once.  Scheme counting doubles lists of subset states over
-    the two halves of its base, to bound memory; compression-map search
-    recurses depth first in one pass bounded by its shortest match, and
-    shattering checks recurse depth first once per length.
+    each prefix once (its module docstring gives their walk orders).
     """
 
     init: Any
@@ -77,13 +74,10 @@ class ScenarioSystem:
     vectors ``coords(x)`` within ``POINT_TOL`` per coordinate (geometric
     systems); :meth:`decisions_equal` and :meth:`decision_key` apply it.
 
-    The exhaustive searches in ``analyzers`` walk a ``decide`` that is a
-    :class:`Fold` instead of deciding every enumerated tuple whole
-    (``convex-vc``, ``sum-no-scheme`` and ``min-no-map`` decide by folds).
-    They find the fold through the ``__wrapped__`` chain that
-    ``functools.wraps`` sets, so ``dataclasses.replace(system,
-    decide=functools.wraps(fold)(wrapper))`` is still walked as the fold;
-    any other ``decide`` is decided whole.
+    A ``decide`` that is a :class:`Fold`, or wraps one by
+    ``functools.wraps``, is walked prefix by prefix in the exhaustive
+    searches of ``analyzers`` (see its module docstring); any other
+    ``decide`` is decided whole.
 
     Two optional hooks work on the plain values that a distribution's
     ``sample_values`` draws, so the caller builds no constraint objects; for
@@ -123,12 +117,12 @@ class ConstraintDistribution:
     ``analytic_violation``, when provided, returns the exact risk of a
     decision under this measure and bypasses nested Monte Carlo entirely.
 
-    ``sample_values``, when provided, is a batch sampler: ``sample_values(rng,
-    n)`` must give exactly the constraints of ``n`` calls of ``sample``,
-    each passed through ``constraint_class`` when that is set (it then draws
-    plain values, and ``constraint_class`` builds a value's constraint), and
-    leave ``rng`` at exactly their stream position, so seeded outputs do not
-    depend on whether a tuple was drawn in batch.
+    ``sample_values`` and ``constraint_class``, set together or not at all,
+    are a batch sampler: ``sample_values(rng, n)`` draws plain values and
+    ``constraint_class`` builds a value's constraint.  The constraints of
+    the values must be exactly those of ``n`` calls of ``sample``, and
+    ``rng`` must be left at exactly their stream position, so seeded outputs
+    do not depend on whether a tuple was drawn in batch.
 
     ``dominating`` is a tuple of constraints that dominate the measure: under
     the satisfaction relation of the systems the distribution is paired
@@ -145,17 +139,15 @@ class ConstraintDistribution:
     dominating: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.constraint_class is not None and self.sample_values is None:
-            raise ValueError("constraint_class needs sample_values")
+        if (self.sample_values is None) != (self.constraint_class is None):
+            raise ValueError("set sample_values and constraint_class together")
 
     def sample_tuple(self, rng: np.random.Generator, n: int) -> ConstraintTuple:
         if n < 0:
             raise ValueError("tuple length must be >= 0")
         if self.sample_values is None:
             return tuple(self.sample(rng) for _ in range(n))
-        values = self.sample_values(rng, n)
-        return tuple(values if self.constraint_class is None
-                     else map(self.constraint_class, values))
+        return tuple(map(self.constraint_class, self.sample_values(rng, n)))
 
 
 @dataclass(frozen=True)

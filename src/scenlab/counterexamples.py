@@ -35,8 +35,8 @@ from .geometry import (
 # Arc family: injective encodings of finite subsets into quarter-circle points
 # ---------------------------------------------------------------------------
 
-# Largest m of a polygon sigma(m, i) and k of the witness: xi(m, i) has
-# 2^(m - 1) subsets, and at m = 12 the chord sag of unused arc points
+# Largest m of a polygon sigma(m, i) and k of the witness: sigma(m, i) has
+# 2^(m - 1) arc vertices, and at m = 12 the chord sag of unused arc points
 # (~4e-15) nears the witness's 1e-15 membership slack.
 MAX_ARC_FAMILY = 12
 
@@ -49,44 +49,39 @@ def n_of(u: Iterable[int]) -> int:
     return sum(1 << (i - 1) for i in u)
 
 
-def angle_of(u: Iterable[int]) -> float:
-    """Arc angle (pi/2) * n / (1 + n) in [0, pi/2)."""
-    n = n_of(u)
+def _arc_angle(n: int) -> float:
     return (math.pi / 2.0) * n / (1.0 + n)
 
 
-def tau(u: Iterable[int]) -> Point:
-    """Injective map from finite subsets to the closed quarter arc.
-
-    The empty set maps to (1, 0); nonempty sets map strictly inside the open
-    quarter arc.
-    """
-    a = angle_of(u)
+def arc_point(n: int) -> Point:
+    """The arc point at angle (pi/2) * n / (1 + n), ascending in n: (1, 0)
+    at n = 0, strictly inside the open quarter arc for n >= 1."""
+    a = _arc_angle(n)
     return (math.cos(a), math.sin(a))
 
 
-def xi(m: int, i: int) -> tuple[frozenset, ...]:
-    """All subsets of [m] that contain i, ordered by binary encoding."""
-    if not 1 <= i <= m:
-        raise ValueError("need 1 <= i <= m")
-    subsets = []
-    others = [j for j in range(1, m + 1) if j != i]
-    for mask in range(1 << len(others)):
-        u = {i} | {others[k] for k in range(len(others)) if mask >> k & 1}
-        subsets.append(frozenset(u))
-    return tuple(sorted(subsets, key=n_of))
+def angle_of(u: Iterable[int]) -> float:
+    """Arc angle (pi/2) * n / (1 + n) in [0, pi/2), for n = n_of(u)."""
+    return _arc_angle(n_of(u))
+
+
+def tau(u: Iterable[int]) -> Point:
+    """Injective map from finite subsets to the closed quarter arc."""
+    return arc_point(n_of(u))
 
 
 @lru_cache(maxsize=None)
 def sigma_polygon(m: int, i: int) -> tuple[Point, ...]:
-    """Convex hull of (0, 1) and the arc points of xi(m, i), CCW.
+    """Convex hull of (0, 1) and tau(u) for the subsets u of [m] holding i,
+    the encodings n < 2^m with bit i - 1 set, CCW.
 
-    All generating points lie on the unit circle, so every one of them is a
-    hull vertex; sorting by arc angle yields the CCW boundary.
+    The points lie on the unit circle, so each is a hull vertex, and n
+    ascending, then (0, 1) at angle pi/2, is the CCW boundary.
     """
-    vertices = [tau(u) for u in xi(m, i)]  # angles ascending with n
-    vertices.append((0.0, 1.0))            # angle pi/2
-    return tuple(vertices)
+    if not 1 <= i <= m:
+        raise ValueError("need 1 <= i <= m")
+    bit = 1 << (i - 1)
+    return (*(arc_point(n) for n in range(1 << m) if n & bit), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from scenlab.pathplan import (
     path_system_alg2,
     uniform_barrier_distribution,
 )
-from scenlab.registry import get_bundle
+from scenlab.registry import SYSTEMS, get_bundle
 from scenlab.rng import stream
 
 SCENE = Scene()
@@ -175,11 +175,10 @@ def test_criterion_06_stability_suite():
 
 
 def test_criterion_07_consistency_suite():
-    """Zero consistency violations over 1000 probes for all five systems."""
+    """Zero consistency violations over 1000 probes for every registry
+    system."""
     ok = True
-    for key in ("convex-vc", "sum-no-scheme", "min-no-map",
-                "interval-not-pac", "path-alg1", "path-alg2"):
-        bundle = get_bundle(key)
+    for key, bundle in SYSTEMS.items():
         rep = check_consistency(bundle.system, bundle.tuple_generator,
                                 trials=1000, seed=107)
         ok &= rep.passed

@@ -43,7 +43,11 @@ from scenlab.counterexamples import (
     tau,
 )
 from scenlab.geometry import point_in_convex, points_equal
-from scenlab.pathplan import band_shatter_candidates, path_system_alg1
+from scenlab.pathplan import (
+    BarrierConstraint,
+    band_shatter_candidates,
+    path_system_alg1,
+)
 
 
 def test_satisfied_subset():
@@ -134,6 +138,55 @@ def test_find_compression_subtuple_min_system_none_certificate():
     for d in range(1, 4):
         vz = tuple(ExclusionConstraint(a) for a in range(d + 1))
         assert find_compression_subtuple(min_system, vz, d) is None
+
+
+def test_find_compression_subtuple_skips_undecidable_subtuples():
+    # No path clears a barrier at 1e-12 alone, yet the full tuple decides
+    # the path over the barrier at 0.3, as that barrier alone does.
+    system = path_system_alg1()
+    vz = (BarrierConstraint(1e-12), BarrierConstraint(0.3))
+    with pytest.raises(ValueError, match="no path clears"):
+        system.decide(vz[:1])
+    assert find_compression_subtuple(system, vz, 1) == (1,)
+    # The full tuple's own error still propagates.
+    with pytest.raises(ValueError, match="no path clears"):
+        find_compression_subtuple(system, vz[:1], 1)
+
+
+def brute_force_subtuple(system, vz, capacity):
+    """Reference: subtuples by length, then lexicographically, skipping
+    those whose decide raises."""
+    target = system.decide(vz)
+    for r in range(min(capacity, len(vz)) + 1):
+        for indices in itertools.combinations(range(len(vz)), r):
+            try:
+                x = system.decide(tuple(vz[i] for i in indices))
+            except ValueError:
+                continue
+            if system.decisions_equal(x, target):
+                return indices
+    return None
+
+
+near_axis_thetas = st.lists(
+    st.sampled_from([1e-12, 1e-10, math.pi - 1e-10])
+    | st.floats(min_value=0.05, max_value=math.pi - 0.05),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_axis_thetas, st.integers(min_value=0, max_value=6))
+def test_find_compression_subtuple_matches_brute_force_on_partial_alg1(
+        thetas, capacity):
+    system = path_system_alg1()
+    vz = tuple(BarrierConstraint(t) for t in thetas)
+    try:
+        expected = brute_force_subtuple(system, vz, capacity)
+    except ValueError:
+        with pytest.raises(ValueError, match="no path clears"):
+            find_compression_subtuple(system, vz, capacity)
+        return
+    assert find_compression_subtuple(system, vz, capacity) == expected
 
 
 def test_find_compression_subtuple_validation_and_budget():

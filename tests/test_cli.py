@@ -184,6 +184,16 @@ def test_compression_map_search(capsys):
     assert report["verdicts"] == demo["verdicts"]
 
 
+def test_compression_map_search_skips_undecidable_subtuples(capsys):
+    # The barrier at 1e-12 alone has no path, but the subtuple (0.3,)
+    # decides as the full tuple does.
+    code, report = run_cli(
+        capsys, "compression", "--system", "path-alg1", "--capacity", "1",
+        "--tuple", '[{"theta": 1e-12}, {"theta": 0.3}]')
+    assert code == 0
+    assert report["verdicts"]["map_search"]["subtuple_indices"] == [1]
+
+
 def test_out_writes_report_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05",

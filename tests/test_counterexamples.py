@@ -37,7 +37,6 @@ from scenlab.counterexamples import (
     sigma_polygon,
     sum_system,
     tau,
-    xi,
 )
 from scenlab.geometry import POINT_TOL, cross, points_equal
 from scenlab.rng import stream
@@ -83,13 +82,12 @@ def test_tau_on_unit_circle_below_quarter(u):
     assert 0.0 <= angle_of(u) < math.pi / 2
 
 
-def test_xi_enumerates_supersets_of_i():
-    got = xi(3, 2)
-    expected = [{2}, {1, 2}, {2, 3}, {1, 2, 3}]
-    assert [set(u) for u in got] == expected  # ordered by binary encoding
-    assert all(2 in u for u in got)
+def test_sigma_polygon_vertices_are_supersets_of_i():
+    # The subsets of [3] that hold 2, by binary encoding, then (0, 1).
+    expected = [tau(u) for u in ({2}, {1, 2}, {2, 3}, {1, 2, 3})]
+    assert sigma_polygon(3, 2) == (*expected, (0.0, 1.0))
     with pytest.raises(ValueError):
-        xi(3, 4)
+        sigma_polygon(3, 4)
 
 
 def test_sigma_polygon_is_ccw_on_unit_circle():

@@ -92,8 +92,10 @@ def test_sample_values_match_scalar_loop_and_stream_position(name, seed, n,
 
 
 def test_constraint_class_needs_sample_values():
-    with pytest.raises(ValueError):
-        dataclasses.replace(BATCHED["barrier"], sample_values=None)
+    # The batch sampler's two halves are set together or not at all.
+    for half in ("sample_values", "constraint_class"):
+        with pytest.raises(ValueError, match="together"):
+            dataclasses.replace(BATCHED["barrier"], **{half: None})
 
 
 @settings(deadline=None, max_examples=10)

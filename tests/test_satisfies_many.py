@@ -15,10 +15,16 @@ from scenlab.core import (NESTED_MC_SAMPLES, pac_curve,
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
 from scenlab.geometry import POINT_TOL
 from scenlab.pathplan import START, TARGET, BarrierConstraint, Parabola, Polyline
-from scenlab.registry import get_bundle
+from scenlab.registry import SYSTEMS, get_bundle
 from scenlab.rng import stream
 
 ORACLE_SYSTEMS = ("path-alg1", "convex-vc")
+
+
+def test_oracle_systems_are_the_registry_ones():
+    carrying = sorted(key for key, bundle in SYSTEMS.items()
+                      if bundle.system.satisfies_values is not None)
+    assert carrying == sorted(ORACLE_SYSTEMS)
 
 
 def scalar(key, x, values):
