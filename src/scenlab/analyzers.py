@@ -22,6 +22,7 @@ whole.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import asdict, dataclass
@@ -220,6 +221,16 @@ def satisfied_subset(system: ScenarioSystem, x: Any,
     return frozenset(z for z in candidates if system.satisfies(x, z))
 
 
+def _satisfied_subsets(system: ScenarioSystem,
+                       candidates: Sequence) -> Callable[[Any], frozenset]:
+    """``satisfied_subset`` over ``candidates`` as a function of the
+    decision, memoized for as long as the caller holds it: each distinct
+    decision is checked against the candidates once.  Decisions are
+    hashable, and equal ones satisfy the same constraints (see
+    ``ScenarioSystem``), so the memo is exact."""
+    return functools.cache(lambda x: satisfied_subset(system, x, candidates))
+
+
 def check_shattered(system: ScenarioSystem,
                     candidates: Sequence,
                     max_len: Optional[int] = None,
@@ -231,7 +242,8 @@ def check_shattered(system: ScenarioSystem,
     given), so the reported counterexample is the first in that order.  A
     system that decides by a ``Fold`` walks, per length, the product tree of
     that order depth first, extending each prefix's state once; others
-    decide every tuple.  A ``not_shattered`` verdict is sound for the
+    decide every tuple.  Each distinct decision is checked against the
+    candidates once per call.  A ``not_shattered`` verdict is sound for the
     untruncated definition; ``shattered_up_to_L`` is finite-scale evidence
     only.
     """
@@ -247,11 +259,12 @@ def check_shattered(system: ScenarioSystem,
 
     checked = 0
     realized = frozenset()
+    realize = _satisfied_subsets(system, candidates)
 
     def breaks(indices: tuple, x: Any) -> bool:
         nonlocal checked, realized
         checked += 1
-        realized = satisfied_subset(system, x, candidates)
+        realized = realize(x)
         return realized != frozenset(candidates[i] for i in indices)
 
     fold = _walk_fold(system)
@@ -298,11 +311,15 @@ def find_compression_subtuple(system: ScenarioSystem,
     The search is one depth-first pass over the tree of ascending index
     tuples, children in index order.  Each node extends its parent's state
     once (a system without a fold decides each node whole) and is decided
-    before the pass descends into it.  ``bound`` starts at
-    ``min(capacity, len(vz))``; a match of length r becomes ``best`` and
-    sets ``bound`` to r - 1, and no node deeper than ``bound`` is decided.
-    Why ``best`` ends as the shortest, then first, match: let t be that
-    match and r its length.
+    before the pass descends into it.  The one node of depth n = len(vz)
+    is vz itself, whose decision is the target: ``decide`` is
+    deterministic, so that node is a match and is not decided again.
+    ``best`` starts as vz's own indices if capacity >= n, else as
+    ``None``, and ``bound`` starts at ``min(capacity, n - 1)``; a match of length r
+    becomes ``best`` and sets ``bound`` to r - 1, and no node deeper than
+    ``bound`` is decided.  Why ``best`` ends as the shortest, then first,
+    match: let t be that match and r its length.  If r = n, no node of
+    depth < n matches, so ``best`` stays vz.  Otherwise:
 
     * Pre-order visits the index tuples of one length in lexicographic
       order.
@@ -323,24 +340,28 @@ def find_compression_subtuple(system: ScenarioSystem,
     The pass decides every subtuple that a walk of each length in turn
     would decide before it stopped, and may decide longer ones in earlier
     subtrees, never more than the budget admits.  Only the states on the
-    recursion stack are live: at most ``bound`` + 1.  The budget keeps the
+    recursion stack are live: at most ``bound`` + 1.  The budget counts vz
+    among the subtuples, although it is not decided again.  It keeps the
     recursion shallow: it admits sum_{r <= d} C(n, r) >= 2^d subtuples
     (d <= n), so d <= 20.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     n = len(vz)
-    bound = min(capacity, n)
-    check_tuple_budget(math.comb(n, r) for r in range(bound + 1))
+    check_tuple_budget(math.comb(n, r) for r in range(min(capacity, n) + 1))
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
     extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
+    best = tuple(range(n)) if capacity >= n else None
+    last = n - 1
+    bound = min(capacity, last)
+    if bound < 0:  # vz is empty: the target is its decision
+        return best
     try:
         if equal(finish(fold.init), target):
             return ()
     except ValueError:  # undecidable, so no match (see above)
         pass
-    best, last = None, n - 1
 
     def walk(state: Any, path: tuple, start: int, depth: int) -> None:
         nonlocal best, bound
@@ -572,25 +593,31 @@ def adversarial_pac_experiment(system: ScenarioSystem,
 
     The caller is responsible for the set being shattered up to length >= n;
     the size guard |Z'| >= 2n is enforced here so that shattering forces a
-    risk of at least 1/2 on every trial.  Candidates must be distinct, since
-    the risk of a decision is the share of them it violates.
+    risk of at least 1/2 on every trial.  Candidates must be distinct and
+    at least one, since the risk of a decision is the share of them it
+    violates.  Each distinct decision is checked against the candidates
+    once per call.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     candidates = tuple(candidates)
     k = len(candidates)
+    if k == 0:
+        raise ValueError("need at least one candidate constraint")
     if len(set(candidates)) != k:
         raise ValueError("candidate constraints must be distinct")
+    if n < 0:
+        raise ValueError("N must be >= 0")
     if k < 2 * n:
         raise ValueError(f"need |Z'| >= 2N, got {k} < {2 * n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     risks = []
+    realize = _satisfied_subsets(system, candidates)
     for trial in range(trials):
         rng = stream(seed, trial)
         vz = tuple(candidates[int(i)] for i in rng.integers(0, k, size=n))
-        x = system.decide(vz)
-        realized = satisfied_subset(system, x, candidates)
+        realized = realize(system.decide(vz))
         risks.append((k - len(realized)) / k)
     exceed = sum(1 for v in risks if v > epsilon)
     return AdversarialPacReport(

@@ -74,6 +74,15 @@ class ScenarioSystem:
     vectors ``coords(x)`` within ``POINT_TOL`` per coordinate (geometric
     systems); :meth:`decisions_equal` and :meth:`decision_key` apply it.
 
+    Decisions are hashable, and decisions that compare equal (``==``)
+    satisfy the same constraints: the shattering check and the adversarial
+    experiment of ``analyzers`` check each distinct decision against their
+    candidates once per call, and scheme counting puts the decisions of
+    systems without ``coords`` into a set.  Floats that compare equal
+    differ at most in the sign of a zero, and no shipped ``satisfies``
+    reads that sign except through ``abs``, ``hypot``, ``==`` and ordered
+    comparisons.
+
     A ``decide`` that is a :class:`Fold`, or wraps one by
     ``functools.wraps``, is walked prefix by prefix in the exhaustive
     searches of ``analyzers`` (see its module docstring); any other

@@ -32,9 +32,9 @@ from .geometry import (
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
-# Entries in each alg1 memo (``_alg1_hull``, ``_polyline_clears``).  A
-# hull entry keeps its key's tips alive, about 0.1 kB per tip, so the
-# memo holds at most about 47 MB of N = 100 tuples.
+# Entries in alg1's hull memo (``_alg1_hull``).  An entry keeps its key's
+# tips alive, about 0.1 kB per tip, so the memo holds at most about 47 MB
+# of N = 100 tuples.
 ALG1_MEMO_SIZE = 4096
 # Angle count below which ``alg2_binding`` scans every clearance with
 # ``math`` instead of filtering candidates with numpy first.
@@ -115,23 +115,12 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
     A parabola clears the barrier iff its height reaches the tip clearance
     (the region under the parabola is convex, so tip clearance implies the
     whole barrier stays below the curve).
-
-    The polyline test is memoized on (vertices, tip), so an exhaustive walk
-    that meets one decision and one candidate again tests them once.  The
-    memo is exact: keys compare floats with ``==``, so only a zero's sign
-    can tell two equal keys apart, and ``segments_conflict`` reads that sign
-    only through ``abs``, ``hypot`` and ordered comparisons.
     """
     tip = barrier_tip(z, scene.barrier_length)
     if isinstance(path, Parabola):
         return clearance_height(z.theta, scene.barrier_length) \
             <= path.height + POINT_TOL
-    return _polyline_clears(path.vertices, tip)
-
-
-@lru_cache(maxsize=ALG1_MEMO_SIZE)
-def _polyline_clears(vertices: tuple[Point, ...], tip: Point) -> bool:
-    return not _edges_conflict(vertices, None, tip)
+    return not _edges_conflict(path.vertices, None, tip)
 
 
 def barrier_satisfied_values(scene: Scene, path: PathDecision,
@@ -148,10 +137,10 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     violated and one below -m satisfied.  Every other angle, and every
     angle within alpha = m / rho (rho the least vertex radius) of its
     edge's end angles, takes the exact lane: the crossing test of
-    ``barrier_satisfied`` on the tip computed by ``math``, without its
-    memo, against only the edges that tip can reach (``_edges_conflict``,
-    the test ``_alg1_hull`` makes too).  Every angle against any other
-    polyline takes the exact lane against every edge.
+    ``barrier_satisfied`` on the tip computed by ``math``, against only
+    the edges that tip can reach (``_edges_conflict``, the test
+    ``_alg1_hull`` makes too).  Every angle against any other polyline
+    takes the exact lane against every edge.
     Why the lanes agree with ``segments_conflict`` (p = A, d1 = d, the math
     tip P with |P| = L up to rounding; tol = ``POINT_TOL``, u = 2^-53):
 

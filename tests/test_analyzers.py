@@ -30,7 +30,7 @@ from scenlab.analyzers import (
     vc_sample_bound,
     verify_range_shattering_witness,
 )
-from scenlab.core import Fold, ScenarioSystem
+from scenlab.core import Fold, ScenarioSystem, hoeffding_radius
 from scenlab.counterexamples import (
     BandConstraint,
     ExclusionConstraint,
@@ -48,6 +48,7 @@ from scenlab.pathplan import (
     band_shatter_candidates,
     path_system_alg1,
 )
+from scenlab.rng import stream
 
 
 def test_satisfied_subset():
@@ -393,6 +394,62 @@ def test_adversarial_pac_rejects_duplicate_candidates():
     with pytest.raises(ValueError, match="distinct"):
         adversarial_pac_experiment(min_system, [ExclusionConstraint(5)] * 2,
                                    n=1, epsilon=0.1, trials=10)
+
+
+def test_adversarial_pac_rejects_empty_candidates_and_negative_n():
+    with pytest.raises(ValueError, match="at least one candidate"):
+        adversarial_pac_experiment(min_system, [], n=0, epsilon=0.1,
+                                   trials=3)
+    zs = [ExclusionConstraint(a) for a in range(4)]
+    with pytest.raises(ValueError, match="N must be >= 0"):
+        adversarial_pac_experiment(min_system, zs, n=-1, epsilon=0.1,
+                                   trials=3)
+
+
+def loop_adversarial(system, candidates, n, epsilon, trials, seed):
+    """The adversarial experiment as a plain loop, each trial's decision
+    checked against every candidate."""
+    k = len(candidates)
+    risks = []
+    for trial in range(trials):
+        draws = stream(seed, trial).integers(0, k, size=n)
+        x = system.decide(tuple(candidates[int(i)] for i in draws))
+        risks.append(sum(not system.satisfies(x, z) for z in candidates) / k)
+    return {"system": system.name, "candidate_count": k, "N": n,
+            "epsilon": epsilon, "trials": trials, "seed": seed,
+            "q_hat": sum(risk > epsilon for risk in risks) / trials,
+            "ci_radius": hoeffding_radius(trials),
+            "mean_risk": sum(risks) / trials, "min_risk": min(risks)}
+
+
+@pytest.mark.parametrize("system, candidates, n, epsilon", [
+    (path_system_alg1(), band_shatter_candidates(8), 4, 0.25),
+    (min_system, [ExclusionConstraint(a) for a in range(10)], 3, 0.1),
+])
+def test_adversarial_pac_equals_the_plain_loop(system, candidates, n,
+                                               epsilon):
+    report = adversarial_pac_experiment(system, candidates, n, epsilon,
+                                        trials=60, seed=3)
+    assert report.to_jsonable() == \
+        loop_adversarial(system, candidates, n, epsilon, 60, 3)
+
+
+def test_shatter_walk_checks_each_distinct_decision_once():
+    system, candidates = path_system_alg1(), band_shatter_candidates(5)
+    calls = 0
+
+    def counted(x, z):
+        nonlocal calls
+        calls += 1
+        return system.satisfies(x, z)
+
+    report = check_shattered(dataclasses.replace(system, satisfies=counted),
+                             candidates, max_len=5)
+    tuples = [vz for r in range(6)
+              for vz in itertools.product(candidates, repeat=r)]
+    assert report.shattered and report.tuples_checked == len(tuples)
+    decisions = {system.decide(vz) for vz in tuples}
+    assert calls == len(candidates) * len(decisions) < len(tuples)
 
 
 def test_bound_query_validation():

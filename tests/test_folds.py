@@ -87,12 +87,26 @@ CONVEX = st.one_of(st.sampled_from(POLYGONS), st.builds(BandConstraint, LEVELS))
 EXCLUSION = st.builds(ExclusionConstraint, st.integers(min_value=0, max_value=6))
 CONSTRAINTS = {"convex-vc": CONVEX, "sum-no-scheme": EXCLUSION,
                "min-no-map": EXCLUSION}
+WHOLE_SYSTEMS = ("interval-not-pac", "path-alg1", "path-alg2")
+BARRIER = st.builds(BarrierConstraint, st.floats(min_value=1e-3,
+                                                 max_value=math.pi - 1e-3))
+WHOLE_CONSTRAINTS = {
+    "interval-not-pac": st.builds(MembershipConstraint,
+                                  st.floats(min_value=0.0, max_value=1.0)),
+    "path-alg1": BARRIER, "path-alg2": BARRIER}
 
 
 def test_fold_systems_are_the_three_counterexamples():
     folded = sorted(key for key, bundle in SYSTEMS.items()
                     if isinstance(bundle.system.decide, Fold))
     assert folded == sorted(FOLD_SYSTEMS)
+
+
+def test_whole_systems_are_the_registry_systems_without_a_fold():
+    whole = sorted(key for key, bundle in SYSTEMS.items()
+                   if not isinstance(bundle.system.decide, Fold))
+    assert whole == sorted(WHOLE_SYSTEMS)
+    assert sorted(WHOLE_CONSTRAINTS) == sorted(WHOLE_SYSTEMS)
 
 
 @settings(deadline=None, max_examples=200)
@@ -194,15 +208,6 @@ def test_scheme_walk_gives_the_loop_keys(key, data, permutations):
     assert analyzers._decision_keys(system, base, permutations) == keys
     report = certify_no_compression_scheme(system, base, 1, permutations)
     assert report.distinct_decisions == len(keys)
-
-
-WHOLE_SYSTEMS = ("interval-not-pac", "path-alg1", "path-alg2")
-BARRIER = st.builds(BarrierConstraint, st.floats(min_value=1e-3,
-                                                 max_value=math.pi - 1e-3))
-WHOLE_CONSTRAINTS = {
-    "interval-not-pac": st.builds(MembershipConstraint,
-                                  st.floats(min_value=0.0, max_value=1.0)),
-    "path-alg1": BARRIER, "path-alg2": BARRIER}
 
 
 @pytest.mark.parametrize("size", range(9))
@@ -310,43 +315,65 @@ def test_subtuple_search_decides_each_subtuple_once(data):
     vz = tuple(range(n))
     assert find_compression_subtuple(folded, vz, capacity) == \
         loop_subtuple(whole, vz, capacity)
-    # The first finish and the first decide are of vz itself, the target.
+    # The first finish and the first decide are of vz itself, the target,
+    # which the walk does not decide again.
     walked = finished[1:]
-    assert len(set(walked)) == len(walked)
-    assert set(decided[1:]) <= set(walked)
+    assert len(set(walked)) == len(walked) and vz not in walked
+    assert set(decided[1:]) - {vz} <= set(walked)
     assert len(walked) <= sum(math.comb(n, r)
                               for r in range(min(capacity, n) + 1))
 
 
-def test_subtuple_search_counts_on_the_min_no_map_certificate():
-    extends = finishes = 0
+def counting_min_system():
+    """``min-no-map`` with a fold that counts its extends and finishes."""
+    counts = {"extend": 0, "finish": 0}
 
     def extend(state, z):
-        nonlocal extends
-        extends += 1
+        counts["extend"] += 1
         return alg_min.extend(state, z)
 
     def finish(state):
-        nonlocal finishes
-        finishes += 1
+        counts["finish"] += 1
         return alg_min.finish(state)
 
     system = dataclasses.replace(min_system,
                                  decide=Fold(alg_min.init, extend, finish))
+    return system, counts
+
+
+def test_subtuple_search_counts_on_the_min_no_map_certificate():
+    system, counts = counting_min_system()
     vz = tuple(ExclusionConstraint(a) for a in range(11))
     assert find_compression_subtuple(system, vz, 10) is None
     # The 2^11 - 1 subtuples of length <= 10 are each extended from their
     # parent once and finished once; folding vz itself for the target adds
     # 11 extends and 1 finish.
-    assert (extends, finishes) == (2 ** 11 - 2 + 11, 2 ** 11)
+    assert (counts["extend"], counts["finish"]) == (2 ** 11 - 2 + 11, 2 ** 11)
 
 
-@pytest.mark.parametrize("key", sorted(FOLD_SYSTEMS))
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
+def test_subtuple_search_at_capacity_n_decides_vz_once(n):
+    """min(0, ..., n - 1) = n differs from the decision of every shorter
+    subtuple, so at capacity >= n only vz itself matches: it is folded once,
+    for the target, and the result is still vz's own indices."""
+    vz = tuple(ExclusionConstraint(a) for a in range(n))
+    for capacity in (n, n + 1):
+        system, counts = counting_min_system()
+        result = find_compression_subtuple(system, vz, capacity)
+        assert result == loop_subtuple(min_system, vz, capacity) \
+            == tuple(range(n))
+        assert counts["finish"] == sum(math.comb(n, r) for r in range(n)) + 1
+
+
+@pytest.mark.parametrize("key", sorted(SYSTEMS))
 @settings(deadline=None, max_examples=40)
 @given(data=st.data(), include_empty=st.booleans())
 def test_shatter_walk_gives_the_loop_verdict(key, data, include_empty):
-    system = FOLD_SYSTEMS[key]
-    candidates = tuple(data.draw(distinct(key, 4)))
+    """Fold systems and systems without a fold alike, the decisions checked
+    against the candidates once each per call."""
+    system = SYSTEMS[key].system
+    strategy = {**CONSTRAINTS, **WHOLE_CONSTRAINTS}[key]
+    candidates = tuple(data.draw(st.lists(strategy, max_size=4, unique=True)))
     max_len = data.draw(st.integers(min_value=1, max_value=3))
     report = check_shattered(system, candidates, max_len, include_empty)
     verdict, checked, counterexample, realized = loop_shattered(

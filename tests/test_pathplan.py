@@ -442,9 +442,8 @@ def scenlab_memo_caches() -> list:
 
 def test_alg1_memos_are_visible_bounded_and_transparent():
     caches = scenlab_memo_caches()
-    for memo in (pathplan._alg1_hull, pathplan._polyline_clears):
-        assert memo in caches
-        assert memo.cache_info().maxsize == pathplan.ALG1_MEMO_SIZE
+    assert pathplan._alg1_hull in caches
+    assert pathplan._alg1_hull.cache_info().maxsize == pathplan.ALG1_MEMO_SIZE
     system, candidates = path_system_alg1(), band_shatter_candidates(4)
 
     def shatter_report(pool) -> dict:
