@@ -15,6 +15,7 @@ over the (generally infinite) constraint space.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import functools
 import io
@@ -316,7 +317,8 @@ def _violation_rate(system: ScenarioSystem,
                     x: Any,
                     dist: ConstraintDistribution,
                     rng: np.random.Generator,
-                    samples: int) -> float:
+                    samples: int,
+                    stop: Optional[int] = None) -> float:
     """Risk of ``x``: exact when ``dist`` is analytic, else the fraction of
     ``samples`` fresh draws from ``rng`` that ``x`` violates, checked on the
     drawn values when ``dist`` has a ``constraint_class`` and ``system`` has
@@ -327,7 +329,18 @@ def _violation_rate(system: ScenarioSystem,
     it is returned without drawing.  ``rng`` is then left where it was,
     which no caller sees: ``pac_curve`` gives each trial its own stream and
     ``violation_probability_mc`` uses ``stream(seed, 0)``, and both discard
-    it after this call."""
+    it after this call.
+
+    Without ``stop`` all ``samples`` are drawn at once.  With a violation
+    count ``stop`` they are drawn in blocks of ``NESTED_MC_SAMPLES // 8``,
+    and drawing ends after the block that settles whether the count reaches
+    ``stop``: it has, or the draws left cannot make it.  The fraction
+    returned then counts only the draws made, but it reaches
+    ``stop / samples`` exactly when the full fraction does, which is all
+    that ``pac_curve`` reads.
+    Consecutive blocks draw exactly the values of one call (the
+    ``sample_values`` and ``sample_tuple`` contracts), so every draw made is
+    that of the full loop."""
     if dist.analytic_violation is not None:
         v = dist.analytic_violation(x)
         if not 0.0 <= v <= 1.0:
@@ -336,15 +349,24 @@ def _violation_rate(system: ScenarioSystem,
     if dist.dominating and all(system.satisfies(x, z)
                                for z in dist.dominating):
         return 0.0
-    # satisfies never touches rng, so drawing all samples first consumes the
-    # same stream as interleaving draws and checks.
-    if (dist.constraint_class is not None
-            and system.satisfies_values is not None):
-        satisfied = system.satisfies_values(x, dist.sample_values(rng, samples))
-    else:
-        satisfied = [system.satisfies(x, z)
-                     for z in dist.sample_tuple(rng, samples)]
-    return (len(satisfied) - sum(satisfied)) / samples
+    on_values = (dist.constraint_class is not None
+                 and system.satisfies_values is not None)
+    block = samples if stop is None else NESTED_MC_SAMPLES // 8
+    violated, left = 0, samples
+    # satisfies never touches rng, so drawing a block before checking it
+    # consumes the same stream as interleaving draws and checks.
+    while left:
+        size = min(block, left)
+        left -= size
+        if on_values:
+            satisfied = system.satisfies_values(x, dist.sample_values(rng, size))
+        else:
+            satisfied = [system.satisfies(x, z)
+                         for z in dist.sample_tuple(rng, size)]
+        violated += len(satisfied) - sum(satisfied)
+        if stop is not None and (violated >= stop or violated + left < stop):
+            break
+    return violated / samples
 
 
 def violation_probability_mc(system: ScenarioSystem,
@@ -358,7 +380,8 @@ def violation_probability_mc(system: ScenarioSystem,
     evaluator, the exact value is returned with radius 0.  When ``x``
     satisfies every constraint of ``dist.dominating``, the estimate is 0,
     the count that all ``samples`` draws would give, and it keeps the
-    Hoeffding radius and ``analytic=False`` of a drawn estimate.
+    Hoeffding radius and ``analytic=False`` of a drawn estimate.  Otherwise
+    all ``samples`` are drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -384,7 +407,13 @@ def pac_curve(system: ScenarioSystem,
     ``nested_mc`` (wider, unreported uncertainty on each inner estimate);
     a decision that satisfies every constraint of ``dist.dominating`` has
     risk 0 without inner draws, the same count the draws would give, so the
-    rows and the flag do not depend on that shortcut.
+    rows and the flag do not depend on that shortcut.  Any other trial
+    draws its ``NESTED_MC_SAMPLES`` inner constraints in blocks and stops
+    after the block whose violation count settles whether the fraction of
+    all of them exceeds ``epsilon``: a trial counts as exceeding exactly
+    when the full draws would make it so, and the rows are those of the
+    full draws.  (``violation_probability_mc`` still draws all its
+    ``samples``.)
 
     When ``dist`` carries a ``constraint_class`` and ``system`` carries
     ``decide_values``, each decision is taken on the sampled values without
@@ -408,6 +437,11 @@ def pac_curve(system: ScenarioSystem,
 
     on_values = (dist.constraint_class is not None
                  and system.decide_values is not None)
+    nested = dist.analytic_violation is None
+    stop = None  # the least violation count whose fraction exceeds epsilon
+    if nested:
+        stop = bisect.bisect_right(range(NESTED_MC_SAMPLES + 1), epsilon,
+                                   key=lambda v: v / NESTED_MC_SAMPLES)
     rows = []
     for n_index, n in enumerate(ns):
         exceed = 0
@@ -417,8 +451,8 @@ def pac_curve(system: ScenarioSystem,
                 x = system.decide_values(dist.sample_values(rng, n))
             else:
                 x = system.decide(dist.sample_tuple(rng, n))
-            if _violation_rate(system, x, dist, rng, NESTED_MC_SAMPLES) > epsilon:
+            if _violation_rate(system, x, dist, rng, NESTED_MC_SAMPLES,
+                               stop) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
-    return PacCurve(epsilon, trials, seed, tuple(rows),
-                    nested_mc=dist.analytic_violation is None)
+    return PacCurve(epsilon, trials, seed, tuple(rows), nested_mc=nested)

@@ -1,10 +1,12 @@
 """Framework tests: risk estimation, PAC curves, consistency and stability."""
 
+import dataclasses
 import math
 
 import pytest
 
 from scenlab.core import (
+    NESTED_MC_SAMPLES,
     ConstraintDistribution,
     PacCurve,
     PacRow,
@@ -17,6 +19,7 @@ from scenlab.core import (
     satisfies_all,
     violation_probability_mc,
 )
+from scenlab.registry import get_bundle
 from scenlab.rng import stream
 
 # A tiny synthetic system on integers: constraints are thresholds, decisions
@@ -204,6 +207,48 @@ def test_pac_curve_analytic_matches_direct_enumeration():
     assert not curve.nested_mc
     for row, expected in zip(curve.rows, (0.7, 0.7 ** 5, 0.7 ** 20)):
         assert row.q_hat == pytest.approx(expected, abs=2 * row.ci_radius)
+
+
+@pytest.mark.parametrize("key, lane", [
+    ("path-alg1", "batch"), ("path-alg1", "scalar"),
+    ("convex-vc", "batch"), ("convex-vc", "scalar"),
+    ("interval-not-pac", "scalar"),  # no satisfies_values: sample_tuple
+])
+def test_nested_pac_curve_classifies_as_the_full_inner_draws(key, lane):
+    """On the registry measure without its analytic evaluator, every trial
+    of a curve is classified as the fraction of all ``NESTED_MC_SAMPLES``
+    inner draws on its stream classifies it, for epsilon on the
+    1 / NESTED_MC_SAMPLES grid and off it, at the grid's last step and at
+    the count of one trial.  The scalar lane drops ``satisfies_values``."""
+    bundle = get_bundle(key)
+    system = bundle.system
+    if lane == "scalar":
+        system = dataclasses.replace(system, satisfies_values=None)
+    dist = dataclasses.replace(bundle.distribution, analytic_violation=None)
+    n_list, trials, seed = [0, 2, 6], 5, 4
+    counts = []  # per N, the violations among each trial's full inner draws
+    for n_index, n in enumerate(n_list):
+        per_trial = []
+        for trial in range(trials):
+            rng = stream(seed, n_index, trial)
+            x = system.decide(dist.sample_tuple(rng, n))
+            inner = dist.sample_tuple(rng, NESTED_MC_SAMPLES)
+            per_trial.append(sum(not system.satisfies(x, z) for z in inner))
+        counts.append(per_trial)
+    every = sum(counts, [])
+    if key == "interval-not-pac":  # risk exactly 1/2 straddles epsilon 0.5
+        assert {c > NESTED_MC_SAMPLES // 2 for c in every} == {True, False}
+    drawn = sorted(c for c in every if 0 < c < NESTED_MC_SAMPLES)
+    middle = drawn[len(drawn) // 2]  # at epsilon, then one grid step above
+    for epsilon in (0.1, 0.25, 0.5, 0.1234,
+                    (NESTED_MC_SAMPLES - 1) / NESTED_MC_SAMPLES,
+                    middle / NESTED_MC_SAMPLES,
+                    (middle - 1) / NESTED_MC_SAMPLES):
+        curve = pac_curve(system, dist, epsilon, n_list, trials, seed=seed)
+        assert curve.nested_mc
+        assert [(r.n, r.q_hat) for r in curve.rows] == [
+            (n, sum(c / NESTED_MC_SAMPLES > epsilon for c in per_trial)
+             / trials) for n, per_trial in zip(n_list, counts)]
 
 
 def test_stream_is_order_independent():

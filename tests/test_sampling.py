@@ -91,6 +91,30 @@ def test_sample_values_match_scalar_loop_and_stream_position(name, seed, n,
     assert_same_stream_position(values_rng, scalar_rng)
 
 
+@pytest.mark.parametrize("name", VALUE_SAMPLED)
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+       a=st.integers(min_value=0, max_value=300),
+       b=st.integers(min_value=0, max_value=300),
+       primed=st.booleans(),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+def test_consecutive_sample_values_calls_concatenate(name, seed, a, b, primed,
+                                                     bit_generator):
+    """Two calls drawing ``a`` then ``b`` values give the values and the
+    stream position of one call drawing ``a + b``, so nested Monte Carlo
+    may draw its samples in blocks.  MT19937 takes the convex mixture's
+    scalar fallback."""
+    dist = BATCHED[name]
+    split_rng, joint_rng = (np.random.Generator(bit_generator(seed))
+                            for _ in range(2))
+    if primed:
+        split_rng.integers(0, 7)
+        joint_rng.integers(0, 7)
+    split = dist.sample_values(split_rng, a) + dist.sample_values(split_rng, b)
+    assert split == dist.sample_values(joint_rng, a + b)
+    assert_same_stream_position(split_rng, joint_rng)
+
+
 def test_constraint_class_needs_sample_values():
     # The batch sampler's two halves are set together or not at all.
     for half in ("sample_values", "constraint_class"):
@@ -213,6 +237,23 @@ def test_barrier_batch_refills_rejected_endpoints():
     assert [z.theta for z in batch] == [1.0, 2.0, 0.5, 0.7]
     assert batch == scalar
     assert batch_rng.values == scalar_rng.values == [3.0]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(),
+       script=st.lists(st.sampled_from([0.0, math.pi, 0.5, 1.0, 2.0, 3.0]),
+                       max_size=20))
+def test_barrier_values_concatenate_across_refills(data, script):
+    """The barrier sampler's refill of rejected endpoints keeps the split
+    draws those of one call."""
+    accepted = sum(0.0 < u < math.pi for u in script)
+    a = data.draw(st.integers(min_value=0, max_value=accepted))
+    b = data.draw(st.integers(min_value=0, max_value=accepted - a))
+    dist = BATCHED["barrier"]
+    split_rng, joint_rng = ScriptedUniform(script), ScriptedUniform(script)
+    split = dist.sample_values(split_rng, a) + dist.sample_values(split_rng, b)
+    assert split == dist.sample_values(joint_rng, a + b)
+    assert split_rng.values == joint_rng.values
 
 
 def test_sample_tuple_rejects_negative_length():

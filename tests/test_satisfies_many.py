@@ -3,6 +3,7 @@
 values]`` element for element, for the distribution's ``constraint_class``
 ``cls``, so nested Monte Carlo risk estimates do not depend on it."""
 
+import collections
 import dataclasses
 import math
 
@@ -10,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenlab.core import (NESTED_MC_SAMPLES, pac_curve,
-                          violation_probability_mc)
+from scenlab.core import pac_curve, violation_probability_mc
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
 from scenlab.geometry import POINT_TOL
 from scenlab.pathplan import START, TARGET, BarrierConstraint, Parabola, Polyline
@@ -147,10 +147,10 @@ def test_pac_curve_does_not_depend_on_satisfies_values(key):
     assert pac_curve(system, dist, 0.1, n_list, trials, seed=9) == \
         pac_curve(scalar_system, dist, 0.1, n_list, trials, seed=9)
 
-    sizes = []  # the n of every sample_values call on the registry measure
+    calls = []  # (stream, n) of every sample_values call on the measure
 
     def counted_values(rng, n):
-        sizes.append(n)
+        calls.append((rng, n))
         return dist.sample_values(rng, n)
 
     counted = dataclasses.replace(dist, sample_values=counted_values)
@@ -159,19 +159,23 @@ def test_pac_curve_does_not_depend_on_satisfies_values(key):
     # is (1, 0), which lies in no polygon and no band above POINT_TOL.
     drew = []
     for x in (system.decide(dist.dominating), system.decide(())):
-        sizes.clear()
+        calls.clear()
         estimate = violation_probability_mc(system, x, counted, 500, seed=3)
         assert estimate == violation_probability_mc(system, x, undominated,
                                                     500, seed=3)
-        drew.append(sizes == [500])
+        drew.append([n for _, n in calls] == [500])
     assert drew == [not dist.dominating, True]
     settled = 0
     n_list, trials = [0, 1, 5, 20, 50], 10
     for seed in (9, 10, 11):
-        sizes.clear()
+        calls.clear()
         assert pac_curve(system, counted, 0.1, n_list, trials, seed=seed) == \
             pac_curve(system, undominated, 0.1, n_list, trials, seed=seed)
-        inner = sizes.count(NESTED_MC_SAMPLES)
+        # Each trial draws its tuple by one call on its own stream; any
+        # later call on that stream draws an inner block.
+        per_stream = collections.Counter(id(rng) for rng, _ in calls)
+        assert len(per_stream) == len(n_list) * trials
+        inner = sum(count > 1 for count in per_stream.values())
         assert inner > 0  # some trials drew
         settled += len(n_list) * trials - inner
     # The shortcut settled some estimates exactly where it is declared;
