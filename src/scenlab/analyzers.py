@@ -13,11 +13,11 @@ first, by recursion.  Compression-map search is one depth-first pass over
 the subtuple tree, bounded by the shortest match found so far, and decides
 each subtuple at most once; shattering walks the product tree of each
 length in turn, so that its first counterexample and its count of tuples
-checked follow the shortest-first order.  For a
-system whose ``decide`` is a ``Fold`` (``convex-vc``, ``sum-no-scheme``,
-``min-no-map``), or wraps one by ``functools.wraps``, each tuple extends
-its parent's state once; any other system decides each enumerated tuple
-whole.
+checked follow the shortest-first order.  For a system whose ``decide``
+is a ``Fold`` (``convex-vc``, ``sum-no-scheme``, ``min-no-map``,
+``path-alg1``), or wraps one by ``functools.wraps``, each tuple extends its
+parent's state once, and shattering finishes each distinct state once per
+call; any other system decides each enumerated tuple whole.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -241,11 +241,11 @@ def check_shattered(system: ScenarioSystem,
     Enumeration order is deterministic (lengths ascending, candidate order as
     given), so the reported counterexample is the first in that order.  A
     system that decides by a ``Fold`` walks, per length, the product tree of
-    that order depth first, extending each prefix's state once; others
-    decide every tuple.  Each distinct decision is checked against the
-    candidates once per call.  A ``not_shattered`` verdict is sound for the
-    untruncated definition; ``shattered_up_to_L`` is finite-scale evidence
-    only.
+    that order depth first, extending each prefix's state once and
+    finishing each distinct state once per call; others decide every
+    tuple.  Each distinct decision is checked against the candidates once
+    per call.  A ``not_shattered`` verdict is sound for the untruncated
+    definition; ``shattered_up_to_L`` is finite-scale evidence only.
     """
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
@@ -267,7 +267,9 @@ def check_shattered(system: ScenarioSystem,
         realized = realize(x)
         return realized != frozenset(candidates[i] for i in indices)
 
-    fold = _walk_fold(system)
+    fold = _fold_of(system)
+    fold = _walk_fold(system) if fold is None else replace(
+        fold, finish=functools.cache(fold.finish))
     for r in lengths:
         indices = _first_leaf(fold, candidates, r, breaks)
         if indices is not None:
@@ -508,14 +510,14 @@ class RangeShatterReport:
         }
 
 
-def verify_range_shattering_witness(k: int,
-                                    tolerance: float = 1e-9) -> RangeShatterReport:
+def verify_range_shattering_witness(k: int) -> RangeShatterReport:
     """Verify that the convex system's range shatters the k polygon family.
 
     For every u subseteq [k], running the planner on the single band
-    constraint at level tau_2(u) must return tau(u), and the satisfaction
-    pattern of tau(u) over the polygons sigma(k, i) must equal {i in u},
-    checked both geometrically (point in polygon) and combinatorially.
+    constraint at level tau_2(u) must return tau(u) (``points_equal``, so
+    within ``POINT_TOL``), and the satisfaction pattern of tau(u) over the
+    polygons sigma(k, i) must equal {i in u}, checked both geometrically
+    (point in polygon) and combinatorially.
 
     The 2^k points tau(u) = arc_point(n), n < 2^k, are built once, and
     membership in each sigma(k, i) is one :func:`points_in_convex` call over
@@ -544,7 +546,7 @@ def verify_range_shattering_witness(k: int,
     for n, point, pattern_bad in zip(range(1 << k), points,
                                      disagree.any(axis=0).tolist()):
         decision = alg_convex_maxx1((BandConstraint(point[1]),))
-        if not points_equal(decision, point, tolerance):
+        if not points_equal(decision, point):
             decision_mismatches.append((subset(n), decision))
         elif not pattern_bad:
             realized += 1

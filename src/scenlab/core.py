@@ -53,6 +53,8 @@ class Fold:
     never mutates its input, so a state can be shared by every tuple that
     extends the same prefix; the exhaustive searches in ``analyzers`` extend
     each prefix once (its module docstring gives their walk orders).
+    States are hashable, and ``finish`` is a function of the state alone:
+    the shattering walk finishes each distinct state once per call.
     """
 
     init: Any

@@ -125,7 +125,8 @@ def _convex_extend(state: tuple, z) -> tuple:
     if isinstance(z, BandConstraint):
         # max(y_min, z.y): a tie keeps the earlier level, as max() does.
         return region, z.y if y_min is None or z.y > y_min else y_min
-    return state
+    # Not ValueError, which the compression-map search reads as undecidable.
+    raise TypeError(f"not a polygon or band constraint: {type(z).__name__}")
 
 
 def _convex_finish(state: tuple) -> Point:

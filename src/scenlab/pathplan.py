@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import neg
 
 import numpy as np
 
-from .core import ConstraintDistribution, ScenarioSystem
+from .core import ConstraintDistribution, Fold, ScenarioSystem
 from .geometry import (
     POINT_TOL,
     Point,
@@ -32,10 +31,6 @@ from .geometry import (
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
-# Entries in alg1's hull memo (``_alg1_hull``).  An entry keeps its key's
-# tips alive, about 0.1 kB per tip, so the memo holds at most about 47 MB
-# of N = 100 tuples.
-ALG1_MEMO_SIZE = 4096
 # Angle count below which ``alg2_binding`` scans every clearance with
 # ``math`` instead of filtering candidates with numpy first.
 ALG2_SCAN_BELOW = 40
@@ -53,7 +48,7 @@ class Scene:
             raise ValueError("barrier length must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class BarrierConstraint:
     """Barrier at angle theta: paths must not cross the segment from O to
     the tip (grazing the tip itself is allowed)."""
@@ -272,12 +267,7 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     barrier.
 
     The hull depends on the set of tips only, so the planner is
-    order-invariant by construction, and it is memoized on the sorted
-    distinct tips and L (which the tips imply; the star test reads it).
-    The memo returns vertices, which are exactly this call's: keys compare
-    floats with ``==``, and x = L cos theta is never 0 while
-    y = L sin theta is at least +0.0, so tips that compare equal are the
-    same floats.
+    order-invariant by construction.
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
     vertices = _alg1_hull(tuple(sorted(set(tips))), scene.barrier_length)
@@ -288,7 +278,6 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     return Polyline(vertices)
 
 
-@lru_cache(maxsize=ALG1_MEMO_SIZE)
 def _alg1_hull(tips: tuple[Point, ...],
                length: float) -> tuple[Point, ...] | None:
     """Vertices of the upper hull of I, the sorted distinct ``tips`` of
@@ -509,10 +498,16 @@ def _polyline_coords(x: Polyline) -> tuple[float, ...]:
     return tuple(c for p in x.vertices for c in p)
 
 
+def _alg1_of_set(barriers: frozenset) -> Polyline:
+    return alg1_shortest_path(SCENE, tuple(sorted(barriers)))
+
+
 def path_system_alg1() -> ScenarioSystem:
+    # The fold state is the set of barriers, all that alg1 depends on; a set
+    # is planned in angle order, so its error always names the same barrier.
     return ScenarioSystem(
         name="path-alg1",
-        decide=lambda vz: alg1_shortest_path(SCENE, vz),
+        decide=Fold(frozenset(), lambda s, z: s | {z}, _alg1_of_set),
         satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=_polyline_coords,
         satisfies_values=lambda x, thetas: barrier_satisfied_values(

@@ -140,7 +140,7 @@ def test_criterion_05_convex_range_shattering():
     """All 2^k subsets realized with geometric agreement, k in 3..8."""
     ok = True
     for k in range(3, 9):
-        rep = verify_range_shattering_witness(k, tolerance=1e-9)
+        rep = verify_range_shattering_witness(k)
         ok &= rep.passed and rep.subsets_realized == 2 ** k
         assert rep.passed, (k, rep.to_jsonable())
         assert rep.vc_lower_bound == k

@@ -39,6 +39,7 @@ from scenlab.counterexamples import (
     tau,
 )
 from scenlab.geometry import POINT_TOL, cross, points_equal
+from scenlab.pathplan import BarrierConstraint
 from scenlab.rng import stream
 
 subsets = st.frozensets(st.integers(min_value=1, max_value=16), max_size=6)
@@ -155,6 +156,14 @@ def test_alg_convex_band_plus_polygon():
 def test_alg_convex_single_polygon_takes_its_max_x_vertex():
     # sigma(1, 1) is the segment from tau({1}) to (0, 1).
     assert alg_convex_maxx1((PolygonConstraint(1, 1),)) == tau({1})
+
+
+@pytest.mark.parametrize("z", [BarrierConstraint(1.0), ExclusionConstraint(0)])
+def test_alg_convex_rejects_other_constraints(z):
+    """A constraint that is neither a polygon nor a band is a type error,
+    not a decision that ignores it."""
+    with pytest.raises(TypeError, match=type(z).__name__):
+        alg_convex_maxx1((PolygonConstraint(2, 1), z))
 
 
 def test_convex_satisfies():

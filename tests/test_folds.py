@@ -29,17 +29,21 @@ from scenlab.counterexamples import (
     alg_convex_maxx1,
     alg_min,
     alg_sum,
-    convex_system,
     interval_system,
     min_system,
     sigma_polygon,
-    sum_system,
 )
 from scenlab.geometry import clip_band, clip_polygon, max_x_vertex
-from scenlab.pathplan import BarrierConstraint
+from scenlab.pathplan import (
+    SCENE,
+    BarrierConstraint,
+    alg1_shortest_path,
+    band_shatter_candidates,
+)
 from scenlab.registry import SYSTEMS
 
-FOLD_SYSTEMS = {s.name: s for s in (convex_system, sum_system, min_system)}
+FOLD_SYSTEMS = {key: SYSTEMS[key].system for key in
+                ("convex-vc", "sum-no-scheme", "min-no-map", "path-alg1")}
 
 # ---------------------------------------------------------------------------
 # The list forms the folds replaced, kept as oracles
@@ -85,18 +89,19 @@ LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
                    st.floats(min_value=0.0, max_value=1.0))
 CONVEX = st.one_of(st.sampled_from(POLYGONS), st.builds(BandConstraint, LEVELS))
 EXCLUSION = st.builds(ExclusionConstraint, st.integers(min_value=0, max_value=6))
-CONSTRAINTS = {"convex-vc": CONVEX, "sum-no-scheme": EXCLUSION,
-               "min-no-map": EXCLUSION}
-WHOLE_SYSTEMS = ("interval-not-pac", "path-alg1", "path-alg2")
 BARRIER = st.builds(BarrierConstraint, st.floats(min_value=1e-3,
                                                  max_value=math.pi - 1e-3))
+CONSTRAINTS = {"convex-vc": CONVEX, "sum-no-scheme": EXCLUSION,
+               "min-no-map": EXCLUSION, "path-alg1": BARRIER}
+WHOLE_SYSTEMS = ("interval-not-pac", "path-alg2")
 WHOLE_CONSTRAINTS = {
     "interval-not-pac": st.builds(MembershipConstraint,
                                   st.floats(min_value=0.0, max_value=1.0)),
-    "path-alg1": BARRIER, "path-alg2": BARRIER}
+    "path-alg2": BARRIER}
+ALL_CONSTRAINTS = {**CONSTRAINTS, **WHOLE_CONSTRAINTS}
 
 
-def test_fold_systems_are_the_three_counterexamples():
+def test_fold_systems_are_the_counterexamples_and_alg1():
     folded = sorted(key for key, bundle in SYSTEMS.items()
                     if isinstance(bundle.system.decide, Fold))
     assert folded == sorted(FOLD_SYSTEMS)
@@ -130,6 +135,17 @@ def test_convex_fold_on_repeated_polygons_and_signed_zero_levels(
     # Without polygons the level itself is returned, signed zero included.
     bands = tuple(z for z in vz if isinstance(z, BandConstraint))
     assert hexed(alg_convex_maxx1(bands)) == hexed(convex_by_lists(bands))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from(band_shatter_candidates(4)) | BARRIER,
+                max_size=8))
+def test_alg1_fold_is_bit_identical_to_the_list_form(vz):
+    """The set-state fold plans the hull of the list form, duplicates and
+    order aside."""
+    decided = FOLD_SYSTEMS["path-alg1"].decide(tuple(vz))
+    assert [hexed(v) for v in decided.vertices] == \
+        [hexed(v) for v in alg1_shortest_path(SCENE, tuple(vz)).vertices]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**70), max_size=12))
@@ -173,11 +189,17 @@ def loop_keys(system, base, permutations):
 
 
 def loop_subtuple(system, vz, capacity):
+    """The first subtuple deciding as ``vz``; an undecidable subtuple
+    (``ValueError``) is no match, and an undecidable ``vz`` raises."""
     target = system.decide(vz)
     for r in range(min(capacity, len(vz)) + 1):
         for indices in itertools.combinations(range(len(vz)), r):
             sub = tuple(vz[i] for i in indices)
-            if system.decisions_equal(system.decide(sub), target):
+            try:
+                decision = system.decide(sub)
+            except ValueError:
+                continue
+            if system.decisions_equal(decision, target):
                 return indices
     return None
 
@@ -211,13 +233,18 @@ def test_scheme_walk_gives_the_loop_keys(key, data, permutations):
 
 
 @pytest.mark.parametrize("size", range(9))
-@pytest.mark.parametrize("key", WHOLE_SYSTEMS)
+@pytest.mark.parametrize("key", WHOLE_SYSTEMS + ("path-alg1",))
 @settings(deadline=None, max_examples=4)
 @given(data=st.data())
 def test_subset_walk_of_systems_without_a_fold_gives_the_loop_keys(
         key, size, data):
-    system = SYSTEMS[key].system
-    base = tuple(data.draw(st.lists(WHOLE_CONSTRAINTS[key], min_size=size,
+    """The systems without a fold, and ``path-alg1`` behind a plain
+    function that wraps no fold, so that the walk that decides each subset
+    whole is also checked on polyline decisions."""
+    decide = SYSTEMS[key].system.decide
+    system = dataclasses.replace(SYSTEMS[key].system,
+                                 decide=lambda vz: decide(vz))
+    base = tuple(data.draw(st.lists(ALL_CONSTRAINTS[key], min_size=size,
                                     max_size=size, unique=True)))
     keys = loop_keys(system, base, False)
     assert analyzers._decision_keys(system, base, False) == keys
@@ -275,15 +302,14 @@ def test_subset_walk_extends_each_subset_once_with_two_halves_live():
     assert Counted.live == 1  # only the fold's init state is left
 
 
-@pytest.mark.parametrize(
-    "key", sorted(FOLD_SYSTEMS) + ["interval-not-pac", "path-alg2"])
+@pytest.mark.parametrize("key", sorted(SYSTEMS))
 @settings(deadline=None, max_examples=40)
 @given(data=st.data())
 def test_subtuple_walk_gives_the_loop_subtuple(key, data):
     """Fold systems and, with the tuple itself as the walked state, the
     systems without a fold."""
     system = SYSTEMS[key].system
-    strategy = {**CONSTRAINTS, **WHOLE_CONSTRAINTS}[key]
+    strategy = ALL_CONSTRAINTS[key]
     vz = tuple(data.draw(st.lists(strategy, max_size=7)))
     capacity = data.draw(st.integers(min_value=0, max_value=len(vz)))
     assert find_compression_subtuple(system, vz, capacity) == \
@@ -372,7 +398,7 @@ def test_shatter_walk_gives_the_loop_verdict(key, data, include_empty):
     """Fold systems and systems without a fold alike, the decisions checked
     against the candidates once each per call."""
     system = SYSTEMS[key].system
-    strategy = {**CONSTRAINTS, **WHOLE_CONSTRAINTS}[key]
+    strategy = ALL_CONSTRAINTS[key]
     candidates = tuple(data.draw(st.lists(strategy, max_size=4, unique=True)))
     max_len = data.draw(st.integers(min_value=1, max_value=3))
     report = check_shattered(system, candidates, max_len, include_empty)
@@ -383,6 +409,46 @@ def test_shatter_walk_gives_the_loop_verdict(key, data, include_empty):
     assert report.satisfied_subset == realized
     if counterexample is not None:
         assert report.sampled_set == frozenset(counterexample)
+
+
+@pytest.mark.parametrize("kept", [1, 2])
+def test_shatter_walk_passes_up_a_counterexample_found_below_depth_one(kept):
+    """A fold that remembers only its first ``kept`` constraints shatters
+    every tuple up to that length, so its first counterexample has length
+    ``kept + 1`` and is found ``kept`` levels below the walk's root."""
+    system = ScenarioSystem(
+        "forgetful", Fold((), lambda s, z: s + (z,),
+                          lambda s: frozenset(s[:kept])),
+        lambda x, z: z in x)
+    candidates = tuple(ExclusionConstraint(a) for a in range(3))
+    report = check_shattered(system, candidates, 3)
+    assert report.verdict == "not_shattered"
+    assert len(report.counterexample) == kept + 1
+    assert (report.verdict, report.tuples_checked, report.counterexample,
+            report.satisfied_subset) == loop_shattered(system, candidates, 3,
+                                                       True)
+
+
+def total_or_undecidable(total):
+    if total == 0:
+        raise ValueError("no decision for an empty total")
+    return total % 3
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_subtuple_walk_on_an_undecidable_root_gives_the_loop_subtuple(data):
+    """``finish(init)`` raises ``ValueError``: the empty subtuple is no
+    match, as is every subtuple of zeros."""
+    system = ScenarioSystem("mod-three", Fold(0, lambda s, z: s + z.a,
+                                              total_or_undecidable),
+                            lambda x, z: True)
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=1, max_size=7).filter(any))
+    vz = tuple(ExclusionConstraint(a) for a in values)
+    capacity = data.draw(st.integers(min_value=0, max_value=len(vz)))
+    assert find_compression_subtuple(system, vz, capacity) == \
+        loop_subtuple(system, vz, capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +464,8 @@ CERTIFICATES = {
                       [ExclusionConstraint(0), ExclusionConstraint(1)]),
     "min-no-map": ([ExclusionConstraint(a) for a in range(5)],
                    [ExclusionConstraint(0), ExclusionConstraint(1)]),
+    "path-alg1": ([*band_shatter_candidates(4), BarrierConstraint(1.0)],
+                  band_shatter_candidates(3)),
 }
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenlab import analyzers, pathplan, registry
-from scenlab.counterexamples import convex_system
+from scenlab.counterexamples import convex_system, sigma_polygon
 from scenlab.geometry import POINT_TOL, cross, segments_conflict
 from scenlab.pathplan import (
     START,
@@ -266,17 +266,6 @@ def hex_vertices(path: Polyline) -> list[tuple[str, str]]:
     return [(x.hex(), y.hex()) for x, y in path.vertices]
 
 
-def direct_clears(path: Polyline, z: BarrierConstraint) -> bool:
-    tip = barrier_tip(z, SCENE.barrier_length)
-    return not any(segments_conflict(a, b, tip)
-                   for a, b in zip(path.vertices, path.vertices[1:]))
-
-
-def signed_zeros(path: Polyline) -> Polyline:
-    return Polyline(tuple(tuple(-0.0 if c == 0.0 else c for c in v)
-                          for v in path.vertices))
-
-
 def tips_of(vz) -> list:
     return [barrier_tip(z, SCENE.barrier_length) for z in vz]
 
@@ -294,33 +283,6 @@ def uniform_tuples(max_n: int = 59):
         lambda seed, n: [BarrierConstraint(theta) for theta in
                          dist.sample_values(stream(53, seed), n)],
         st.integers(0, 2 ** 32 - 1), st.integers(0, max_n))
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6))
-def test_alg1_memo_is_exact(vz):
-    """The memoized planner equals the uncached hull on the sorted distinct
-    tips (bit for bit) or raises the same error on every call, and the
-    memoized crossing test equals the direct loop, also on polylines that
-    carry -0.0."""
-    vz = tuple(vz)
-    hull = pathplan._alg1_hull.__wrapped__(tuple(sorted(set(tips_of(vz)))),
-                                           SCENE.barrier_length)
-    if hull is None:
-        messages = []
-        for _ in range(2):  # the second call is answered by the memo
-            with pytest.raises(ValueError) as error:
-                alg1_shortest_path(SCENE, vz)
-            messages.append(str(error.value))
-        assert messages[0] == messages[1]
-        return
-    for _ in range(2):
-        decided = alg1_shortest_path(SCENE, vz)
-        assert hex_vertices(decided) == hex_vertices(Polyline(hull))
-    for polyline in (decided, signed_zeros(decided)):
-        for z in ALG1_POOL:
-            assert barrier_satisfied(SCENE, polyline, z) \
-                == direct_clears(polyline, z)
 
 
 @settings(deadline=None, max_examples=200)
@@ -356,7 +318,7 @@ def test_alg1_hull_tests_reachable_edges_as_all_edges(vz, length):
     gives the vertices of the chain plus the all-edges check, bit for bit,
     or None exactly when that check finds a crossing."""
     tips = tuple(sorted({barrier_tip(z, length) for z in vz}))
-    hull = pathplan._alg1_hull.__wrapped__(tips, length)
+    hull = pathplan._alg1_hull(tips, length)
     expected = reference_hull(tips)
     assert (hull is None) == (expected is None)
     if hull is not None:
@@ -366,7 +328,7 @@ def test_alg1_hull_tests_reachable_edges_as_all_edges(vz, length):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_alg1_hull_makes_few_crossing_tests(seed):
-    """A cold N = 100 hull, chain included, makes at most 4N
+    """An N = 100 hull, chain included, makes at most 4N
     ``segments_conflict`` calls (about 2N; testing every edge against every
     tip takes about 36N).  A hull that fails the star test is tested in
     full: 5 of the first 1,000 seeded N = 100 tuples of stream 53 have two
@@ -383,7 +345,7 @@ def test_alg1_hull_makes_few_crossing_tests(seed):
         return segments_conflict(p, q, tip)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathplan, "segments_conflict", counted)
-        hull = pathplan._alg1_hull.__wrapped__(tips, 0.5)
+        hull = pathplan._alg1_hull(tips, 0.5)
     assert hull == reference_hull(tips)
     assert len(calls) <= 4 * n
 
@@ -414,11 +376,10 @@ def test_alg1_matches_the_reference_on_the_grazing_pool(vz):
        | uniform_tuples(30), st.randoms(), st.integers(0, 3))
 def test_alg1_is_order_invariant(vz, random, extra):
     """Permuted and duplicate-extended tuples give the same polyline, bit
-    for bit, or the same error, each planned afresh."""
+    for bit, or the same error."""
     permuted = random.sample(vz, len(vz))
     outcomes = set()
     for tup in (vz, permuted, vz + permuted[:extra]):
-        pathplan._alg1_hull.cache_clear()
         try:
             path = alg1_shortest_path(SCENE, tuple(tup))
             outcomes.add(tuple(hex_vertices(path)))
@@ -427,38 +388,32 @@ def test_alg1_is_order_invariant(vz, random, extra):
     assert len(outcomes) == 1
 
 
-def scenlab_memo_caches() -> list:
-    """Module-level lru caches of scenlab, found as the benchmark harness
-    finds the caches it clears before every command."""
-    caches = []
-    for name, module in sorted(sys.modules.items()):
-        if name.startswith("scenlab."):
-            caches += [value for value in vars(module).values()
-                       if hasattr(value, "cache_clear")
-                       and hasattr(value, "cache_info")
-                       and value not in caches]
-    return caches
+def test_alg1_has_no_global_memo_and_shatter_plans_each_set_once():
+    """scenlab's one module-level lru cache is ``sigma_polygon`` (the cache
+    the benchmark harness clears before every command).  The shatter walk
+    decides each distinct barrier set once per call: the 3,906 tuples of
+    length <= 5 over five band barriers plan 2^5 = 32 hulls, on a first
+    call and again on a repeated one."""
+    caches = {value for name, module in sys.modules.items()
+              if name.startswith("scenlab.")
+              for value in vars(module).values()
+              if hasattr(value, "cache_clear") and hasattr(value, "cache_info")}
+    assert caches == {sigma_polygon}
+    hull = pathplan._alg1_hull
+    hulls = []
 
+    def counted(tips, length):
+        hulls.append(tips)
+        return hull(tips, length)
 
-def test_alg1_memos_are_visible_bounded_and_transparent():
-    caches = scenlab_memo_caches()
-    assert pathplan._alg1_hull in caches
-    assert pathplan._alg1_hull.cache_info().maxsize == pathplan.ALG1_MEMO_SIZE
-    system, candidates = path_system_alg1(), band_shatter_candidates(4)
-
-    def shatter_report(pool) -> dict:
-        return analyzers.check_shattered(system, pool,
-                                         max_len=4).to_jsonable()
-
-    for memo in caches:
-        memo.cache_clear()
-        assert memo.cache_info().currsize == 0
-    cold = shatter_report(candidates)
-    for memo in caches:
-        memo.cache_clear()
-    shatter_report(candidates[::-1])  # warms the memos in another order
-    assert pathplan._alg1_hull.cache_info().currsize > 0
-    assert shatter_report(candidates) == cold
+    system, candidates = path_system_alg1(), band_shatter_candidates(5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pathplan, "_alg1_hull", counted)
+        for _ in range(2):
+            hulls.clear()
+            report = analyzers.check_shattered(system, candidates, max_len=5)
+            assert report.shattered and report.tuples_checked == 3906
+            assert len(hulls) == len(set(hulls)) == 32
 
 
 def entry_angle(end, tip) -> float:
