@@ -13,6 +13,11 @@ A flat ``key = value`` config file is read as flags of the chosen
 subcommand: each line becomes ``--key=value`` right after the subcommand
 (``true`` a bare switch, ``false`` no flag), so one argparse pass checks file
 and command line alike and later command-line flags win.
+
+``main`` builds only the flags of the command that ``argv[0]`` names, after
+``--config`` is taken out, and the full tree when ``argv[0]`` is not a
+command (none, ``-h``, an unknown name).  The lean tree lists every command
+name as its subcommand metavar, so its top-level usage is the full tree's.
 """
 
 from __future__ import annotations
@@ -78,27 +83,13 @@ def _demo_flags() -> dict:
             for name, default in _demo_inputs(bundle.demo).items()}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scenlab", parents=[_config_parser()], allow_abbrev=False,
-        description="Verification lab for scenario decision algorithms.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
-        sp.set_defaults(subparser=sp)  # reports the command's usage errors
-        sp.add_argument("--out", help="JSON report path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized steps (echoed)")
-        return sp
-
-    sp = add("demo", help="run the demonstration of a registry system (an "
-             "input flag the example does not read is a usage error)")
+def _add_demo(sp) -> None:
     sp.add_argument("--example", required=True, choices=list(SYSTEMS))
     for name, default in _demo_flags().items():
         sp.add_argument("--" + name.replace("_", "-"), type=type(default))
 
-    sp = add("risk-curve", help="empirical PAC curve q_hat(N)")
+
+def _add_risk_curve(sp) -> None:
     sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--n-list", type=_parse_int_list, required=True,
@@ -106,14 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=200)
     sp.add_argument("--csv", help="also write the curve as CSV")
 
-    sp = add("shatter", help="exhaustive shattering check on a candidate set")
+
+def _add_shatter(sp) -> None:
     sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--candidates", type=_json_argument, required=True,
                     help="JSON list of constraint encodings (or @file)")
     sp.add_argument("--max-len", type=int)
     sp.add_argument("--no-include-empty", action="store_true")
 
-    sp = add("compression", help="compression map search / scheme counting")
+
+def _add_compression(sp) -> None:
     sp.add_argument("--system", required=True, choices=list(SYSTEMS))
     sp.add_argument("--capacity", type=int, required=True)
     group = sp.add_mutually_exclusive_group(required=True)
@@ -123,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON base set of constraint encodings (counting)")
     sp.add_argument("--permutations", action="store_true")
 
-    sp = add("bounds", help="sample-size bound calculators")
+
+def _add_bounds(sp) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--vc", type=int, metavar="D")
     group.add_argument("--compression", type=int, metavar="D")
@@ -131,12 +125,50 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--N", type=int)
 
-    sp = add("pathplan", help="run a planner on explicit barrier angles")
+
+def _add_pathplan(sp) -> None:
     sp.add_argument("--algo", type=int, choices=(1, 2), required=True)
     sp.add_argument("--thetas", type=_parse_float_list, default=[],
                     metavar="T1,T2,...")
     sp.add_argument("--length", type=float, default=0.5)
 
+
+# Each subcommand: its help line and the function that adds its flags.
+_COMMANDS = {
+    "demo": ("run the demonstration of a registry system (an input flag the "
+             "example does not read is a usage error)", _add_demo),
+    "risk-curve": ("empirical PAC curve q_hat(N)", _add_risk_curve),
+    "shatter": ("exhaustive shattering check on a candidate set",
+                _add_shatter),
+    "compression": ("compression map search / scheme counting",
+                    _add_compression),
+    "bounds": ("sample-size bound calculators", _add_bounds),
+    "pathplan": ("run a planner on explicit barrier angles", _add_pathplan),
+}
+
+
+def build_parser(command=None, config_parser=None) -> argparse.ArgumentParser:
+    """The ``scenlab`` parser, with only ``command``'s subparser when it
+    names one and every subparser otherwise.  ``config_parser`` is the
+    ``--config`` parser to inherit (a new one by default)."""
+    parser = argparse.ArgumentParser(
+        prog="scenlab", parents=[config_parser or _config_parser()],
+        allow_abbrev=False,
+        description="Verification lab for scenario decision algorithms.")
+    lean = command in _COMMANDS
+    # The metavar keeps the lean tree's top-level usage that of the full
+    # one; the full tree has none, as its errors name the command "command".
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if lean else None)
+    for name in [command] if lean else _COMMANDS:
+        help_text, add_flags = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(subparser=sp)  # reports the command's usage errors
+        sp.add_argument("--out", help="JSON report path (default: stdout)")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed for all randomized steps (echoed)")
+        add_flags(sp)
     return parser
 
 
@@ -253,7 +285,9 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    config_parser = _config_parser()
+    known, argv = config_parser.parse_known_args(argv)
+    parser = build_parser(argv[0] if argv else None, config_parser)
 
     # Unreadable files (config, @file arguments or --out) and rejected
     # values are usage errors, as are runner failures on bad input (an
@@ -262,7 +296,6 @@ def main(argv=None) -> int:
     # reports them.
     args = out = None
     try:
-        known, argv = _config_parser().parse_known_args(argv)
         if known.config is not None:
             argv[1:1] = _config_flags(load_config(known.config))
         args = parser.parse_args(argv)

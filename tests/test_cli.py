@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import scenlab
-from scenlab import analyzers, registry
+from scenlab import analyzers, cli, registry
 from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
 from scenlab.registry import SYSTEMS, get_bundle
@@ -405,6 +405,16 @@ def test_scheme_counting_names_a_barrier_that_leaves_no_path(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_shatter_names_a_barrier_that_leaves_no_path(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["shatter", "--system", "path-alg1", "--candidates",
+              '[{"theta": 1e-12}, {"theta": 0.3}]'])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: scenlab shatter [-h]")
+    assert "scenlab shatter: error: no path clears barrier theta=1e-12" in err
+
+
 def test_failed_run_keeps_an_existing_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     out.write_text("earlier\n")
@@ -593,6 +603,97 @@ def test_load_config_parsing(tmp_path):
     cfg.write_text("not a pair\n")
     with pytest.raises(ValueError):
         load_config(str(cfg))
+
+
+def subparser(parser, command):
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+def test_command_parser_prints_what_the_full_tree_prints(command):
+    lean, full = build_parser(command), build_parser()
+    assert lean.format_usage() == full.format_usage()
+    assert subparser(lean, command).format_help() \
+        == subparser(full, command).format_help()
+
+
+VALID_RUNS = [
+    ["demo", "--example", "convex-vc", "--k", "3"],
+    ["risk-curve", "--system", "path-alg2", "--eps", "0.1", "--n-list", "3",
+     "--trials", "2"],
+    ["shatter", "--system", "interval-not-pac", "--candidates",
+     '[{"member": 0.0}]'],
+    ["compression", "--system", "min-no-map", "--capacity", "2", "--tuple",
+     '[{"exclude": 0}, {"exclude": 1}]'],
+    ["bounds", "--vc", "1", "--eps", "0.1", "--beta", "0.05"],
+    ["pathplan", "--algo", "1", "--thetas", "1.0"],
+]
+
+
+def cli_outcome(argv, capsys):
+    """stdout less the wall-clock time, stderr and exit status of main."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return (re.sub(r'"wall_clock_s": .*', "", captured.out), captured.err,
+            code)
+
+
+@pytest.mark.parametrize("argv", [
+    *VALID_RUNS,
+    [], ["-h"], ["risk-curve", "-h"], ["no-such-command"],
+    [*VALID_RUNS[4], "--bogus"],
+    ["--config", "b.cfg", "bounds"],
+    ["--config", "missing.cfg", "risk-curve"],
+    ["risk-curve", "--system", "path-alg2", "--eps", "0.1"],
+    ["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05", "--N", "100"],
+])
+def test_main_behaves_as_with_the_full_parser(argv, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.cfg").write_text("vc = 2\neps = 0.1\nbeta = 0.05\n")
+    assert set(cli._RUNNERS) == {run[0] for run in VALID_RUNS}
+    shipped = cli_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command, config_parser: build_parser(
+                            None, config_parser))
+    assert cli_outcome(argv, capsys) == shipped
+
+
+def test_top_level_errors_name_the_command_argument(capsys):
+    for argv, message in (
+            ([], "error: the following arguments are required: command\n"),
+            (["nope"], "error: argument command: invalid choice: 'nope' ")):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+
+def test_risk_curve_builds_no_demo_flags(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the demo flags were built")
+    monkeypatch.setattr(cli, "_demo_flags", refuse)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("trials = 3\n")
+    for argv in (VALID_RUNS[1], ["--config", str(cfg), *VALID_RUNS[1]]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and report["command"] == "risk-curve"
+
+
+def test_module_entry_reads_its_own_argv(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-m", "scenlab", *VALID_RUNS[1]],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True,
+                            timeout=120)
+    fresh = json.loads(result.stdout)
+    _, report = run_cli(capsys, *VALID_RUNS[1])
+    del fresh["wall_clock_s"], report["wall_clock_s"]
+    assert fresh == report
 
 
 def test_cli_import_leaves_scipy_unloaded():
