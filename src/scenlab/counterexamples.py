@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -70,7 +70,6 @@ def tau(u: Iterable[int]) -> Point:
     return arc_point(n_of(u))
 
 
-@lru_cache(maxsize=None)
 def sigma_polygon(m: int, i: int) -> tuple[Point, ...]:
     """Convex hull of (0, 1) and tau(u) for the subsets u of [m] holding i,
     the encodings n < 2^m with bit i - 1 set, CCW.
@@ -99,6 +98,12 @@ class PolygonConstraint:
             raise ValueError("polygon index pair must satisfy "
                              f"1 <= i <= m <= {MAX_ARC_FAMILY}")
 
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        """sigma(m, i), built on first use.  Not a field, so equality,
+        hashing and the repr are those of (m, i)."""
+        return sigma_polygon(self.m, self.i)
+
 
 @dataclass(frozen=True)
 class BandConstraint:
@@ -119,9 +124,8 @@ def _convex_extend(state: tuple, z) -> tuple:
     raise the band level to a band's."""
     region, y_min = state
     if isinstance(z, PolygonConstraint):
-        polygon = sigma_polygon(z.m, z.i)
-        return (polygon if region is None else clip_polygon(region, polygon),
-                y_min)
+        return (z.vertices if region is None
+                else clip_polygon(region, z.vertices), y_min)
     if isinstance(z, BandConstraint):
         # max(y_min, z.y): a tie keeps the earlier level, as max() does.
         return region, z.y if y_min is None or z.y > y_min else y_min
@@ -154,7 +158,7 @@ def convex_satisfies(x: Point, z: ConvexConstraint) -> bool:
     """Membership of x in z, with slack ``POINT_TOL``."""
     if isinstance(z, BandConstraint):
         return x[1] >= z.y - POINT_TOL
-    return point_in_convex(sigma_polygon(z.m, z.i), x)
+    return point_in_convex(z.vertices, x)
 
 
 def convex_constraint(value) -> ConvexConstraint:
@@ -180,7 +184,7 @@ def convex_satisfies_values(x: Point, values: list) -> list[bool]:
         if isinstance(v, PolygonConstraint):
             key = (v.m, v.i)
             if key not in inside:
-                inside[key] = point_in_convex(sigma_polygon(v.m, v.i), x)
+                inside[key] = point_in_convex(v.vertices, x)
             append(inside[key])
         elif isinstance(v, (float, int)) and 0.0 <= v <= 1.0:
             append(y >= v - tol)

@@ -48,7 +48,7 @@ class Scene:
             raise ValueError("barrier length must lie in (0, 1)")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BarrierConstraint:
     """Barrier at angle theta: paths must not cross the segment from O to
     the tip (grazing the tip itself is allowed)."""
@@ -254,7 +254,7 @@ def _edges_conflict(vertices: tuple[Point, ...], star, tip: Point) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
+def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
     """Shortest path from I to T avoiding all sampled barriers.
 
     A feasible path and the segment I-T together enclose every barrier, so
@@ -263,16 +263,19 @@ def alg1_shortest_path(scene: Scene, vz: tuple) -> Polyline:
     I-T).  The path is the upper hull of {I, T, tips}, built by
     ``_alg1_hull``.  With a barrier within ``POINT_TOL`` of the I-T axis
     and no higher tip to pass over, the hull edge from its tip down to I
-    or T runs along it, so no path exists: ``ValueError`` names that
-    barrier.
+    or T runs along it, so no path exists: ``ValueError`` names the barrier
+    with the lowest tip, the smallest angle among tied ones.
 
-    The hull depends on the set of tips only, so the planner is
-    order-invariant by construction.
+    The hull depends on the set of tips only and the named barrier on the
+    set of barriers, so the planner, its error included, is invariant
+    under reordering and duplicating ``vz`` (a tuple, or alg1's fold state,
+    a frozenset).
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
     vertices = _alg1_hull(tuple(sorted(set(tips))), scene.barrier_length)
     if vertices is None:
-        z, tip = min(zip(vz, tips), key=lambda pair: pair[1][1])
+        z, tip = min(zip(vz, tips),
+                     key=lambda pair: (pair[1][1], pair[0].theta))
         raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
                          f"the I-T axis (tip height {tip[1]:.3g})")
     return Polyline(vertices)
@@ -400,19 +403,6 @@ def alg2_compression(scene: Scene, vz: tuple) -> tuple[int, ...]:
     return () if index is None else (index,)
 
 
-def parabola_arc_length(height: float) -> float:
-    """Arc length of y = h (1 - x^2) over [-1, 1].
-
-    The integral of hypot(1, 2 h x) has the closed form
-    sqrt(1 + 4 h^2) + asinh(2 h) / (2 h), whose limit at h = 0 is the
-    chord length 2.
-    """
-    if height == 0.0:
-        return 2.0
-    return math.sqrt(1.0 + 4.0 * height * height) \
-        + math.asinh(2.0 * height) / (2.0 * height)
-
-
 def _one_minus_twice_square(x: float) -> float:
     """1 - 2 x^2 without the cancellation of the rounded square near
     x^2 = 1/2: Veltkamp's split gives the rounding error of x * x exactly
@@ -498,16 +488,12 @@ def _polyline_coords(x: Polyline) -> tuple[float, ...]:
     return tuple(c for p in x.vertices for c in p)
 
 
-def _alg1_of_set(barriers: frozenset) -> Polyline:
-    return alg1_shortest_path(SCENE, tuple(sorted(barriers)))
-
-
 def path_system_alg1() -> ScenarioSystem:
-    # The fold state is the set of barriers, all that alg1 depends on; a set
-    # is planned in angle order, so its error always names the same barrier.
+    # The fold state is the set of barriers, all that alg1 depends on.
     return ScenarioSystem(
         name="path-alg1",
-        decide=Fold(frozenset(), lambda s, z: s | {z}, _alg1_of_set),
+        decide=Fold(frozenset(), lambda s, z: s | {z},
+                    lambda s: alg1_shortest_path(SCENE, s)),
         satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
         coords=_polyline_coords,
         satisfies_values=lambda x, thetas: barrier_satisfied_values(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -117,9 +118,22 @@ def test_constraint_validation():
         BandConstraint(1.5)
 
 
+def test_polygon_constraint_carries_sigma_but_compares_by_its_indices():
+    """``vertices`` is sigma(m, i), built on first use and kept; it is no
+    field, so equality, hashing, the repr and ``asdict`` see (m, i) only."""
+    z, same = PolygonConstraint(3, 2), PolygonConstraint(3, 2)
+    assert "vertices" not in vars(z)
+    assert z.vertices == sigma_polygon(3, 2) and z.vertices is z.vertices
+    assert z == same and hash(z) == hash(same)
+    assert "vertices" not in vars(same)
+    assert repr(z) == "PolygonConstraint(m=3, i=2)"
+    assert asdict(z) == {"m": 3, "i": 2}
+    assert [f.name for f in fields(z)] == ["m", "i"]
+
+
 def test_polygon_family_size_is_bounded():
     z = PolygonConstraint(MAX_ARC_FAMILY, 1)
-    assert len(sigma_polygon(z.m, z.i)) == 2 ** (MAX_ARC_FAMILY - 1) + 1
+    assert len(z.vertices) == 2 ** (MAX_ARC_FAMILY - 1) + 1
     with pytest.raises(ValueError, match=f"m <= {MAX_ARC_FAMILY}"):
         PolygonConstraint(MAX_ARC_FAMILY + 1, 1)
 

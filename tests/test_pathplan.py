@@ -3,8 +3,11 @@ visibility-graph search alg1 used to run, kept as a reference."""
 
 import dataclasses
 import heapq
+import importlib
 import itertools
 import math
+import pkgutil
+import random
 import re
 import sys
 
@@ -14,8 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scenlab
 from scenlab import analyzers, pathplan, registry
-from scenlab.counterexamples import convex_system, sigma_polygon
+from scenlab.counterexamples import convex_system
 from scenlab.geometry import POINT_TOL, cross, segments_conflict
 from scenlab.pathplan import (
     START,
@@ -32,7 +36,6 @@ from scenlab.pathplan import (
     barrier_satisfied,
     barrier_tip,
     clearance_height,
-    parabola_arc_length,
     path_system_alg1,
     path_system_alg2,
     uniform_barrier_distribution,
@@ -371,34 +374,61 @@ def test_alg1_matches_the_reference_on_the_grazing_pool(vz):
     assert abs(path.length() - best) <= 1e-12
 
 
+# Barriers next to T and I whose tips are exactly equally low: for x this
+# small math.sin(x) == x, so both tips have height L sin(pi - 6e-10).
+TIED_LOWEST = (BarrierConstraint(math.pi - 6e-10),
+               BarrierConstraint(math.sin(math.pi - 6e-10)))
+
+
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | band_tuples()
-       | uniform_tuples(30), st.randoms(), st.integers(0, 3))
-def test_alg1_is_order_invariant(vz, random, extra):
-    """Permuted and duplicate-extended tuples give the same polyline, bit
-    for bit, or the same error."""
-    permuted = random.sample(vz, len(vz))
+@given(st.lists(st.sampled_from(ALG1_POOL + TIED_LOWEST), max_size=6)
+       | band_tuples() | uniform_tuples(30), st.randoms(), st.integers(0, 3))
+@example(list(TIED_LOWEST), random.Random(0), 2)
+@example([*TIED_LOWEST, ALG1_POOL[-2]], random.Random(1), 3)
+def test_alg1_is_order_invariant(vz, rand, extra):
+    """Permuted and duplicate-extended tuples, and the set of the tuple's
+    barriers, give the same polyline, bit for bit, or the same error."""
+    permuted = rand.sample(vz, len(vz))
     outcomes = set()
-    for tup in (vz, permuted, vz + permuted[:extra]):
+    for barriers in (tuple(vz), tuple(permuted),
+                     (*vz, *permuted[:extra]), frozenset(vz)):
         try:
-            path = alg1_shortest_path(SCENE, tuple(tup))
+            path = alg1_shortest_path(SCENE, barriers)
             outcomes.add(tuple(hex_vertices(path)))
         except ValueError as error:
             outcomes.add(str(error))
     assert len(outcomes) == 1
 
 
+def test_alg1_names_the_smallest_angle_among_tied_lowest_tips():
+    low_t, low_i = tips_of(TIED_LOWEST)
+    assert low_t[1] == low_i[1] and low_t != low_i
+    smallest = TIED_LOWEST[1].theta
+    for barriers in (TIED_LOWEST, TIED_LOWEST[::-1], frozenset(TIED_LOWEST)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"no path clears barrier theta={smallest!r},")):
+            alg1_shortest_path(SCENE, barriers)
+
+
+def test_barriers_have_no_order():
+    with pytest.raises(TypeError):
+        BarrierConstraint(0.5) < BarrierConstraint(1.0)
+
+
 def test_alg1_has_no_global_memo_and_shatter_plans_each_set_once():
-    """scenlab's one module-level lru cache is ``sigma_polygon`` (the cache
-    the benchmark harness clears before every command).  The shatter walk
-    decides each distinct barrier set once per call: the 3,906 tuples of
-    length <= 5 over five band barriers plan 2^5 = 32 hulls, on a first
-    call and again on a repeated one."""
-    caches = {value for name, module in sys.modules.items()
-              if name.startswith("scenlab.")
-              for value in vars(module).values()
-              if hasattr(value, "cache_clear") and hasattr(value, "cache_info")}
-    assert caches == {sigma_polygon}
+    """No scenlab module holds an ``lru_cache`` (``cache_clear`` and
+    ``cache_info``): sigma(m, i) lives on its polygon constraint.  The
+    shatter walk decides each distinct barrier set once per call: the
+    3,906 tuples of length <= 5 over five band barriers plan 2^5 = 32
+    hulls, on a first call and again on a repeated one."""
+    modules = [importlib.import_module(f"scenlab.{info.name}")
+               for info in pkgutil.iter_modules(scenlab.__path__)]
+    assert {"cli", "counterexamples", "pathplan"} <= \
+        {m.__name__.split(".")[-1] for m in modules}
+    assert [(module.__name__, name) for module in modules
+            for name, value in vars(module).items()
+            if hasattr(value, "cache_clear") or hasattr(value, "cache_info")] \
+        == []
     hull = pathplan._alg1_hull
     hulls = []
 
@@ -751,18 +781,6 @@ def test_sin_cos_within_the_assumed_ulp_bound():
                 ulp = math.ulp(float(exact))
                 for value in (fast, getattr(math, ours.__name__)(theta)):
                     assert abs(mpmath.mpf(value) - exact) <= 4 * ulp
-
-
-def test_parabola_arc_length():
-    assert parabola_arc_length(0.0) == 2.0
-    # Strictly increasing in height, so minimal height = shortest curve.
-    lengths = [parabola_arc_length(h) for h in (0.0, 0.2, 0.5, 1.0)]
-    assert lengths == sorted(lengths)
-    for h in (1e-300, 1e-8, 0.2, 0.5, 1.0, 3.0):
-        with mpmath.workdps(30):
-            quad = mpmath.quad(lambda x: mpmath.sqrt(1 + 4 * h * h * x * x),
-                               [-1, 1])
-        assert parabola_arc_length(h) == pytest.approx(float(quad), rel=1e-14)
 
 
 # Largest barrier length for which the analytic risk is defined.
