@@ -422,6 +422,11 @@ def pac_curve(system: ScenarioSystem,
     building constraint objects; both contracts make that decision, the
     stream position and hence every row the same as deciding on
     ``dist.sample_tuple``.
+
+    The stream of a row's trial is ``stream(seed, index of N in the sorted
+    distinct n_list, trial)``, so adding an N shifts the streams, and the
+    values, of the rows above it: ``min-no-map`` at seed 0, epsilon 0.1
+    and 200 trials gives q_hat(3) = 0.895 alone but 0.88 with N in [1, 3].
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import neg
 
 import numpy as np
@@ -80,6 +81,27 @@ class Polyline:
         return sum(math.dist(a, b)
                    for a, b in zip(self.vertices, self.vertices[1:]))
 
+    @cached_property
+    def star(self):
+        """None unless the vertex angles fall strictly from pi at I to 0 at
+        T and every vertex lies in the closed unit disk; else the vertex
+        angles, cross(A, d) and d = (dx, dy) of each edge A -> A + d as
+        numpy arrays, alpha = ``DEPTH_MARGIN`` / (least vertex radius) and
+        the least |cross(A, d)| / max(|d|, 1).  Built on first use and not
+        a field, so ``==``, hashing and the repr are those of the vertices."""
+        ends = [math.atan2(y, x) for x, y in self.vertices]
+        radii = [math.hypot(x, y) for x, y in self.vertices]
+        if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
+            return None
+        steps = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1)
+                 in zip(self.vertices, self.vertices[1:])]
+        crosses = [x * dy - y * dx
+                   for (x, y), (dx, dy) in zip(self.vertices, steps)]
+        ratio = min(abs(c) / max(math.hypot(*d), 1.0)
+                    for c, d in zip(crosses, steps))
+        return (ends, np.array(crosses), np.array(steps).T,
+                DEPTH_MARGIN / min(radii), ratio)
+
 
 @dataclass(frozen=True)
 class Parabola:
@@ -106,16 +128,19 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
                       z: BarrierConstraint) -> bool:
     """Geometric satisfaction predicate.
 
-    Polylines must not meet the barrier segment other than at its tip.
+    Polylines must not meet the barrier segment other than at its tip, by
+    ``segments_conflict`` on each edge the tip can reach (``_edges_conflict``:
+    only the edges near its angle if ``_star_edges`` accepts the polyline,
+    which agree with every edge by the proof in ``barrier_satisfied_values``).
     A parabola clears the barrier iff its height reaches the tip clearance
     (the region under the parabola is convex, so tip clearance implies the
     whole barrier stays below the curve).
     """
-    tip = barrier_tip(z, scene.barrier_length)
+    length = scene.barrier_length
     if isinstance(path, Parabola):
-        return clearance_height(z.theta, scene.barrier_length) \
-            <= path.height + POINT_TOL
-    return not _edges_conflict(path.vertices, None, tip)
+        return clearance_height(z.theta, length) <= path.height + POINT_TOL
+    return not _edges_conflict(path.vertices, _star_edges(path, length),
+                               barrier_tip(z, length))
 
 
 def barrier_satisfied_values(scene: Scene, path: PathDecision,
@@ -128,23 +153,24 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     straight path) is star-shaped about O, and each angle is classified by
     its signed crossing depth L - r: the ray u = (cos theta, sin theta)
     meets the one edge A -> A + d in whose angular span it lies at
-    r = cross(A, d) / cross(u, d).  One numpy pass calls a depth above m = ``DEPTH_MARGIN``
-    violated and one below -m satisfied.  Every other angle, and every
-    angle within alpha = m / rho (rho the least vertex radius) of its
-    edge's end angles, takes the exact lane: the crossing test of
-    ``barrier_satisfied`` on the tip computed by ``math``, against only
-    the edges that tip can reach (``_edges_conflict``, the test
-    ``_alg1_hull`` makes too).  Every angle against any other polyline
-    takes the exact lane against every edge.
-    Why the lanes agree with ``segments_conflict`` (p = A, d1 = d, the math
-    tip P with |P| = L up to rounding; tol = ``POINT_TOL``, u = 2^-53):
+    r = cross(A, d) / cross(u, d).  One numpy pass calls a depth above
+    m = ``DEPTH_MARGIN`` violated and one below -m satisfied.  Every other
+    angle, every angle within alpha = m / rho (rho the least vertex
+    radius) of its edge's end angles, and every angle against a parabola
+    or any other polyline goes to ``barrier_satisfied``: on a star
+    polyline, the crossing test of the tip computed by ``math`` against
+    only the edges that tip can reach (``_edges_conflict``).  Why both
+    lanes, and that test, agree with ``segments_conflict`` on every edge
+    (p = A, d1 = d, the math tip P with |P| = L up to rounding;
+    tol = ``POINT_TOL``, u = 2^-53):
 
     * Star shape.  ``_star_edges`` requires vertex angles phi_j falling
       strictly from pi at I to 0 at T, every vertex in the closed unit disk
       and, on every edge, the guard |cross(A, d)| >= g max(|d|, 1) with
-      g = 1e3 tol / L, so the edge line's distance h from O is at least g.
-      Edge j then subtends exactly [phi_(j+1), phi_j], the spans tile
-      [0, pi], and ``np.searchsorted`` finds theta's edge.  The ray meets it
+      g = 1e3 tol / L (the least ratio of ``Polyline.star`` is at least
+      g), so the edge line's distance h from O is at least g.  Edge j then
+      subtends exactly [phi_(j+1), phi_j], the spans tile [0, pi], and
+      ``np.searchsorted`` finds theta's edge.  The ray meets it
       at r <= 1 and an angle beta with |sin beta| = h / r >= g.
     * Rounding.  Assume, as ``alg2_binding`` does, that ``math`` and numpy
       sin and cos are within relative error 8u.  cross(A, d) is within
@@ -183,64 +209,49 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     if not ((angles > 0.0) & (angles < math.pi)).all():
         raise ValueError("barrier angle must lie strictly in (0, pi)")
     length = scene.barrier_length
-    if isinstance(path, Parabola):
-        return [clearance_height(t, length) <= path.height + POINT_TOL
+    star = None if isinstance(path, Parabola) else _star_edges(path, length)
+    if star is None:
+        return [barrier_satisfied(scene, path, BarrierConstraint(t))
                 for t in thetas]
-    vertices = path.vertices
-    satisfied = np.ones(len(thetas), dtype=bool)
-    exact = np.ones(len(thetas), dtype=bool)
-    star = _star_edges(vertices, length)
-    if star is not None:
-        ends, crosses, steps, alpha = star
-        ends, crosses = np.array(ends), np.array(crosses)
-        dx, dy = np.array(steps).T
-        j = np.searchsorted(-ends, -angles, side="right") - 1
-        depth = length - crosses[j] / (np.cos(angles) * dy[j]
-                                       - np.sin(angles) * dx[j])
-        satisfied = depth <= DEPTH_MARGIN
-        exact = ((np.abs(depth) <= DEPTH_MARGIN) | (ends[j] - angles <= alpha)
-                 | (angles - ends[j + 1] <= alpha))
+    ends, crosses, (dx, dy), alpha, _ = star
+    ends = np.array(ends)
+    j = np.searchsorted(-ends, -angles, side="right") - 1
+    depth = length - crosses[j] / (np.cos(angles) * dy[j]
+                                   - np.sin(angles) * dx[j])
+    satisfied = depth <= DEPTH_MARGIN
+    exact = ((np.abs(depth) <= DEPTH_MARGIN) | (ends[j] - angles <= alpha)
+             | (angles - ends[j + 1] <= alpha))
     for i in np.flatnonzero(exact).tolist():
-        theta = thetas[i]
-        tip = (length * math.cos(theta), length * math.sin(theta))
-        satisfied[i] = not _edges_conflict(vertices, star, tip)
+        satisfied[i] = barrier_satisfied(scene, path,
+                                         BarrierConstraint(thetas[i]))
     return satisfied.tolist()
 
 
-def _star_edges(vertices: tuple[Point, ...], length: float):
-    """The vertex angles and, per edge A -> A + d, cross(A, d) and d, as
-    lists, and the end-angle band alpha, of a polyline that passes the star
-    test of ``barrier_satisfied_values`` for barriers of ``length``; None
-    for any other polyline."""
-    ends = [math.atan2(y, x) for x, y in vertices]
-    radii = [math.hypot(x, y) for x, y in vertices]
-    if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
+def _star_edges(path: Polyline, length: float):
+    """``path.star`` if its least ratio |cross(A, d)| / max(|d|, 1) meets
+    the guard g = 1e3 tol / L of barriers of ``length``, else None."""
+    star = path.star
+    if star is None or star[-1] < 1e3 * POINT_TOL / length:
         return None
-    guard = 1e3 * POINT_TOL / length
-    crosses, steps = [], []
-    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
-        d = (x1 - x0, y1 - y0)
-        crosses.append(x0 * d[1] - y0 * d[0])
-        if abs(crosses[-1]) < guard * max(math.hypot(*d), 1.0):
-            return None
-        steps.append(d)
-    return ends, crosses, steps, DEPTH_MARGIN / min(radii)
+    return star
 
 
 def _edges_conflict(vertices: tuple[Point, ...], star, tip: Point) -> bool:
     """Whether ``segments_conflict`` finds the barrier with tip ``tip``
     crossing an edge of ``vertices`` it can reach, each edge left endpoint
-    first; ``star`` is ``_star_edges`` of the vertices.  Without a star
-    test every edge is reachable.  With one, the reachable edges are the
-    edge whose span [phi_(j+1), phi_j] holds theta = atan2 of the tip and
-    every edge incident to a vertex within alpha of theta.  They are
-    consecutive, from the edge that ends at the first vertex at most
-    theta + alpha to the one that starts at the last vertex at least
-    theta - alpha, and the vertex angles fall, so two bisections on their
-    negations find them."""
+    first; ``star`` is ``_star_edges`` of the polyline.  Without a star
+    every edge is reachable.  With one, the polyline is star-shaped about
+    O, and the reachable edges are the edge whose span [phi_(j+1), phi_j]
+    holds theta = atan2 of the tip and every edge incident to a vertex
+    within alpha of theta (the wedge method of point location in a
+    star-shaped polygon: Preparata and Shamos, Computational Geometry,
+    1985, section 2.2).  They are consecutive, from the edge that ends at
+    the first vertex at most theta + alpha to the one that starts at the
+    last vertex at least theta - alpha, and the vertex angles fall, so two
+    bisections on their negations find them."""
     edges = range(len(vertices) - 1)
     if star is not None:
-        ends, alpha = star[0], star[-1]
+        ends, alpha = star[0], star[3]
         theta = math.atan2(tip[1], tip[0])
         first = bisect_left(ends, -theta - alpha, key=neg)
         last = bisect_right(ends, alpha - theta, key=neg)
@@ -263,8 +274,9 @@ def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
     I-T).  The path is the upper hull of {I, T, tips}, built by
     ``_alg1_hull``.  With a barrier within ``POINT_TOL`` of the I-T axis
     and no higher tip to pass over, the hull edge from its tip down to I
-    or T runs along it, so no path exists: ``ValueError`` names the barrier
-    with the lowest tip, the smallest angle among tied ones.
+    or T runs along it, so the hull fails ``barrier_satisfied`` and no path
+    exists: ``ValueError`` names the barrier with the lowest tip, the
+    smallest angle among tied ones.
 
     The hull depends on the set of tips only and the named barrier on the
     set of barriers, so the planner, its error included, is invariant
@@ -272,19 +284,18 @@ def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
     a frozenset).
     """
     tips = [barrier_tip(z, scene.barrier_length) for z in vz]
-    vertices = _alg1_hull(tuple(sorted(set(tips))), scene.barrier_length)
-    if vertices is None:
+    path = Polyline(_alg1_hull(tuple(sorted(set(tips)))))
+    if not all(barrier_satisfied(scene, path, z) for z in vz):
         z, tip = min(zip(vz, tips),
                      key=lambda pair: (pair[1][1], pair[0].theta))
         raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
                          f"the I-T axis (tip height {tip[1]:.3g})")
-    return Polyline(vertices)
+    return path
 
 
-def _alg1_hull(tips: tuple[Point, ...],
-               length: float) -> tuple[Point, ...] | None:
-    """Vertices of the upper hull of I, the sorted distinct ``tips`` of
-    barriers of ``length`` and T, or None if a hull edge crosses a barrier.
+def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...]:
+    """Vertices of the upper hull of I, the sorted distinct barrier
+    ``tips`` and T.
 
     Andrew's monotone chain (Inf. Process. Lett. 9(5), 1979): no tip has
     x = +-1, as |L cos theta| <= L < 1, so the walk runs from I to T.  The
@@ -293,20 +304,6 @@ def _alg1_hull(tips: tuple[Point, ...],
     or that chord only grazes b's tip (``not segments_conflict(a, p, b)``,
     left endpoint first): the grazing chord is the shorter path and clears
     b's barrier.
-
-    Each tip is then tested against the hull edges it can reach
-    (``_edges_conflict``).  A hull that passes the star test of
-    ``barrier_satisfied_values`` (``_star_edges``) is star-shaped about O,
-    and only the edge whose angular span holds the tip's angle theta and
-    every edge incident to a vertex within alpha of theta are tested (the
-    wedge method of point location in a star-shaped polygon: Preparata
-    and Shamos, Computational Geometry, 1985, section 2.2).  No other edge
-    conflicts, by the "end-angle band" and "parallel branch" steps of that
-    docstring; the one new step is that theta is atan2 of the ``math``
-    tip itself, so within a few ulp of the tip's direction, closer than
-    the 1e-14 those steps allow.  Any other hull, the straight path and
-    every hull that fails the guard g among them, tests every edge against
-    every tip.
     """
     hull = [START]
     for p in (*tips, TARGET):
@@ -315,9 +312,6 @@ def _alg1_hull(tips: tuple[Point, ...],
                                                           hull[-1])):
             hull.pop()
         hull.append(p)
-    star = _star_edges(hull, length)
-    if any(_edges_conflict(hull, star, tip) for tip in tips):
-        return None
     return tuple(hull)
 
 

@@ -317,30 +317,32 @@ def near_duplicates(max_n: int = 8):
 @example([ALG1_POOL[-1], ALG1_POOL[-2]], 0.5)
 @example([ALG1_POOL[-1], *band_shatter_candidates(3)], 0.5)
 def test_alg1_hull_tests_reachable_edges_as_all_edges(vz, length):
-    """Testing each tip against only the hull edges its angle can reach
-    gives the vertices of the chain plus the all-edges check, bit for bit,
-    or None exactly when that check finds a crossing."""
+    """alg1 checks its hull with ``barrier_satisfied``, which tests each
+    tip against only the hull edges its angle can reach: it plans the
+    vertices of the chain plus the all-edges check, bit for bit, and
+    raises exactly when that check finds a crossing."""
     tips = tuple(sorted({barrier_tip(z, length) for z in vz}))
-    hull = pathplan._alg1_hull(tips, length)
     expected = reference_hull(tips)
-    assert (hull is None) == (expected is None)
-    if hull is not None:
-        assert hex_vertices(Polyline(hull)) \
-            == hex_vertices(Polyline(expected))
+    try:
+        path = alg1_shortest_path(Scene(length), tuple(vz))
+    except ValueError:
+        assert expected is None
+        return
+    assert expected is not None
+    assert hex_vertices(path) == hex_vertices(Polyline(expected))
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_alg1_hull_makes_few_crossing_tests(seed):
-    """An N = 100 hull, chain included, makes at most 4N
+    """An N = 100 plan, chain and check included, makes at most 4N
     ``segments_conflict`` calls (about 2N; testing every edge against every
-    tip takes about 36N).  A hull that fails the star test is tested in
+    tip takes about 36N).  A hull that fails the star test is checked in
     full: 5 of the first 1,000 seeded N = 100 tuples of stream 53 have two
     hull tips too close for the guard (seed 26 the first), none of these
     ten."""
     n = 100
-    thetas = uniform_barrier_distribution().sample_values(stream(53, seed), n)
-    tips = tuple(sorted({barrier_tip(BarrierConstraint(t), 0.5)
-                         for t in thetas}))
+    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution()
+                   .sample_values(stream(53, seed), n)))
     calls = []
 
     def counted(p, q, tip):
@@ -348,8 +350,8 @@ def test_alg1_hull_makes_few_crossing_tests(seed):
         return segments_conflict(p, q, tip)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathplan, "segments_conflict", counted)
-        hull = pathplan._alg1_hull(tips, 0.5)
-    assert hull == reference_hull(tips)
+        path = alg1_shortest_path(SCENE, vz)
+    assert path.vertices == reference_hull(tuple(sorted(set(tips_of(vz)))))
     assert len(calls) <= 4 * n
 
 
@@ -432,9 +434,9 @@ def test_alg1_has_no_global_memo_and_shatter_plans_each_set_once():
     hull = pathplan._alg1_hull
     hulls = []
 
-    def counted(tips, length):
+    def counted(tips):
         hulls.append(tips)
-        return hull(tips, length)
+        return hull(tips)
 
     system, candidates = path_system_alg1(), band_shatter_candidates(5)
     with pytest.MonkeyPatch.context() as patch:
@@ -446,25 +448,27 @@ def test_alg1_has_no_global_memo_and_shatter_plans_each_set_once():
             assert len(hulls) == len(set(hulls)) == 32
 
 
-def entry_angle(end, tip) -> float:
+def entry_angle(end, tip, length: float) -> float:
     """Angle at which the edge from ``end`` (I or T) to a hull tip enters
     the radius-L disk (theta_in from I, theta_out into T), or the tip's own
     angle if the edge does not dip into the disk: by the power of the point
     the entry lies (1 - L^2) / |tip - end|^2 of the way along."""
     step = (tip[0] - end[0], tip[1] - end[1])
-    k = (1.0 - SCENE.barrier_length ** 2) / (step[0] ** 2 + step[1] ** 2)
+    k = (1.0 - length ** 2) / (step[0] ** 2 + step[1] ** 2)
     entry = tip if k >= 1.0 else (end[0] + k * step[0], end[1] + k * step[1])
     return math.atan2(entry[1], entry[0])
 
 
-def key_angles(path: Polyline) -> list[float]:
-    """The hull's vertex angles and its theta_in and theta_out, where the
-    scalar crossing test turns."""
+def key_angles(path: Polyline,
+               length: float = SCENE.barrier_length) -> list[float]:
+    """The hull's vertex angles and its theta_in and theta_out for barriers
+    of ``length``, where the scalar crossing test turns."""
     inner = path.vertices[1:-1]
     if not inner:
         return []
     return [*(math.atan2(y, x) for x, y in inner),
-            entry_angle(START, inner[0]), entry_angle(TARGET, inner[-1])]
+            entry_angle(START, inner[0], length),
+            entry_angle(TARGET, inner[-1], length)]
 
 
 NEAR_OFFSETS = tuple(sign * scale * 10.0 ** e for e in range(-12, -4)
@@ -520,6 +524,64 @@ def test_barrier_values_are_the_scalar_test_on_alg1_paths(vz, seed, extra):
     assert pathplan.barrier_satisfied_values(SCENE, path, thetas) \
         == [barrier_satisfied(SCENE, path, BarrierConstraint(t))
             for t in thetas]
+
+
+def all_edges_satisfied(length: float, path: Polyline, theta: float) -> bool:
+    """The scalar check's reference: the ``math`` tip of a barrier of
+    ``length`` at ``theta`` against every edge of ``path``, left endpoint
+    first."""
+    tip = (length * math.cos(theta), length * math.sin(theta))
+    return not any(segments_conflict(a, b, tip)
+                   for a, b in zip(path.vertices, path.vertices[1:]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.sampled_from(ALG1_POOL), max_size=6) | band_tuples(9, 9)
+       | uniform_tuples(100) | st.sampled_from(STAR_PATHS),
+       st.sampled_from((0.01, 0.1, 0.5, 0.9, 0.99)),
+       st.integers(0, 2 ** 32 - 1))
+@example(STAR_PATHS[0], 0.5, 0)
+@example(STAR_PATHS[1], 0.5, 0)
+@example(STAR_PATHS[2], 0.5, 0)
+@example([ALG1_POOL[-1], *band_shatter_candidates(3)], 0.5, 0)
+def test_barrier_satisfied_is_the_all_edges_test(vz, length, seed):
+    """``barrier_satisfied``, which tests a star polyline's reachable edges
+    only, equals the every-edge test on fresh draws, the tuple's own angles
+    and angles from 1e-12 to 3e-5 off every key angle, on alg1's hulls
+    (those alg1 rejects included) at five barrier lengths and on
+    hand-built star polylines (given in place of a tuple)."""
+    scene = Scene(length)
+    if isinstance(vz, Polyline):
+        path, vz = vz, []
+    else:
+        tips = sorted({barrier_tip(z, length) for z in vz})
+        path = Polyline(pathplan._alg1_hull(tuple(tips)))
+    thetas = [*stream(61, seed).uniform(0.0, math.pi, 100).tolist(),
+              *(z.theta for z in vz),
+              *(key + offset for key in key_angles(path, length)
+                for offset in NEAR_OFFSETS)]
+    thetas = [t for t in thetas if 0.0 < t < math.pi]
+    assert [barrier_satisfied(scene, path, BarrierConstraint(t))
+            for t in thetas] \
+        == [all_edges_satisfied(length, path, t) for t in thetas]
+
+
+def test_the_decided_path_keeps_its_star_across_blocks():
+    """alg1's own check builds its polyline's star once; two blocks of the
+    batch check reuse that object, and the star is no field."""
+    system = path_system_alg1()
+    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution()
+                   .sample_values(stream(53, 0), 50)))
+    path = system.decide(vz)
+    star = vars(path)["star"]
+    assert pathplan._star_edges(path, SCENE.barrier_length) is star
+    thetas = stream(61, 0).uniform(0.0, math.pi, 500).tolist()
+    for block in (thetas[:250], thetas[250:]):
+        system.satisfies_values(path, block)
+    assert path.star is star
+    assert path == Polyline(path.vertices)
+    assert hash(path) == hash(Polyline(path.vertices))
+    assert repr(path) == f"Polyline(vertices={path.vertices!r})"
 
 
 def distance_to_path(path: Polyline, point) -> float:
