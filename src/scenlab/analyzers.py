@@ -639,7 +639,6 @@ class BoundQuery:
     epsilon: float
     beta: float
     capacity: int
-    n: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
@@ -687,6 +686,8 @@ def compression_beta(n: int, capacity: int, epsilon: float) -> float:
     exp(log C(N, d) + (N - d) log1p(-eps)), and ``inf`` if the bound itself
     exceeds the float range.
     """
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must be in (0, 1)")
     if not 0 <= capacity < n:
         raise ValueError("need 0 <= d < N")
     count = math.comb(n, capacity)
@@ -700,19 +701,17 @@ def compression_beta(n: int, capacity: int, epsilon: float) -> float:
         return math.inf
 
 
-def compression_bound(query: BoundQuery):
-    """Evaluate the compression bound, or invert it for the minimal N.
+def compression_bound(query: BoundQuery) -> int:
+    """Invert the compression bound: the minimal N <= 10^9 with
+    beta(N, d, eps) <= query.beta (``compression_beta`` evaluates beta).
 
-    With ``query.n`` set, returns beta(N, d, eps).  Otherwise returns the
-    minimal N <= 10^9 with beta(N, d, eps) <= query.beta.  For N > d the
-    ratio beta(N + 1) / beta(N) = (1 - eps)(N + 1) / (N + 1 - d) falls with
-    N, so beta rises to a peak near d / eps and falls after it.  Hence every
-    N up to a probe with beta above the target lies below the minimum, and
-    an exponential search from N = d + 1 followed by a bisection finds it
-    with O(log N) evaluations; past the cap it raises ``ValueError``.
+    For N > d the ratio beta(N + 1) / beta(N) = (1 - eps)(N + 1) /
+    (N + 1 - d) falls with N, so beta rises to a peak near d / eps and falls
+    after it.  Hence every N up to a probe with beta above the target lies
+    below the minimum, and an exponential search from N = d + 1 followed by
+    a bisection finds it with O(log N) evaluations; past the cap it raises
+    ``ValueError``.
     """
-    if query.n is not None:
-        return compression_beta(query.n, query.capacity, query.epsilon)
     cap = 10 ** 9
 
     def meets(n: int) -> bool:

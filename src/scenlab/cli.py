@@ -122,8 +122,9 @@ def _add_bounds(sp) -> None:
     group.add_argument("--vc", type=int, metavar="D")
     group.add_argument("--compression", type=int, metavar="D")
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--N", type=int)
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--beta", type=float)  # report the least N
+    target.add_argument("--N", type=int)  # report beta at N
 
 
 def _add_pathplan(sp) -> None:
@@ -237,14 +238,15 @@ def _run_compression(args) -> tuple[dict, bool]:
 
 
 def _run_bounds(args) -> tuple[dict, bool]:
-    if args.vc is not None:
-        if args.N is not None:
+    if args.N is not None:
+        if args.vc is not None:
             raise ValueError("--N applies to --compression only")
+        return {"compression_beta": analyzers.compression_beta(
+            args.N, args.compression, args.eps)}, True
+    if args.vc is not None:
         query = BoundQuery(args.eps, args.beta, args.vc)
         return {"vc_sample_bound": analyzers.vc_sample_bound(query)}, True
-    query = BoundQuery(args.eps, args.beta, args.compression, n=args.N)
-    if args.N is not None:
-        return {"compression_beta": analyzers.compression_bound(query)}, True
+    query = BoundQuery(args.eps, args.beta, args.compression)
     return {"compression_min_samples": analyzers.compression_bound(query)}, True
 
 

@@ -258,55 +258,55 @@ def _decode_mixture(words, n: int, has_half: int,
     return out, k, has_half, half
 
 
-def convex_mixture_distribution() -> ConstraintDistribution:
-    """Half a band at a uniform level in [0, 1), half a polygon sigma(m, i)
-    with m uniform on 1..4 and i uniform on 1..m.
+def _mixture_value(rng: np.random.Generator):
+    if rng.random() < 0.5:
+        return float(rng.random())
+    m = int(rng.integers(1, 5))
+    return _POLYGON_CONSTRAINTS[m, int(rng.integers(1, m + 1))]
 
-    Its values are band levels (floats) and shared polygon constraints;
-    :func:`convex_constraint` turns a value into its constraint.
 
-    Under :func:`convex_satisfies` the band at level 1 and the ten polygons
-    sigma(m, i), m <= 4, dominate the mixture.  Every drawn level y is
-    below 1, and ``y - POINT_TOL`` rounds monotonically in y, so a point
-    with ``x[1] >= 1 - POINT_TOL`` satisfies every band the mixture draws.
-    The ten polygons are the only ones it draws, tested by the same
-    ``point_in_convex`` call.  A decision inside all eleven (the top of the
-    disk, where sampled polygons collapse the max-x1 decision) has risk 0,
-    which nested Monte Carlo then returns without drawing.
-    """
-    def sample_value(rng: np.random.Generator):
-        if rng.random() < 0.5:
-            return float(rng.random())
-        m = int(rng.integers(1, 5))
-        return _POLYGON_CONSTRAINTS[m, int(rng.integers(1, m + 1))]
+def _mixture_sample(rng: np.random.Generator) -> ConvexConstraint:
+    return convex_constraint(_mixture_value(rng))
 
-    def sample(rng: np.random.Generator) -> ConvexConstraint:
-        return convex_constraint(sample_value(rng))
 
-    def sample_values(rng: np.random.Generator, n: int) -> list:
-        # Replays the scalar stream from one block of raw PCG64 words, then
-        # moves the generator to exactly where the scalar loop leaves it.
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            return [sample_value(rng) for _ in range(n)]
-        saved = bitgen.state
-        # A value takes at most two words unless Lemire rejects.
-        decoded = _decode_mixture(bitgen.random_raw(2 * n + 2), n,
-                                  saved["has_uint32"], saved["uinteger"])
-        bitgen.state = saved
-        if decoded is None:
-            return [sample_value(rng) for _ in range(n)]
-        out, used, has_half, half = decoded
-        bitgen.advance(used)
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has_half, half
-        bitgen.state = state
-        return out
+def _mixture_sample_values(rng: np.random.Generator, n: int) -> list:
+    # Replays the scalar stream from one block of raw PCG64 words, then moves
+    # the generator to exactly where the scalar loop leaves it.
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        return [_mixture_value(rng) for _ in range(n)]
+    saved = bitgen.state
+    # A value takes at most two words unless Lemire rejects.
+    decoded = _decode_mixture(bitgen.random_raw(2 * n + 2), n,
+                              saved["has_uint32"], saved["uinteger"])
+    bitgen.state = saved
+    if decoded is None:
+        return [_mixture_value(rng) for _ in range(n)]
+    out, used, has_half, half = decoded
+    bitgen.advance(used)
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bitgen.state = state
+    return out
 
-    return ConstraintDistribution(
-        sample=sample, sample_values=sample_values,
-        constraint_class=convex_constraint,
-        dominating=(BandConstraint(1.0), *_POLYGON_CONSTRAINTS.values()))
+
+# Half a band at a uniform level in [0, 1), half a polygon sigma(m, i) with
+# m uniform on 1..4 and i uniform on 1..m.  Its values are band levels
+# (floats) and shared polygon constraints; ``convex_constraint`` turns a
+# value into its constraint.
+#
+# Under ``convex_satisfies`` the band at level 1 and the ten polygons
+# sigma(m, i), m <= 4, dominate the mixture.  Every drawn level y is below 1,
+# and ``y - POINT_TOL`` rounds monotonically in y, so a point with
+# ``x[1] >= 1 - POINT_TOL`` satisfies every band the mixture draws.  The ten
+# polygons are the only ones it draws, tested by the same ``point_in_convex``
+# call.  A decision inside all eleven (the top of the disk, where sampled
+# polygons collapse the max-x1 decision) has risk 0, which nested Monte Carlo
+# then returns without drawing.
+convex_mixture_distribution = ConstraintDistribution(
+    sample=_mixture_sample, sample_values=_mixture_sample_values,
+    constraint_class=convex_constraint,
+    dominating=(BandConstraint(1.0), *_POLYGON_CONSTRAINTS.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +373,29 @@ min_system = ScenarioSystem("min-no-map", alg_min, exclusion_satisfies,
 
 
 def geometric_mass(a: int) -> float:
-    """Point mass 2^-(a+1) of the default distribution on the naturals."""
+    """Point mass 2^-(a+1) of U(a) under the geometric measure, which is
+    also the risk of the natural decision a: U(a) is the one constraint it
+    violates."""
     return 0.5 ** (a + 1)
 
 
-def analytic_risk_sum_min(x: int) -> float:
-    """Risk of a natural decision under the geometric measure: the mass of
-    the one constraint it violates, U(x)."""
-    return geometric_mass(x)
+def _geometric_sample(rng: np.random.Generator) -> ExclusionConstraint:
+    return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
 
 
-def geometric_exclusion_distribution() -> ConstraintDistribution:
-    """Geometric measure on exclusion constraints, p(U(a)) = 2^-(a+1)."""
-    def sample(rng: np.random.Generator) -> ExclusionConstraint:
-        return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
+def _geometric_sample_values(rng: np.random.Generator, n: int) -> list[int]:
+    # For p >= 1/3 numpy draws each geometric variate from one double, in
+    # batch as in scalar calls.
+    return (rng.geometric(0.5, size=n) - 1).tolist()
 
-    def sample_values(rng: np.random.Generator, n: int) -> list[int]:
-        # For p >= 1/3 numpy draws each geometric variate from one double,
-        # in batch as in scalar calls.
-        return (rng.geometric(0.5, size=n) - 1).tolist()
 
-    return ConstraintDistribution(
-        sample=sample,
-        analytic_violation=analytic_risk_sum_min,
-        sample_values=sample_values,
-        constraint_class=ExclusionConstraint,
-    )
+# Geometric measure on exclusion constraints, p(U(a)) = 2^-(a+1).
+geometric_exclusion_distribution = ConstraintDistribution(
+    sample=_geometric_sample,
+    analytic_violation=geometric_mass,
+    sample_values=_geometric_sample_values,
+    constraint_class=ExclusionConstraint,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -482,33 +479,35 @@ def analytic_risk_interval(x: IntervalDecision) -> float:
     return 0.5
 
 
-def atom_plus_uniform() -> ConstraintDistribution:
-    """Measure with mass 1/2 on the atom U(0) and density a/2 on (0, a]."""
-    def sample(rng: np.random.Generator) -> MembershipConstraint:
-        if rng.random() < 0.5:
-            return MembershipConstraint(0.0)
-        return MembershipConstraint(1.0 - rng.random())  # uniform on (0, 1]
+def _atom_sample(rng: np.random.Generator) -> MembershipConstraint:
+    if rng.random() < 0.5:
+        return MembershipConstraint(0.0)
+    return MembershipConstraint(1.0 - rng.random())  # uniform on (0, 1]
 
-    def sample_values(rng: np.random.Generator, n: int) -> list[float]:
-        # Replays the scalar stream: each double is a coin or, after a coin
-        # of 1/2 or more, the point.  Every unfinished constraint needs at
-        # least one more double, so drawing that many never overdraws.
-        out: list[float] = []
-        coin_pending = True
-        while len(out) < n:
-            for u in rng.random(n - len(out)).tolist():
-                if not coin_pending:
-                    out.append(1.0 - u)
-                    coin_pending = True
-                elif u < 0.5:
-                    out.append(0.0)
-                else:
-                    coin_pending = False
-        return out
 
-    return ConstraintDistribution(
-        sample=sample,
-        analytic_violation=analytic_risk_interval,
-        sample_values=sample_values,
-        constraint_class=MembershipConstraint,
-    )
+def _atom_sample_values(rng: np.random.Generator, n: int) -> list[float]:
+    # Replays the scalar stream: each double is a coin or, after a coin of
+    # 1/2 or more, the point.  Every unfinished constraint needs at least one
+    # more double, so drawing that many never overdraws.
+    out: list[float] = []
+    coin_pending = True
+    while len(out) < n:
+        for u in rng.random(n - len(out)).tolist():
+            if not coin_pending:
+                out.append(1.0 - u)
+                coin_pending = True
+            elif u < 0.5:
+                out.append(0.0)
+            else:
+                coin_pending = False
+    return out
+
+
+# Mass 1/2 on the atom U(0), and the other 1/2 spread uniformly over
+# U(a), a in (0, 1].
+atom_plus_uniform = ConstraintDistribution(
+    sample=_atom_sample,
+    analytic_violation=analytic_risk_interval,
+    sample_values=_atom_sample_values,
+    constraint_class=MembershipConstraint,
+)

@@ -472,7 +472,7 @@ def band_shatter_candidates(k: int) -> tuple[BarrierConstraint, ...]:
 
 
 # ---------------------------------------------------------------------------
-# System bundles
+# Registry systems and their measure
 # ---------------------------------------------------------------------------
 
 SCENE = Scene()  # the scene of the registry systems and their measure
@@ -482,53 +482,53 @@ def _polyline_coords(x: Polyline) -> tuple[float, ...]:
     return tuple(c for p in x.vertices for c in p)
 
 
-def path_system_alg1() -> ScenarioSystem:
-    # The fold state is the set of barriers, all that alg1 depends on.
-    return ScenarioSystem(
-        name="path-alg1",
-        decide=Fold(frozenset(), lambda s, z: s | {z},
-                    lambda s: alg1_shortest_path(SCENE, s)),
-        satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
-        coords=_polyline_coords,
-        satisfies_values=lambda x, thetas: barrier_satisfied_values(
-            SCENE, x, thetas),
-    )
+# Fields look planners up as module globals at call time (no partials), so
+# a rebound global reaches them.  alg1's fold state is its set of barriers.
+path_system_alg1 = ScenarioSystem(
+    name="path-alg1",
+    decide=Fold(frozenset(), lambda s, z: s | {z},
+                lambda s: alg1_shortest_path(SCENE, s)),
+    satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
+    coords=_polyline_coords,
+    satisfies_values=lambda x, thetas: barrier_satisfied_values(
+        SCENE, x, thetas),
+)
+
+path_system_alg2 = ScenarioSystem(
+    name="path-alg2",
+    decide=lambda vz: alg2_shortest_parabola(SCENE, vz),
+    satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
+    coords=lambda x: (x.height,),
+    decide_values=lambda thetas: Parabola(alg2_binding(SCENE, thetas)[1]),
+)
 
 
-def path_system_alg2() -> ScenarioSystem:
-    return ScenarioSystem(
-        name="path-alg2",
-        decide=lambda vz: alg2_shortest_parabola(SCENE, vz),
-        satisfies=lambda x, z: barrier_satisfied(SCENE, x, z),
-        coords=lambda x: (x.height,),
-        decide_values=lambda thetas: Parabola(
-            alg2_binding(SCENE, thetas)[1]),
-    )
+def _barrier_sample(rng: np.random.Generator) -> BarrierConstraint:
+    theta = 0.0
+    while theta <= 0.0 or theta >= math.pi:
+        theta = float(rng.uniform(0.0, math.pi))
+    return BarrierConstraint(theta)
 
 
-def uniform_barrier_distribution() -> ConstraintDistribution:
-    """Uniform angle measure on (0, pi); the analytic evaluator covers
-    parabola decisions only (an exact geodesic risk is not implemented)."""
-    def sample(rng: np.random.Generator) -> BarrierConstraint:
-        theta = 0.0
-        while theta <= 0.0 or theta >= math.pi:
-            theta = float(rng.uniform(0.0, math.pi))
-        return BarrierConstraint(theta)
+def _barrier_sample_values(rng: np.random.Generator, n: int) -> list[float]:
+    # The scalar loop draws at least one angle per barrier, so drawing only
+    # the shortfall each round never reads past its stream position.
+    thetas: list[float] = []
+    while len(thetas) < n:
+        draws = rng.uniform(0.0, math.pi, size=n - len(thetas))
+        thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
+    return thetas
 
-    def sample_values(rng: np.random.Generator, n: int) -> list[float]:
-        # The scalar loop draws at least one angle per barrier, so drawing
-        # only the shortfall each round never reads past its stream position.
-        thetas: list[float] = []
-        while len(thetas) < n:
-            draws = rng.uniform(0.0, math.pi, size=n - len(thetas))
-            thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
-        return thetas
 
-    def violation(x: PathDecision) -> float:
-        if not isinstance(x, Parabola):
-            raise ValueError("analytic risk only available for parabolas")
-        return alg2_analytic_risk(x.height, SCENE.barrier_length)
+def _parabola_risk(x: PathDecision) -> float:
+    if not isinstance(x, Parabola):
+        raise ValueError("analytic risk only available for parabolas")
+    return alg2_analytic_risk(x.height, SCENE.barrier_length)
 
-    return ConstraintDistribution(sample=sample, analytic_violation=violation,
-                                  sample_values=sample_values,
-                                  constraint_class=BarrierConstraint)
+
+# Uniform angle measure on (0, pi).  The analytic evaluator covers parabola
+# decisions only (an exact geodesic risk is not implemented), so the
+# registry pairs path-alg1 with this measure minus its evaluator.
+uniform_barrier_distribution = ConstraintDistribution(
+    sample=_barrier_sample, analytic_violation=_parabola_risk,
+    sample_values=_barrier_sample_values, constraint_class=BarrierConstraint)

@@ -1,11 +1,12 @@
-"""The system registry: every shipped system is declared once, here.
+"""The system registry: one literal table of the shipped systems.
 
-Each :class:`SystemBundle` ties a system to its constraint classes (the
-kinds the CLI accepts for it), its default distribution, its random probe
-generator (used by the property suites) and its ``demo``
-(run by ``scenlab demo --example <key>``).  The registry is keyed by
-``system.name``; the CLI reads its keys, its demos and their inputs from
-here, so adding a system means adding one bundle.
+Systems and distributions are module values of ``counterexamples`` and
+``pathplan``.  Each :class:`SystemBundle` of ``SYSTEMS`` (keyed by
+``system.name``) ties a system to its constraint classes (the kinds the CLI
+accepts for it), its default distribution, its random probe generator (the
+distribution's ``sample``, for the property suites) and its ``demo`` (run by
+``scenlab demo --example <key>``).  The CLI and the tests read them here, so
+adding a system means adding one row.
 """
 
 from __future__ import annotations
@@ -145,32 +146,30 @@ def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
         "mismatched_trials": mismatches}}, not mismatches
 
 
-def _build_registry() -> dict[str, SystemBundle]:
-    geometric = geometric_exclusion_distribution()
-    interval_dist = atom_plus_uniform()
-    barrier_dist = uniform_barrier_distribution()
-    barrier_dist_mc = replace(barrier_dist, analytic_violation=None)
-    convex_dist = convex_mixture_distribution()
-    convex = (PolygonConstraint, BandConstraint)
-    exclusion, barrier = (ExclusionConstraint,), (BarrierConstraint,)
-    bundles = [
-        SystemBundle(convex_system, convex, convex_dist, convex_dist.sample,
-                     _demo_convex),
-        SystemBundle(sum_system, exclusion, geometric, geometric.sample,
-                     _demo_sum),
-        SystemBundle(min_system, exclusion, geometric, geometric.sample,
-                     _demo_min),
-        SystemBundle(interval_system, (MembershipConstraint,), interval_dist,
-                     interval_dist.sample, _demo_interval),
-        SystemBundle(path_system_alg1(), barrier, barrier_dist_mc,
-                     barrier_dist_mc.sample, _demo_path_alg1),
-        SystemBundle(path_system_alg2(), barrier, barrier_dist,
-                     barrier_dist.sample, _demo_path_alg2),
-    ]
-    return {b.system.name: b for b in bundles}
-
-
-SYSTEMS: dict[str, SystemBundle] = _build_registry()
+SYSTEMS: dict[str, SystemBundle] = {
+    "convex-vc": SystemBundle(
+        convex_system, (PolygonConstraint, BandConstraint),
+        convex_mixture_distribution, convex_mixture_distribution.sample,
+        _demo_convex),
+    "sum-no-scheme": SystemBundle(
+        sum_system, (ExclusionConstraint,), geometric_exclusion_distribution,
+        geometric_exclusion_distribution.sample, _demo_sum),
+    "min-no-map": SystemBundle(
+        min_system, (ExclusionConstraint,), geometric_exclusion_distribution,
+        geometric_exclusion_distribution.sample, _demo_min),
+    "interval-not-pac": SystemBundle(
+        interval_system, (MembershipConstraint,), atom_plus_uniform,
+        atom_plus_uniform.sample, _demo_interval),
+    # The barrier measure's analytic risk takes parabolas only, so alg1's
+    # risk comes from nested Monte Carlo.
+    "path-alg1": SystemBundle(
+        path_system_alg1, (BarrierConstraint,),
+        replace(uniform_barrier_distribution, analytic_violation=None),
+        uniform_barrier_distribution.sample, _demo_path_alg1),
+    "path-alg2": SystemBundle(
+        path_system_alg2, (BarrierConstraint,), uniform_barrier_distribution,
+        uniform_barrier_distribution.sample, _demo_path_alg2),
+}
 
 
 def get_bundle(key: str) -> SystemBundle:

@@ -62,7 +62,7 @@ def test_criterion_01_interval_system_not_pac():
     analytic = pac_curve(bundle.system, bundle.distribution, eps, n_list,
                          trials, seed=101)
     nested = pac_curve(bundle.system,
-                       dataclasses.replace(atom_plus_uniform(),
+                       dataclasses.replace(atom_plus_uniform,
                                            analytic_violation=None),
                        eps, n_list, trials, seed=102)
     ok = (not analytic.nested_mc
@@ -192,7 +192,7 @@ def test_criterion_08_interval_dvc_checker():
                              include_empty=True)
     ok = single.shattered
 
-    dist = atom_plus_uniform()
+    dist = atom_plus_uniform
     for trial in range(100):
         rng = stream(108, trial)
         zs = []
@@ -214,8 +214,8 @@ def test_criterion_08_interval_dvc_checker():
 
 def test_criterion_09_alg2_compression_and_pac_bound():
     """Compression is exact on 1000 tuples; the capacity-1 bound dominates."""
-    system = path_system_alg2()
-    dist = uniform_barrier_distribution()
+    system = path_system_alg2
+    dist = uniform_barrier_distribution
     ok = True
     for trial in range(1000):
         rng = stream(109, trial)
@@ -239,7 +239,7 @@ def test_criterion_09_alg2_compression_and_pac_bound():
 
 def test_criterion_10_alg1_shattering_and_adversarial_risk():
     """Band 5-set shattered; uniform measure on a 10-set forces risk >= 1/2."""
-    system = path_system_alg1()
+    system = path_system_alg1
     shatter = check_shattered(system, band_shatter_candidates(5), max_len=5)
     ok = shatter.shattered
 
@@ -266,7 +266,7 @@ def test_criterion_11_bound_calculators():
     ``explicit_sample_bound`` computes, so the documented value is checked
     there.
     """
-    value = compression_bound(BoundQuery(0.1, 0.01, 1, n=100))
+    value = compression_beta(100, 1, 0.1)
     oracle = 100.0 * 0.9 ** 99
     ok = abs(value - oracle) <= 1e-12 * oracle
 

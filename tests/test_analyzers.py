@@ -144,7 +144,7 @@ def test_find_compression_subtuple_min_system_none_certificate():
 def test_find_compression_subtuple_skips_undecidable_subtuples():
     # No path clears a barrier at 1e-12 alone, yet the full tuple decides
     # the path over the barrier at 0.3, as that barrier alone does.
-    system = path_system_alg1()
+    system = path_system_alg1
     vz = (BarrierConstraint(1e-12), BarrierConstraint(0.3))
     with pytest.raises(ValueError, match="no path clears"):
         system.decide(vz[:1])
@@ -179,7 +179,7 @@ near_axis_thetas = st.lists(
 @given(near_axis_thetas, st.integers(min_value=0, max_value=6))
 def test_find_compression_subtuple_matches_brute_force_on_partial_alg1(
         thetas, capacity):
-    system = path_system_alg1()
+    system = path_system_alg1
     vz = tuple(BarrierConstraint(t) for t in thetas)
     try:
         expected = brute_force_subtuple(system, vz, capacity)
@@ -376,13 +376,13 @@ def test_range_shattering_witness_mismatches_match_scalar_loop(monkeypatch):
 def test_adversarial_pac_guard_and_exactness():
     zs = band_shatter_candidates(4)
     with pytest.raises(ValueError):
-        adversarial_pac_experiment(path_system_alg1(), zs, n=3,
+        adversarial_pac_experiment(path_system_alg1, zs, n=3,
                                    epsilon=0.25, trials=10)
     for eps in (-1.0, 0.0, 1.0, math.nan):
         with pytest.raises(ValueError):
-            adversarial_pac_experiment(path_system_alg1(), zs, n=2,
+            adversarial_pac_experiment(path_system_alg1, zs, n=2,
                                        epsilon=eps, trials=10)
-    report = adversarial_pac_experiment(path_system_alg1(), zs, n=2,
+    report = adversarial_pac_experiment(path_system_alg1, zs, n=2,
                                         epsilon=0.25, trials=50, seed=2)
     assert report.candidate_count == 4
     assert 0.0 <= report.min_risk <= report.mean_risk <= 1.0
@@ -425,7 +425,7 @@ def loop_adversarial(system, candidates, n, epsilon, trials, seed):
 
 
 @pytest.mark.parametrize("system, candidates, n, epsilon", [
-    (path_system_alg1(), band_shatter_candidates(8), 4, 0.25),
+    (path_system_alg1, band_shatter_candidates(8), 4, 0.25),
     (min_system, [ExclusionConstraint(a) for a in range(10)], 3, 0.1),
 ])
 def test_adversarial_pac_equals_the_plain_loop(system, candidates, n,
@@ -437,7 +437,7 @@ def test_adversarial_pac_equals_the_plain_loop(system, candidates, n,
 
 
 def test_shatter_walk_checks_each_distinct_decision_once():
-    system, candidates = path_system_alg1(), band_shatter_candidates(5)
+    system, candidates = path_system_alg1, band_shatter_candidates(5)
     calls = 0
 
     def counted(x, z):
@@ -509,6 +509,14 @@ def test_compression_beta_values():
     assert compression_beta(10, 0, 0.5) == pytest.approx(0.5 ** 10, rel=1e-15)
     with pytest.raises(ValueError):
         compression_beta(5, 5, 0.1)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, 1.5, 2.0, -0.1, math.nan])
+def test_compression_beta_rejects_epsilon_outside_unit_interval(eps):
+    # 1.5 and 2.0 gave 0.75 and -4.0 (at N = 3 and 4, d = 1), which look like
+    # probabilities or at least numbers; BoundQuery refuses them too.
+    with pytest.raises(ValueError, match="epsilon must be in"):
+        compression_beta(4, 1, eps)
 
 
 @pytest.mark.parametrize("n, d, eps", [
@@ -587,7 +595,3 @@ def test_compression_bound_cap_raises_after_logarithmic_work(monkeypatch):
     with pytest.raises(ValueError):
         compression_bound(BoundQuery(0.5, 0.01, 10 ** 9))
 
-
-def test_compression_bound_evaluation_mode():
-    q = BoundQuery(0.1, 0.01, 1, n=100)
-    assert compression_bound(q) == compression_beta(100, 1, 0.1)

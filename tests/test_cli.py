@@ -87,19 +87,38 @@ def test_bounds_subcommand(capsys):
     assert report["verdicts"]["vc_sample_bound"] == 340
 
     code, report = run_cli(capsys, "bounds", "--compression", "1",
-                           "--eps", "0.1", "--beta", "0.01", "--N", "100")
-    assert report["verdicts"]["compression_beta"] == pytest.approx(
-        100 * 0.9 ** 99, rel=1e-15)
+                           "--eps", "0.1", "--N", "100")
+    assert code == 0
+    assert report["verdicts"] == {"compression_beta": pytest.approx(
+        100 * 0.9 ** 99, rel=1e-15)}
 
     # C(N, 200) exceeds the float range from N of about 2000 on.
     code, report = run_cli(capsys, "bounds", "--compression", "200",
                            "--eps", "0.1", "--beta", "0.01")
     assert code == 0 and report["verdicts"]["compression_min_samples"] == 9396
     code, report = run_cli(capsys, "bounds", "--compression", "200",
-                           "--eps", "0.1", "--beta", "0.01", "--N", "3000")
+                           "--eps", "0.1", "--N", "3000")
     assert code == 0
     assert report["verdicts"]["compression_beta"] == pytest.approx(
         2.8807034993783e+189, rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, message", [
+    # --beta asks for a sample size, --N for a beta: one of them, not both.
+    (["--compression", "1", "--eps", "0.1", "--beta", "0.3", "--N", "50"],
+     "argument --N: not allowed with argument --beta"),
+    (["--compression", "1", "--eps", "0.1"],
+     "one of the arguments --beta --N is required"),
+    (["--vc", "2", "--eps", "0.1", "--N", "100"],
+     "--N applies to --compression only"),
+    (["--compression", "1", "--eps", "1.5", "--N", "3"],
+     "epsilon must be in (0, 1)"),
+])
+def test_bounds_takes_beta_or_N(flags, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", *flags])
+    assert exc.value.code == 2
+    assert f"scenlab bounds: error: {message}" in capsys.readouterr().err
 
 
 def test_pathplan_subcommand(capsys):
@@ -374,7 +393,7 @@ def test_oversized_demos_refuse_before_building_constraints(argv, builder,
 
 @pytest.mark.parametrize("argv", [
     ["demo", "--example", "convex-vc", "--N", "5"],
-    ["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05", "--N", "100"],
+    ["bounds", "--vc", "2", "--eps", "0.1", "--N", "100"],
     ["pathplan", "--algo", "1", "--thetas", "1e-9"],
 ])
 def test_runner_usage_errors_show_the_command_usage(argv, capsys):
@@ -650,7 +669,7 @@ def cli_outcome(argv, capsys):
     ["--config", "b.cfg", "bounds"],
     ["--config", "missing.cfg", "risk-curve"],
     ["risk-curve", "--system", "path-alg2", "--eps", "0.1"],
-    ["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05", "--N", "100"],
+    ["bounds", "--vc", "2", "--eps", "0.1", "--N", "100"],
 ])
 def test_main_behaves_as_with_the_full_parser(argv, tmp_path, monkeypatch,
                                               capsys):

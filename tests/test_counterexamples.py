@@ -22,7 +22,6 @@ from scenlab.counterexamples import (
     alg_min,
     alg_sum,
     analytic_risk_interval,
-    analytic_risk_sum_min,
     angle_of,
     atom_plus_uniform,
     convex_mixture_distribution,
@@ -253,7 +252,7 @@ def test_convex_dominating_constraints_are_sound(x, seed):
     """A point of the unit disk that satisfies the mixture's dominating
     constraints satisfies every constraint the mixture can draw: all ten
     polygons, bands at 0, 0.5 and just below 1, and fresh draws."""
-    dist = convex_mixture_distribution()
+    dist = convex_mixture_distribution
     assume(math.hypot(*x) <= 1.0)
     if not all(convex_satisfies(x, z) for z in dist.dominating):
         return
@@ -303,17 +302,18 @@ def test_geometric_mass_and_analytic_risk():
     assert geometric_mass(0) == 0.5
     assert geometric_mass(3) == 0.0625
     assert sum(geometric_mass(a) for a in range(60)) == pytest.approx(1.0)
-    assert analytic_risk_sum_min(2) == 0.125
+    # A natural decision x violates U(x) alone, so its risk is U(x)'s mass.
+    assert geometric_exclusion_distribution.analytic_violation is geometric_mass
+    assert geometric_exclusion_distribution.analytic_violation(2) == 0.125
 
 
 def test_geometric_distribution_frequencies():
-    dist = geometric_exclusion_distribution()
+    dist = geometric_exclusion_distribution
     rng = stream(23, 0)
     draws = [dist.sample(rng).a for _ in range(20000)]
     for a in range(4):
         freq = draws.count(a) / len(draws)
         assert freq == pytest.approx(geometric_mass(a), abs=0.02)
-    assert dist.analytic_violation is analytic_risk_sum_min
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def test_interval_satisfies():
 
 
 def test_interval_consistency_randomized():
-    dist = atom_plus_uniform()
+    dist = atom_plus_uniform
     for trial in range(500):
         rng = stream(29, trial)
         vz = dist.sample_tuple(rng, int(rng.integers(0, 8)))
@@ -399,7 +399,7 @@ def test_analytic_risk_interval():
 
 
 def test_atom_plus_uniform_frequencies():
-    dist = atom_plus_uniform()
+    dist = atom_plus_uniform
     rng = stream(31, 0)
     draws = [dist.sample(rng).a for _ in range(20000)]
     atom_freq = sum(1 for a in draws if a == 0.0) / len(draws)

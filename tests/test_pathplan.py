@@ -281,7 +281,7 @@ def band_tuples(max_k: int = 6, max_len: int = 5):
 
 def uniform_tuples(max_n: int = 59):
     """Seeded draws of the registry's uniform barrier distribution."""
-    dist = uniform_barrier_distribution()
+    dist = uniform_barrier_distribution
     return st.builds(
         lambda seed, n: [BarrierConstraint(theta) for theta in
                          dist.sample_values(stream(53, seed), n)],
@@ -341,7 +341,7 @@ def test_alg1_hull_makes_few_crossing_tests(seed):
     hull tips too close for the guard (seed 26 the first), none of these
     ten."""
     n = 100
-    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution()
+    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution
                    .sample_values(stream(53, seed), n)))
     calls = []
 
@@ -438,7 +438,7 @@ def test_alg1_has_no_global_memo_and_shatter_plans_each_set_once():
         hulls.append(tips)
         return hull(tips)
 
-    system, candidates = path_system_alg1(), band_shatter_candidates(5)
+    system, candidates = path_system_alg1, band_shatter_candidates(5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathplan, "_alg1_hull", counted)
         for _ in range(2):
@@ -569,8 +569,8 @@ def test_barrier_satisfied_is_the_all_edges_test(vz, length, seed):
 def test_the_decided_path_keeps_its_star_across_blocks():
     """alg1's own check builds its polyline's star once; two blocks of the
     batch check reuse that object, and the star is no field."""
-    system = path_system_alg1()
-    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution()
+    system = path_system_alg1
+    vz = tuple(map(BarrierConstraint, uniform_barrier_distribution
                    .sample_values(stream(53, 0), 50)))
     path = system.decide(vz)
     star = vars(path)["star"]
@@ -652,7 +652,7 @@ def test_alg2_compression_selects_binding_obstacle():
 def constraint_loop(seed: int, trials: int, max_n: int) -> tuple[dict, bool]:
     """The alg2 demo's verdict from constraint objects: each trial's tuple
     against the planner on its compression."""
-    system, dist = path_system_alg2(), uniform_barrier_distribution()
+    system, dist = path_system_alg2, uniform_barrier_distribution
     mismatches = []
     for trial in range(trials):
         rng = stream(seed, trial)
@@ -936,7 +936,7 @@ def test_alg2_analytic_risk_matches_mpmath(case):
 
 
 def test_alg2_analytic_risk_against_monte_carlo():
-    dist = dataclasses.replace(uniform_barrier_distribution(),
+    dist = dataclasses.replace(uniform_barrier_distribution,
                                analytic_violation=None)
     rng = stream(43, 0)
     h = 0.25
@@ -947,7 +947,7 @@ def test_alg2_analytic_risk_against_monte_carlo():
 
 
 def test_uniform_barrier_distribution_analytic_guard():
-    dist = uniform_barrier_distribution()
+    dist = uniform_barrier_distribution
     assert dist.analytic_violation(Parabola(0.5)) == 0.0
     with pytest.raises(ValueError):
         dist.analytic_violation(Polyline((START, TARGET)))
@@ -966,7 +966,7 @@ def test_band_shatter_candidates():
 
 
 def test_path_system_equality_and_keys():
-    s1, s2 = path_system_alg1(), path_system_alg2()
+    s1, s2 = path_system_alg1, path_system_alg2
     a = alg1_shortest_path(SCENE, ())
     assert s1.decisions_equal(a, Polyline((START, TARGET)))
     assert s1.decision_key(a) == s1.decision_key(Polyline((START, TARGET)))

@@ -25,10 +25,10 @@ from scenlab.registry import get_bundle
 from scenlab.rng import stream
 
 BATCHED = {
-    "barrier": uniform_barrier_distribution(),
-    "geometric": geometric_exclusion_distribution(),
-    "atom_plus_uniform": atom_plus_uniform(),
-    "convex_mixture": convex_mixture_distribution(),
+    "barrier": uniform_barrier_distribution,
+    "geometric": geometric_exclusion_distribution,
+    "atom_plus_uniform": atom_plus_uniform,
+    "convex_mixture": convex_mixture_distribution,
 }
 
 
@@ -230,7 +230,7 @@ class ScriptedUniform:
 
 def test_barrier_batch_refills_rejected_endpoints():
     script = [0.0, 1.0, math.pi, 2.0, 0.5, 0.7, 3.0]
-    dist = uniform_barrier_distribution()
+    dist = uniform_barrier_distribution
     batch_rng, scalar_rng = ScriptedUniform(script), ScriptedUniform(script)
     batch = dist.sample_tuple(batch_rng, 4)
     scalar = tuple(dist.sample(scalar_rng) for _ in range(4))
