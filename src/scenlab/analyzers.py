@@ -40,7 +40,7 @@ from .counterexamples import (
     sigma_polygon,
 )
 from .geometry import points_equal, points_in_convex
-from .rng import stream
+from .rng import streams
 
 DEFAULT_TUPLE_BUDGET = 2_000_000
 
@@ -616,8 +616,7 @@ def adversarial_pac_experiment(system: ScenarioSystem,
         raise ValueError("trials must be >= 1")
     risks = []
     realize = _satisfied_subsets(system, candidates)
-    for trial in range(trials):
-        rng = stream(seed, trial)
+    for rng in streams(seed, trials):
         vz = tuple(candidates[int(i)] for i in rng.integers(0, k, size=n))
         realized = realize(system.decide(vz))
         risks.append((k - len(realized)) / k)

@@ -53,6 +53,14 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.replace(",", " ").split()]
 
 
+def _parse_seed(text: str) -> int:
+    """A seed is a stream coordinate, so it must lie in [0, 2**64)."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.replace(",", " ").split()]
 
@@ -153,7 +161,7 @@ def build_parser(command=None, config_parser=None) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(subparser=sp)  # reports the command's usage errors
         sp.add_argument("--out", help="JSON report path (default: stdout)")
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=_parse_seed, default=0,
                         help="seed for all randomized steps (echoed)")
         add_flags(sp)
     return parser

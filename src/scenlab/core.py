@@ -19,6 +19,7 @@ import bisect
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional, Sequence
@@ -26,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import coords_equal, coords_key
-from .rng import stream
+from .rng import stream, streams
 
 ConstraintTuple = tuple  # ordered, multiplicity-preserving sample (z_1, ..., z_N)
 # A probe generator, rng -> value.  The quoted name keeps the lazily loaded
@@ -259,7 +260,8 @@ def _probe(system: ScenarioSystem, tuple_generator: Draw,
            trials: int, seed: int) -> PropertyReport:
     """Consistency probe, or stability probe when an extra-constraint
     generator is given: trial ``t`` draws its tuple, then (stability only)
-    its extra constraint, from ``stream(seed, t)``.  Consistency is checked
+    its extra constraint, from ``stream(seed, t)`` (yielded by
+    ``streams(seed, trials)``).  Consistency is checked
     first; for stability a failure is its ``inconsistent`` precondition."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -267,8 +269,7 @@ def _probe(system: ScenarioSystem, tuple_generator: Draw,
     report = functools.partial(
         PropertyReport, system.name,
         "stability" if stability else "consistency", trials)
-    for trial in range(trials):
-        rng = stream(seed, trial)
+    for trial, rng in enumerate(streams(seed, trials)):
         vz = tuple_generator(rng)
         x = system.decide(vz)
         if not satisfies_all(system, x, vz):
@@ -329,9 +330,9 @@ def _violation_rate(system: ScenarioSystem,
     A decision that satisfies every constraint of ``dist.dominating``
     violates no draw, so its fraction is 0 / ``samples`` on every stream;
     it is returned without drawing.  ``rng`` is then left where it was,
-    which no caller sees: ``pac_curve`` gives each trial its own stream and
-    ``violation_probability_mc`` uses ``stream(seed, 0)``, and both discard
-    it after this call.
+    which no caller sees: ``pac_curve`` resets its generator to the next
+    trial's stream and ``violation_probability_mc`` discards
+    ``stream(seed, 0)`` after this call.
 
     Without ``stop`` all ``samples`` are drawn at once.  With a violation
     count ``stop`` they are drawn in blocks of ``NESTED_MC_SAMPLES // 8``,
@@ -427,6 +428,8 @@ def pac_curve(system: ScenarioSystem,
     distinct n_list, trial)``, so adding an N shifts the streams, and the
     values, of the rows above it: ``min-no-map`` at seed 0, epsilon 0.1
     and 200 trials gives q_hat(3) = 0.895 alone but 0.88 with N in [1, 3].
+    The curve seeds all of them in one ``streams(seed, len(ns), trials)``
+    pass, which yields those generators in row order.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -450,10 +453,10 @@ def pac_curve(system: ScenarioSystem,
         stop = bisect.bisect_right(range(NESTED_MC_SAMPLES + 1), epsilon,
                                    key=lambda v: v / NESTED_MC_SAMPLES)
     rows = []
-    for n_index, n in enumerate(ns):
+    rngs = streams(seed, len(ns), trials)
+    for n in ns:
         exceed = 0
-        for trial in range(trials):
-            rng = stream(seed, n_index, trial)
+        for rng in itertools.islice(rngs, trials):
             if on_values:
                 x = system.decide_values(dist.sample_values(rng, n))
             else:

@@ -42,7 +42,7 @@ from .pathplan import (
     path_system_alg2,
     uniform_barrier_distribution,
 )
-from .rng import stream
+from .rng import streams
 
 MAX_PROBE_TUPLE_LEN = 6
 
@@ -133,8 +133,7 @@ def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     mismatches = []
-    for trial in range(trials):
-        rng = stream(seed, trial)
+    for trial, rng in enumerate(streams(seed, trials)):
         n = int(rng.integers(0, max_n + 1))
         thetas = bundle.distribution.sample_values(rng, n)
         index, height = alg2_binding(SCENE, thetas)

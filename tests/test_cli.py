@@ -154,6 +154,30 @@ def test_risk_curve_rejects_negative_n(system, capsys):
     assert "n_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_command_refuses_a_seed_outside_64_bits(command, seed,
+                                                      monkeypatch, capsys):
+    # Masked to 64 bits, -1 and 2**64 would run the streams of 2**64 - 1
+    # and 0 while echoing a seed of their own.
+    def run(args):
+        raise AssertionError("the runner ran")
+
+    monkeypatch.setattr(cli, "_RUNNERS", dict.fromkeys(cli._COMMANDS, run))
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert (f"argument --seed: must be in [0, 2**64), got {seed}"
+            in capsys.readouterr().err)
+
+
+def test_risk_curve_takes_the_largest_seed(capsys):
+    code, report = run_cli(capsys, "risk-curve", "--system", "min-no-map",
+                           "--eps", "0.1", "--n-list", "3", "--trials", "20",
+                           f"--seed={2**64 - 1}")
+    assert code == 0 and report["seed"] == 2**64 - 1
+
+
 def test_shatter_subcommand(capsys):
     code, report = run_cli(
         capsys, "shatter", "--system", "interval-not-pac",
@@ -715,11 +739,13 @@ def test_module_entry_reads_its_own_argv(capsys):
     assert fresh == report
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # Every command pays for what `import scenlab.cli` loads.
+@pytest.mark.parametrize("package", ["scipy", "numpy.random"])
+def test_cli_import_leaves_package_unloaded(package):
+    # Every command pays for what `import scenlab.cli` loads; numpy.random
+    # alone holds about 6 MB, which only randomized commands need.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, scenlab.cli; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy'))")
+             f"if (m + '.').startswith('{package}.')))")
     result = subprocess.run([sys.executable, "-c", probe],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, check=True,

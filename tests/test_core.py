@@ -1,10 +1,12 @@
 """Framework tests: risk estimation, PAC curves, consistency and stability."""
 
 import dataclasses
+import itertools
 import math
 
 import pytest
 
+from scenlab import core
 from scenlab.core import (
     NESTED_MC_SAMPLES,
     ConstraintDistribution,
@@ -125,7 +127,13 @@ def test_check_stability_statuses():
     assert report.status == "inconsistent"
 
 
-def test_consistency_probes_the_stability_tuples_and_nothing_more():
+def test_consistency_probes_the_stability_tuples_and_nothing_more(
+        monkeypatch):
+    # The probes reset one generator for every trial; a new generator per
+    # trial, each that trial's stream, keeps every trial's end state.
+    monkeypatch.setattr(core, "streams", lambda seed, *shape: (
+        stream(seed, *index) for index in itertools.product(*map(range, shape))))
+
     def recording(drawn):
         def draw(rng):
             vz = threshold_tuples(rng)

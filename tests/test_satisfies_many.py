@@ -5,12 +5,14 @@ values]`` element for element, for the distribution's ``constraint_class``
 
 import collections
 import dataclasses
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenlab import core
 from scenlab.core import pac_curve, violation_probability_mc
 from scenlab.counterexamples import BandConstraint, PolygonConstraint
 from scenlab.geometry import POINT_TOL
@@ -132,7 +134,7 @@ def test_convex_checks_reject_a_value_that_is_no_level_or_polygon(value):
 
 
 @pytest.mark.parametrize("key", ORACLE_SYSTEMS)
-def test_pac_curve_does_not_depend_on_satisfies_values(key):
+def test_pac_curve_does_not_depend_on_satisfies_values(key, monkeypatch):
     """Nor on the ``dominating`` shortcut: a distribution with it emptied
     gives the same estimates and curves, on decisions the shortcut settles
     without drawing (convex-vc only) and on decisions it does not."""
@@ -165,6 +167,10 @@ def test_pac_curve_does_not_depend_on_satisfies_values(key):
                                                     500, seed=3)
         drew.append([n for _, n in calls] == [500])
     assert drew == [not dist.dominating, True]
+    # pac_curve resets one generator for every trial; a new generator per
+    # trial, each that trial's stream, tells the trials' calls apart.
+    monkeypatch.setattr(core, "streams", lambda seed, *shape: (
+        stream(seed, *index) for index in itertools.product(*map(range, shape))))
     settled = 0
     n_list, trials = [0, 1, 5, 20, 50], 10
     for seed in (9, 10, 11):
