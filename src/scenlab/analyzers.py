@@ -74,6 +74,12 @@ def check_tuple_budget(counts: Iterable[int]) -> None:
                 f"more than {DEFAULT_TUPLE_BUDGET} tuples to enumerate")
 
 
+def subset_counts(k: int, d: int, permutations: bool = False) -> Iterable[int]:
+    """C(k, r), or P(k, r) with ``permutations``, lazily for r <= min(d, k)."""
+    count = math.perm if permutations else math.comb
+    return (count(k, r) for r in range(min(d, k) + 1))
+
+
 # ---------------------------------------------------------------------------
 # Prefix-tree walks
 # ---------------------------------------------------------------------------
@@ -350,7 +356,7 @@ def find_compression_subtuple(system: ScenarioSystem,
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     n = len(vz)
-    check_tuple_budget(math.comb(n, r) for r in range(min(capacity, n) + 1))
+    check_tuple_budget(subset_counts(n, capacity))
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
     extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
@@ -467,12 +473,11 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     k = len(base)
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
-    count = math.perm if permutations else math.comb
-    check_tuple_budget(count(k, r) for r in range(k + 1))
+    check_tuple_budget(subset_counts(k, k, permutations))
 
     decisions = _decision_keys(system, base, permutations)
 
-    bound = sum(count(k, r) for r in range(min(capacity, k) + 1))
+    bound = sum(subset_counts(k, capacity, permutations))
     return CompressionSchemeReport(
         system=system.name, base_set=base, tuple_length_bound=k,
         capacity=capacity, distinct_decisions=len(decisions),

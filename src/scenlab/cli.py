@@ -49,10 +49,25 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
+def _argument_type(expected: str):
+    """An argparse type's decorator: errors name what was ``expected``."""
+    def decorate(parse):
+        def typed(text: str):
+            try:
+                return parse(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expected {expected}, got {text!r}") from None
+        return typed
+    return decorate
+
+
+@_argument_type("integers separated by commas or spaces")
 def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.replace(",", " ").split()]
 
 
+@_argument_type("an integer")
 def _parse_seed(text: str) -> int:
     """A seed is a stream coordinate, so it must lie in [0, 2**64)."""
     seed = int(text)
@@ -61,10 +76,12 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
+@_argument_type("numbers separated by commas or spaces")
 def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.replace(",", " ").split()]
 
 
+@_argument_type("JSON, or @ and the path of a JSON file")
 def _json_argument(text: str):
     if text.startswith("@"):
         return json.loads(Path(text[1:]).read_text())
@@ -139,7 +156,7 @@ def _add_pathplan(sp) -> None:
     sp.add_argument("--algo", type=int, choices=(1, 2), required=True)
     sp.add_argument("--thetas", type=_parse_float_list, default=[],
                     metavar="T1,T2,...")
-    sp.add_argument("--length", type=float, default=0.5)
+    sp.add_argument("--length", type=float, default=Scene.barrier_length)
 
 
 def build_parser(command=None, config_parser=None) -> argparse.ArgumentParser:

@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import coords_equal, coords_key
-from .rng import stream, streams
+from .rng import streams
 
 ConstraintTuple = tuple  # ordered, multiplicity-preserving sample (z_1, ..., z_N)
 # A probe generator, rng -> value.  The quoted name keeps the lazily loaded
@@ -142,7 +142,7 @@ class ConstraintDistribution:
     with, a decision that satisfies every one of them satisfies every
     constraint ``sample`` can draw.  Such a decision has risk exactly 0, and
     nested Monte Carlo returns that without drawing (see
-    :func:`violation_probability_mc`).
+    :func:`_violation_rate`).
     """
 
     sample: Callable[[np.random.Generator], Any]
@@ -260,9 +260,7 @@ def _probe(system: ScenarioSystem, tuple_generator: Draw,
            trials: int, seed: int) -> PropertyReport:
     """Consistency probe, or stability probe when an extra-constraint
     generator is given: trial ``t`` draws its tuple, then (stability only)
-    its extra constraint, from ``stream(seed, t)`` (yielded by
-    ``streams(seed, trials)``).  Consistency is checked
-    first; for stability a failure is its ``inconsistent`` precondition."""
+    its extra constraint, from ``stream(seed, t)``."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     stability = extra_constraint_generator is not None
@@ -327,23 +325,17 @@ def _violation_rate(system: ScenarioSystem,
     drawn values when ``dist`` has a ``constraint_class`` and ``system`` has
     ``satisfies_values`` (both contracts make that fraction the same).
 
-    A decision that satisfies every constraint of ``dist.dominating``
-    violates no draw, so its fraction is 0 / ``samples`` on every stream;
-    it is returned without drawing.  ``rng`` is then left where it was,
-    which no caller sees: ``pac_curve`` resets its generator to the next
-    trial's stream and ``violation_probability_mc`` discards
-    ``stream(seed, 0)`` after this call.
+    A decision that satisfies all of ``dist.dominating`` violates no draw,
+    so its fraction, 0, is returned without drawing (no caller reads ``rng``
+    again).
 
-    Without ``stop`` all ``samples`` are drawn at once.  With a violation
-    count ``stop`` they are drawn in blocks of ``NESTED_MC_SAMPLES // 8``,
-    and drawing ends after the block that settles whether the count reaches
-    ``stop``: it has, or the draws left cannot make it.  The fraction
-    returned then counts only the draws made, but it reaches
-    ``stop / samples`` exactly when the full fraction does, which is all
-    that ``pac_curve`` reads.
-    Consecutive blocks draw exactly the values of one call (the
-    ``sample_values`` and ``sample_tuple`` contracts), so every draw made is
-    that of the full loop."""
+    The draws come in blocks of ``NESTED_MC_SAMPLES // 8``, which together
+    draw the values of one call (the ``sample_values`` and ``sample_tuple``
+    contracts).  With a violation count ``stop``, drawing ends after the
+    block that settles whether the count reaches ``stop``: it has, or the
+    draws left cannot make it.  The fraction returned then counts only the
+    draws made, but it reaches ``stop / samples`` exactly when the full
+    fraction does, which is all that ``pac_curve`` reads."""
     if dist.analytic_violation is not None:
         v = dist.analytic_violation(x)
         if not 0.0 <= v <= 1.0:
@@ -354,12 +346,11 @@ def _violation_rate(system: ScenarioSystem,
         return 0.0
     on_values = (dist.constraint_class is not None
                  and system.satisfies_values is not None)
-    block = samples if stop is None else NESTED_MC_SAMPLES // 8
     violated, left = 0, samples
     # satisfies never touches rng, so drawing a block before checking it
     # consumes the same stream as interleaving draws and checks.
     while left:
-        size = min(block, left)
+        size = min(NESTED_MC_SAMPLES // 8, left)
         left -= size
         if on_values:
             satisfied = system.satisfies_values(x, dist.sample_values(rng, size))
@@ -377,19 +368,17 @@ def violation_probability_mc(system: ScenarioSystem,
                              dist: ConstraintDistribution,
                              samples: int,
                              seed: int = 0) -> RiskEstimate:
-    """Estimate the risk of ``x`` under ``dist``.
-
-    Two cases skip the draws.  When the distribution carries an analytic
-    evaluator, the exact value is returned with radius 0.  When ``x``
-    satisfies every constraint of ``dist.dominating``, the estimate is 0,
-    the count that all ``samples`` draws would give, and it keeps the
-    Hoeffding radius and ``analytic=False`` of a drawn estimate.  Otherwise
-    all ``samples`` are drawn.
-    """
+    """Estimate the risk of ``x`` under ``dist``: the exact value, with
+    radius 0, when ``dist`` is analytic, else the share of ``samples`` draws
+    from ``stream(seed, 0)`` (``streams(seed, 1)``) that ``x`` violates,
+    with its Hoeffding radius.  A decision that ``dist.dominating`` settles
+    draws nothing (see ``_violation_rate``) but keeps that radius and
+    ``analytic=False``."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     analytic = dist.analytic_violation is not None
-    risk = _violation_rate(system, x, dist, stream(seed, 0), samples)
+    rng, = streams(seed, 1)
+    risk = _violation_rate(system, x, dist, rng, samples)
     radius = 0.0 if analytic else hoeffding_radius(samples)
     return RiskEstimate(risk, radius, samples, seed, analytic=analytic)
 
@@ -406,30 +395,21 @@ def pac_curve(system: ScenarioSystem,
     Trials run in order, each sampling ``vz ~ dist^N`` on its own stream.
     N entries that are negative, boolean or not integral and analytic risks
     outside [0, 1] raise ``ValueError``.  Without an analytic evaluator the
-    risk is estimated by nested Monte Carlo and the curve is flagged
-    ``nested_mc`` (wider, unreported uncertainty on each inner estimate);
-    a decision that satisfies every constraint of ``dist.dominating`` has
-    risk 0 without inner draws, the same count the draws would give, so the
-    rows and the flag do not depend on that shortcut.  Any other trial
-    draws its ``NESTED_MC_SAMPLES`` inner constraints in blocks and stops
-    after the block whose violation count settles whether the fraction of
-    all of them exceeds ``epsilon``: a trial counts as exceeding exactly
-    when the full draws would make it so, and the rows are those of the
-    full draws.  (``violation_probability_mc`` still draws all its
-    ``samples``.)
+    risk is estimated from ``NESTED_MC_SAMPLES`` inner draws and the curve
+    is flagged ``nested_mc`` (wider, unreported uncertainty on each inner
+    estimate).  ``_violation_rate`` skips the draws of a decision that
+    ``dist.dominating`` settles and stops them once they settle whether the
+    risk exceeds ``epsilon``; neither changes a row.
 
     When ``dist`` carries a ``constraint_class`` and ``system`` carries
-    ``decide_values``, each decision is taken on the sampled values without
-    building constraint objects; both contracts make that decision, the
-    stream position and hence every row the same as deciding on
-    ``dist.sample_tuple``.
+    ``decide_values``, each decision is taken on the sampled values, which
+    by both contracts changes no row.
 
     The stream of a row's trial is ``stream(seed, index of N in the sorted
     distinct n_list, trial)``, so adding an N shifts the streams, and the
     values, of the rows above it: ``min-no-map`` at seed 0, epsilon 0.1
     and 200 trials gives q_hat(3) = 0.895 alone but 0.88 with N in [1, 3].
-    The curve seeds all of them in one ``streams(seed, len(ns), trials)``
-    pass, which yields those generators in row order.
+    One ``streams(seed, len(ns), trials)`` pass yields them in row order.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -447,11 +427,9 @@ def pac_curve(system: ScenarioSystem,
 
     on_values = (dist.constraint_class is not None
                  and system.decide_values is not None)
-    nested = dist.analytic_violation is None
-    stop = None  # the least violation count whose fraction exceeds epsilon
-    if nested:
-        stop = bisect.bisect_right(range(NESTED_MC_SAMPLES + 1), epsilon,
-                                   key=lambda v: v / NESTED_MC_SAMPLES)
+    # The least violation count whose fraction exceeds epsilon.
+    stop = bisect.bisect_right(range(NESTED_MC_SAMPLES + 1), epsilon,
+                               key=lambda v: v / NESTED_MC_SAMPLES)
     rows = []
     rngs = streams(seed, len(ns), trials)
     for n in ns:
@@ -465,4 +443,5 @@ def pac_curve(system: ScenarioSystem,
                                stop) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
-    return PacCurve(epsilon, trials, seed, tuple(rows), nested_mc=nested)
+    return PacCurve(epsilon, trials, seed, tuple(rows),
+                    nested_mc=dist.analytic_violation is None)

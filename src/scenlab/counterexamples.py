@@ -358,7 +358,7 @@ alg_min = Fold(frozenset(), _min_extend, _min_finish)
 
 def alg_sum_values(values: Iterable[int]) -> int:
     """``alg_sum`` on the excluded values themselves."""
-    return 1 + sum(values)
+    return _sum_finish(sum(values))
 
 
 def alg_min_values(values: Iterable[int]) -> int:

@@ -11,7 +11,6 @@ adding a system means adding one row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -78,7 +77,7 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
     if k < 1:
         raise ValueError("k must be >= 1")
     # Every subset is decided: refuse before building k big-integer weights.
-    analyzers.check_tuple_budget(math.comb(k, r) for r in range(k + 1))
+    analyzers.check_tuple_budget(analyzers.subset_counts(k, k))
     base = [ExclusionConstraint(1 << j) for j in range(k)]
     report = analyzers.certify_no_compression_scheme(bundle.system, base,
                                                      capacity)
@@ -88,8 +87,8 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
 def _demo_min(bundle: SystemBundle, seed: int, *,
               capacity: int = 1) -> tuple[dict, bool]:
     # Refuse an oversized search before building its capacity + 1 constraints.
-    analyzers.check_tuple_budget(math.comb(capacity + 1, r)
-                                 for r in range(capacity + 1))
+    analyzers.check_tuple_budget(analyzers.subset_counts(capacity + 1,
+                                                         capacity))
     vz = tuple(ExclusionConstraint(a) for a in range(capacity + 1))
     report = analyzers.search_compression_map(bundle.system, vz, capacity)
     return {"map_search": report.to_jsonable()}, report.none_certificate
@@ -106,18 +105,14 @@ def _demo_interval(bundle: SystemBundle, seed: int, *, eps: float = 0.25,
 
 def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
                     eps: float = 0.25, trials: int = 200) -> tuple[dict, bool]:
-    """Band shattering plus the adversarial experiment."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    """Adversarial experiment (which checks eps, trials), then shattering."""
     # Refuse an oversized walk before building its 3k band constraints.
     analyzers.check_tuple_budget(k ** r for r in range(k + 1))
-    shatter = analyzers.check_shattered(
-        bundle.system, band_shatter_candidates(k), max_len=k)
     adversarial = analyzers.adversarial_pac_experiment(
         bundle.system, band_shatter_candidates(2 * k), n=k,
         epsilon=eps, trials=trials, seed=seed)
+    shatter = analyzers.check_shattered(
+        bundle.system, band_shatter_candidates(k), max_len=k)
     passed = (shatter.shattered and adversarial.q_hat == 1.0
               and adversarial.min_risk >= 0.5)
     return {"shatter": shatter.to_jsonable(),

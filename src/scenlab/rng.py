@@ -1,22 +1,21 @@
 """Deterministic, splittable random streams.
 
 Every randomized routine in this package derives one independent stream per
-trial by mixing ``(seed, *indices)`` through a 64-bit finalizer.  Trials can
-then run in any order (or in parallel) and still produce bit-identical
-results.
+trial by mixing ``(seed, *indices)`` through a 64-bit finalizer.
 
 ``stream(seed, *indices)`` is the definition: numpy's ``default_rng`` seeded
-with ``mix64(seed, *indices)``.  Building it hashes a ``SeedSequence`` and
-constructs a PCG64 and a Generator for every trial.  ``streams(seed, *shape)``
-yields the same generators for a whole grid of indices: it runs numpy's
-``SeedSequence`` -> PCG64 seeding for all of them as one batched kernel (a
-port of numpy's algorithm, pinned against ``default_rng`` by the tests) and
-resets one Generator to each state in turn.
+with ``mix64(seed, *indices)``, a new generator per call, so trials on
+``stream`` generators can run in any order (or in parallel) and still
+produce bit-identical results.  ``streams(seed, *shape)``, which every
+driver uses, yields the same states for a whole grid of indices from one
+batched port of numpy's seeding, resetting one Generator to each state in
+turn: its trials run one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -28,11 +27,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def mix64(*parts: int) -> int:
     """Mix integer parts into a single 64-bit value (splitmix64 finalizer).
 
-    Each part must lie in [0, 2**64); any other raises ``ValueError``, as
-    ``default_rng`` does for a negative seed, so no two seeds alias."""
+    A bool, or a part that ``operator.index`` refuses, raises ``TypeError``;
+    one outside [0, 2**64) raises ``ValueError``, as ``default_rng`` does for
+    a negative seed.  So no seed truncates or aliases into another's."""
     acc = _GOLDEN
     for p in parts:
-        p = int(p)
+        if isinstance(p, bool):
+            raise TypeError(f"stream coordinate {p} is not an integer")
+        p = operator.index(p)
         if not 0 <= p <= _MASK:
             raise ValueError(f"stream coordinate {p} outside [0, 2**64)")
         acc = ((acc ^ p) * 0xBF58476D1CE4E5B9) & _MASK

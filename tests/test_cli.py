@@ -171,6 +171,25 @@ def test_every_command_refuses_a_seed_outside_64_bits(command, seed,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv, flag_name", [
+    (["risk-curve", "--system", "min-no-map", "--eps", "0.1",
+      "--n-list", "abc"], "--n-list"),
+    (["risk-curve", "--system", "min-no-map", "--eps", "0.1",
+      "--n-list", "3", "--seed", "abc"], "--seed"),
+    (["pathplan", "--algo", "1", "--thetas", "x"], "--thetas"),
+    (["shatter", "--system", "min-no-map", "--candidates", "{bad"],
+     "--candidates"),
+])
+def test_unparsable_values_name_the_flag_not_the_parser(argv, flag_name,
+                                                        capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag_name}: expected " in err
+    assert not re.search(r"_parse|_json", err)
+
+
 def test_risk_curve_takes_the_largest_seed(capsys):
     code, report = run_cli(capsys, "risk-curve", "--system", "min-no-map",
                            "--eps", "0.1", "--n-list", "3", "--trials", "20",
@@ -557,11 +576,13 @@ def test_readme_lists_each_demo_input():
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ``scenlab`` line of every sh block, as the CI step runs them."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"\n```sh\n(# Counterexample.*?)\n```", readme,
-                      re.DOTALL).group(1)
-    commands = [shlex.split(line) for line in
-                block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)
+                for block in re.findall(r"```sh\n(.*?)```",
+                                        readme.replace("\\\n", " "),
+                                        re.DOTALL)
+                for line in map(str.strip, block.splitlines())
                 if line.startswith("scenlab ")]
     assert commands
     monkeypatch.chdir(tmp_path)

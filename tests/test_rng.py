@@ -1,4 +1,4 @@
-"""Seeded streams: ``mix64``'s range, the batched ``streams`` against the
+"""Seeded streams: ``mix64``'s domain, the batched ``streams`` against the
 per-index ``stream`` it reproduces, and its callers against the per-trial
 ``stream`` loops they replaced."""
 
@@ -14,15 +14,17 @@ from scenlab.core import (
     NESTED_MC_SAMPLES,
     PacRow,
     PropertyReport,
+    RiskEstimate,
     _violation_rate,
     check_consistency,
     check_stability,
     hoeffding_radius,
     pac_curve,
     satisfies_all,
+    violation_probability_mc,
 )
 from scenlab.pathplan import SCENE, alg2_binding
-from scenlab.registry import get_bundle
+from scenlab.registry import SYSTEMS, get_bundle
 from scenlab.rng import _CHUNK, _pcg64_seeds, mix64, stream, streams
 
 EDGE_ENTROPIES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
@@ -44,6 +46,27 @@ def test_mix64_refuses_parts_outside_64_bits(part):
 
 def test_mix64_accepts_the_64_bit_range():
     assert len({mix64(0), mix64(2**64 - 1), mix64(0, 2**64 - 1)}) == 3
+
+
+@pytest.mark.parametrize("part", [2.5, 2.0, True, False, np.True_, "3"])
+def test_mix64_refuses_parts_that_are_not_integers(part):
+    # Truncating them would run 2.5 on the streams of 2 and True on those
+    # of 1, under a report that echoes the value given.
+    with pytest.raises(TypeError):
+        mix64(part)
+    with pytest.raises(TypeError):
+        mix64(0, part)
+
+
+def test_mix64_accepts_numpy_integers():
+    assert mix64(np.int64(3)) == mix64(3)
+    assert mix64(np.uint64(2**64 - 1), np.int32(7)) == mix64(2**64 - 1, 7)
+
+
+def test_pac_curve_refuses_a_fractional_seed():
+    bundle = get_bundle("min-no-map")
+    with pytest.raises(TypeError):
+        pac_curve(bundle.system, bundle.distribution, 0.1, [3], 5, seed=2.5)
 
 
 @pytest.mark.parametrize("entropy", EDGE_ENTROPIES)
@@ -242,3 +265,47 @@ def test_demo_path_alg2_is_the_per_trial_stream_loop():
     assert passed and verdicts["compression_idempotence"]["trials"] == 120
     assert kept == loop_demo_path_alg2_kept(bundle, 7, 120, 20)
     assert any(kept) and not all(kept)
+
+
+def one_shot_risk(system, x, dist, samples, seed):
+    """``violation_probability_mc`` as it drew before its draws came in
+    blocks: all ``samples`` from ``stream(seed, 0)`` in one call."""
+    analytic = dist.analytic_violation is not None
+    if analytic:
+        risk = dist.analytic_violation(x)
+    elif dist.dominating and all(system.satisfies(x, z)
+                                 for z in dist.dominating):
+        risk = 0.0
+    else:
+        rng = stream(seed, 0)
+        if (dist.constraint_class is not None
+                and system.satisfies_values is not None):
+            satisfied = system.satisfies_values(
+                x, dist.sample_values(rng, samples))
+        else:
+            satisfied = [system.satisfies(x, z)
+                         for z in dist.sample_tuple(rng, samples)]
+        risk = (len(satisfied) - sum(satisfied)) / samples
+    return RiskEstimate(risk, 0.0 if analytic else hoeffding_radius(samples),
+                        samples, seed, analytic=analytic)
+
+
+@pytest.mark.parametrize("key", list(SYSTEMS))
+@pytest.mark.parametrize("on_values", [True, False])
+@pytest.mark.parametrize("analytic", [True, False])
+def test_violation_probability_mc_is_the_one_shot_draw(key, on_values,
+                                                       analytic):
+    bundle = get_bundle(key)
+    system, dist = bundle.system, bundle.distribution
+    if not on_values:
+        system = dataclasses.replace(system, satisfies_values=None)
+    if not analytic:
+        dist = dataclasses.replace(dist, analytic_violation=None)
+    x = system.decide(dist.sample_tuple(stream(7, 1), 5))
+    drawn = []
+    for samples in (1, 249, 250, 251, 1001, 2000):
+        estimate = violation_probability_mc(system, x, dist, samples, seed=3)
+        assert estimate == one_shot_risk(system, x, dist, samples, 3), samples
+        drawn.append(estimate.estimate)
+    if dist.analytic_violation is None:
+        assert 0.0 < drawn[-1] < 1.0  # the draws decide the estimate

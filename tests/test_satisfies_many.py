@@ -165,7 +165,7 @@ def test_pac_curve_does_not_depend_on_satisfies_values(key, monkeypatch):
         estimate = violation_probability_mc(system, x, counted, 500, seed=3)
         assert estimate == violation_probability_mc(system, x, undominated,
                                                     500, seed=3)
-        drew.append([n for _, n in calls] == [500])
+        drew.append([n for _, n in calls] == [250, 250])
     assert drew == [not dist.dominating, True]
     # pac_curve resets one generator for every trial; a new generator per
     # trial, each that trial's stream, tells the trials' calls apart.
