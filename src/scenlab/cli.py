@@ -50,7 +50,8 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def _argument_type(expected: str):
-    """An argparse type's decorator: errors name what was ``expected``."""
+    """An argparse type's decorator: errors name what was ``expected``, and
+    a file that cannot be read (an ``@file`` argument) gives the reason."""
     def decorate(parse):
         def typed(text: str):
             try:
@@ -58,6 +59,10 @@ def _argument_type(expected: str):
             except ValueError:
                 raise argparse.ArgumentTypeError(
                     f"expected {expected}, got {text!r}") from None
+            except OSError as exc:
+                raise argparse.ArgumentTypeError(
+                    f"expected {expected}, got {text!r}: "
+                    f"{exc.strerror}") from None
         return typed
     return decorate
 

@@ -120,21 +120,31 @@ ConvexConstraint = PolygonConstraint | BandConstraint
 
 
 def _convex_extend(state: tuple, z) -> tuple:
-    """Clip the region by a polygon (the first polygon is the region), or
-    raise the band level to a band's."""
-    region, y_min = state
+    """Clip the region by a polygon not clipped by before (the first polygon
+    is the region), or raise the band level to a band's.
+
+    A repeated polygon P returns the state unchanged, which is what clipping
+    by P again would give.  Every vertex of a region already clipped by P
+    lies inside P up to rounding, far within ``CLIP_TOL`` = 1e-12: each
+    halfplane of P keeps every vertex and forms no crossing, and ``_dedupe``
+    returns the already deduplicated ring unchanged.
+    """
+    region, y_min, clipped = state
     if isinstance(z, PolygonConstraint):
+        if z in clipped:
+            return state
         return (z.vertices if region is None
-                else clip_polygon(region, z.vertices), y_min)
+                else clip_polygon(region, z.vertices), y_min, clipped | {z})
     if isinstance(z, BandConstraint):
         # max(y_min, z.y): a tie keeps the earlier level, as max() does.
-        return region, z.y if y_min is None or z.y > y_min else y_min
+        return (region, z.y if y_min is None or z.y > y_min else y_min,
+                clipped)
     # Not ValueError, which the compression-map search reads as undecidable.
     raise TypeError(f"not a polygon or band constraint: {type(z).__name__}")
 
 
 def _convex_finish(state: tuple) -> Point:
-    region, y_min = state
+    region, y_min, _ = state
     if region is None:
         if y_min is None:
             return (1.0, 0.0)
@@ -150,8 +160,10 @@ def _convex_finish(state: tuple) -> Point:
 # polygon constraints present, the feasible set is the clipped polygon (all
 # its vertices lie in the disk); otherwise the optimum sits on the circle at
 # the band level.  The state is (clipped region or None, max band level or
-# None); polygons are clipped in tuple order and the band clip comes last.
-alg_convex_maxx1 = Fold((None, None), _convex_extend, _convex_finish)
+# None, frozenset of the polygons clipped by); each distinct polygon is
+# clipped once, in tuple order, and the band clip comes last.
+alg_convex_maxx1 = Fold((None, None, frozenset()), _convex_extend,
+                        _convex_finish)
 
 
 def convex_satisfies(x: Point, z: ConvexConstraint) -> bool:

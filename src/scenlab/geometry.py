@@ -1,8 +1,12 @@
 """Exact-up-to-tolerance planar primitives for convex scenario programs.
 
 All polygons are convex, counterclockwise, and stored as tuples of (x, y)
-pairs.  Comparisons are routed through the signed-distance predicates below so
-robustness is tuned in one place.
+pairs.  Comparisons are made on the signed distances of
+:func:`signed_edge_distance`, so robustness is tuned in one place.
+:func:`clip_halfplane`, :func:`point_in_convex` and :func:`points_in_convex`
+compute ``cross / length`` inline, with the line's length taken once, in
+:func:`signed_edge_distance`'s operation order: each distance is the float
+that function returns.
 """
 
 from __future__ import annotations
@@ -55,8 +59,12 @@ def point_in_convex(poly: Sequence[Point], p: Point,
     """Closed membership test for a convex CCW polygon.
 
     ``dist_tol`` is the slack, in units of distance, allowed outside each
-    edge.  Degenerate polygons (segments, points) are handled.
+    edge; it must be >= 0.  Degenerate polygons (segments, points) are
+    handled.  A zero-length edge is skipped: its :func:`signed_edge_distance`
+    is a point distance, never below ``-dist_tol``.
     """
+    if dist_tol < 0.0:
+        raise ValueError("dist_tol must be >= 0")
     n = len(poly)
     if n == 0:
         return False
@@ -68,9 +76,12 @@ def point_in_convex(poly: Sequence[Point], p: Point,
             return False
         t = _project_param(a, b, p)
         return -dist_tol <= t <= 1.0 + dist_tol
+    px, py = p
     for i in range(n):
-        a, b = poly[i], poly[(i + 1) % n]
-        if signed_edge_distance(a, b, p) < -dist_tol:
+        (ax, ay), (bx, by) = poly[i - 1], poly[i]
+        dx, dy = bx - ax, by - ay
+        length = math.hypot(dx, dy)
+        if length and (dx * (py - ay) - dy * (px - ax)) / length < -dist_tol:
             return False
     return True
 
@@ -118,14 +129,23 @@ def clip_halfplane(poly: Sequence[Point], a: Point,
     """Clip a convex polygon by the halfplane left of the directed line a->b.
 
     Sutherland-Hodgman step; vertices within ``CLIP_TOL`` of the line are
-    kept.
+    kept.  When the line cuts no vertex off, the step keeps every vertex and
+    forms no crossing, so the deduplicated ring is returned without the loop.
     """
     if not poly:
         return ()
     tol = CLIP_TOL
+    ax, ay = a
+    dx, dy = b[0] - ax, b[1] - ay
+    length = math.hypot(dx, dy)
+    if length == 0.0:
+        dists = [signed_edge_distance(a, b, v) for v in poly]
+    else:
+        dists = [(dx * (vy - ay) - dy * (vx - ax)) / length for vx, vy in poly]
+    if min(dists) >= -tol:
+        return _dedupe(list(poly))
     out: list[Point] = []
     n = len(poly)
-    dists = [signed_edge_distance(a, b, v) for v in poly]
     for i in range(n):
         v_cur, v_nxt = poly[i], poly[(i + 1) % n]
         d_cur, d_nxt = dists[i], dists[(i + 1) % n]

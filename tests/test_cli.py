@@ -179,6 +179,12 @@ def test_every_command_refuses_a_seed_outside_64_bits(command, seed,
     (["pathplan", "--algo", "1", "--thetas", "x"], "--thetas"),
     (["shatter", "--system", "min-no-map", "--candidates", "{bad"],
      "--candidates"),
+    (["shatter", "--system", "min-no-map", "--candidates", "@/nonexistent"],
+     "--candidates"),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--tuple", "@/nonexistent"], "--tuple"),
+    (["compression", "--system", "min-no-map", "--capacity", "1",
+      "--base", "@/nonexistent"], "--base"),
 ])
 def test_unparsable_values_name_the_flag_not_the_parser(argv, flag_name,
                                                         capsys):
@@ -186,8 +192,10 @@ def test_unparsable_values_name_the_flag_not_the_parser(argv, flag_name,
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
-    assert f"argument {flag_name}: expected " in err
+    assert f"scenlab {argv[0]}: error: argument {flag_name}: expected " in err
     assert not re.search(r"_parse|_json", err)
+    if "@/nonexistent" in argv:
+        assert err.rstrip().endswith("No such file or directory")
 
 
 def test_risk_curve_takes_the_largest_seed(capsys):

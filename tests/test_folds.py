@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from scenlab.counterexamples import (
     alg_convex_maxx1,
     alg_min,
     alg_sum,
+    convex_mixture_distribution,
     interval_system,
     min_system,
     sigma_polygon,
@@ -41,6 +43,7 @@ from scenlab.pathplan import (
     band_shatter_candidates,
 )
 from scenlab.registry import SYSTEMS
+from test_geometry import clip_polygon_by_distances
 
 FOLD_SYSTEMS = {key: SYSTEMS[key].system for key in
                 ("convex-vc", "sum-no-scheme", "min-no-map", "path-alg1")}
@@ -51,6 +54,8 @@ FOLD_SYSTEMS = {key: SYSTEMS[key].system for key in
 
 
 def convex_by_lists(vz):
+    """Clips by every polygon in tuple order, repeats included, with the
+    full Sutherland-Hodgman loop over ``signed_edge_distance``."""
     polygons = [z for z in vz if isinstance(z, PolygonConstraint)]
     bands = [z.y for z in vz if isinstance(z, BandConstraint)]
     y_min = max(bands) if bands else None
@@ -61,7 +66,7 @@ def convex_by_lists(vz):
         return (math.sqrt(max(0.0, 1.0 - y * y)), y)
     region = sigma_polygon(polygons[0].m, polygons[0].i)
     for z in polygons[1:]:
-        region = clip_polygon(region, sigma_polygon(z.m, z.i))
+        region = clip_polygon_by_distances(region, sigma_polygon(z.m, z.i))
     if y_min is not None:
         region = clip_band(region, y_min)
     return max_x_vertex(region)
@@ -81,6 +86,15 @@ def min_by_lists(vz):
 
 def hexed(point):
     return tuple(float.hex(c) for c in point)
+
+
+def by_list_form(system):
+    """``convex-vc`` deciding by :func:`convex_by_lists`, the reference of
+    the per-tuple loops that its fold's walks are checked against; any
+    other system as it is."""
+    if system.name == "convex-vc":
+        return dataclasses.replace(system, decide=convex_by_lists)
+    return system
 
 
 POLYGONS = [PolygonConstraint(m, i) for m in range(1, 5)
@@ -127,6 +141,9 @@ def test_convex_fold_is_bit_identical_to_the_list_form(vz):
        st.permutations(range(10)))
 @example([POLYGONS[0]], [0.0, -0.0], range(10))
 @example([POLYGONS[0]], [-0.0, 0.0], range(10))
+@example([POLYGONS[0]] * 3, [], range(10))  # sigma(1, 1) has two vertices
+@example([POLYGONS[2], POLYGONS[0], POLYGONS[2], POLYGONS[0]], [0.25],
+         range(10))
 def test_convex_fold_on_repeated_polygons_and_signed_zero_levels(
         polygons, levels, order):
     vz = polygons + [BandConstraint(y) for y in levels]
@@ -135,6 +152,15 @@ def test_convex_fold_on_repeated_polygons_and_signed_zero_levels(
     # Without polygons the level itself is returned, signed zero included.
     bands = tuple(z for z in vz if isinstance(z, BandConstraint))
     assert hexed(alg_convex_maxx1(bands)) == hexed(convex_by_lists(bands))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_convex_fold_decides_seeded_mixture_tuples_as_the_list_form(seed):
+    """The shipped mixture, whose ten polygons repeat in any long tuple."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 10, 20, 50, 100, 200):
+        vz = convex_mixture_distribution.sample_tuple(rng, n)
+        assert hexed(alg_convex_maxx1(vz)) == hexed(convex_by_lists(vz))
 
 
 @settings(deadline=None, max_examples=200)
@@ -162,8 +188,11 @@ def test_extend_returns_a_new_state():
     assert alg_min.extend(grown, ExclusionConstraint(3)) is grown
     first = alg_convex_maxx1.extend(alg_convex_maxx1.init, POLYGONS[1])
     second = alg_convex_maxx1.extend(first, POLYGONS[2])
-    assert first == (sigma_polygon(2, 1), None)
+    assert first == (sigma_polygon(2, 1), None, frozenset({POLYGONS[1]}))
     assert second[0] == clip_polygon(sigma_polygon(2, 1), sigma_polygon(2, 2))
+    assert second[2] == frozenset(POLYGONS[1:3])
+    # A polygon already clipped by leaves the state as it is.
+    assert alg_convex_maxx1.extend(second, POLYGONS[1]) is second
 
 
 def test_fold_decides_by_folding_extend_from_init():
@@ -226,7 +255,7 @@ def distinct(key, max_size):
 def test_scheme_walk_gives_the_loop_keys(key, data, permutations):
     system = FOLD_SYSTEMS[key]
     base = tuple(data.draw(distinct(key, 4 if permutations else 7)))
-    keys = loop_keys(system, base, permutations)
+    keys = loop_keys(by_list_form(system), base, permutations)
     assert analyzers._decision_keys(system, base, permutations) == keys
     report = certify_no_compression_scheme(system, base, 1, permutations)
     assert report.distinct_decisions == len(keys)
@@ -313,7 +342,7 @@ def test_subtuple_walk_gives_the_loop_subtuple(key, data):
     vz = tuple(data.draw(st.lists(strategy, max_size=7)))
     capacity = data.draw(st.integers(min_value=0, max_value=len(vz)))
     assert find_compression_subtuple(system, vz, capacity) == \
-        loop_subtuple(system, vz, capacity)
+        loop_subtuple(by_list_form(system), vz, capacity)
 
 
 @settings(deadline=None, max_examples=200)
@@ -403,7 +432,7 @@ def test_shatter_walk_gives_the_loop_verdict(key, data, include_empty):
     max_len = data.draw(st.integers(min_value=1, max_value=3))
     report = check_shattered(system, candidates, max_len, include_empty)
     verdict, checked, counterexample, realized = loop_shattered(
-        system, candidates, max_len, include_empty)
+        by_list_form(system), candidates, max_len, include_empty)
     assert (report.verdict, report.tuples_checked) == (verdict, checked)
     assert report.counterexample == counterexample
     assert report.satisfied_subset == realized

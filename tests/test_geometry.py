@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from scenlab.counterexamples import sigma_polygon, tau
 from scenlab.geometry import (
+    CLIP_TOL,
     POINT_TOL,
     DegenerateGeometryError,
+    _dedupe,
+    _project_param,
     clip_band,
     clip_halfplane,
     clip_polygon,
@@ -202,6 +205,133 @@ def test_points_in_convex_edge_cases():
     assert points_in_convex(SQUARE, np.array([]), np.array([]), 0.0).size == 0
     with pytest.raises(ValueError):
         points_in_convex(SQUARE, xs, ys, -1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The scalar forms that clip_halfplane and point_in_convex replaced, kept as
+# references: every distance from signed_edge_distance, and no early return
+# ---------------------------------------------------------------------------
+
+
+def point_in_convex_by_distances(poly, p, dist_tol=POINT_TOL):
+    n = len(poly)
+    if n == 0:
+        return False
+    if n == 1:
+        return points_equal(poly[0], p, dist_tol)
+    if n == 2:
+        a, b = poly
+        if abs(signed_edge_distance(a, b, p)) > dist_tol:
+            return False
+        t = _project_param(a, b, p)
+        return -dist_tol <= t <= 1.0 + dist_tol
+    for i in range(n):
+        a, b = poly[i], poly[(i + 1) % n]
+        if signed_edge_distance(a, b, p) < -dist_tol:
+            return False
+    return True
+
+
+def clip_halfplane_by_distances(poly, a, b):
+    if not poly:
+        return ()
+    tol = CLIP_TOL
+    out = []
+    n = len(poly)
+    dists = [signed_edge_distance(a, b, v) for v in poly]
+    for i in range(n):
+        v_cur, v_nxt = poly[i], poly[(i + 1) % n]
+        d_cur, d_nxt = dists[i], dists[(i + 1) % n]
+        if d_cur >= -tol:
+            out.append(v_cur)
+        if (d_cur > tol and d_nxt < -tol) or (d_cur < -tol and d_nxt > tol):
+            t = d_cur / (d_cur - d_nxt)
+            out.append((v_cur[0] + t * (v_nxt[0] - v_cur[0]),
+                        v_cur[1] + t * (v_nxt[1] - v_cur[1])))
+    return _dedupe(out)
+
+
+def clip_polygon_by_distances(subject, clipper):
+    region = tuple(subject)
+    n = len(clipper)
+    for i in range(n):
+        region = clip_halfplane_by_distances(region, clipper[i],
+                                             clipper[(i + 1) % n])
+        if not region:
+            return ()
+    return region
+
+
+def hexed_ring(poly):
+    return [(float.hex(x), float.hex(y)) for x, y in poly]
+
+
+@st.composite
+def clip_cases(draw):
+    """(polygon, line a, line b): the polygons of ``polygon_cases``, some
+    with a vertex repeated within ``CLIP_TOL`` (merged by ``_dedupe``), cut
+    by a random line, an edge's own line either way, a line within a
+    multiple of ``CLIP_TOL`` of a vertex, or a zero-length line."""
+    poly, seed = draw(polygon_cases())
+    rng = np.random.default_rng(seed)
+    if poly and draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=len(poly) - 1))
+        near = tuple(c + f * CLIP_TOL
+                     for c, f in zip(poly[j], rng.uniform(-1, 1, 2).tolist()))
+        poly = poly[:j + 1] + (near,) + poly[j + 1:]
+    kind = draw(st.sampled_from(("random", "edge", "vertex", "zero")))
+    if kind == "random" or not poly:
+        a, b = map(tuple, rng.uniform(-2, 2, (2, 2)).tolist())
+    elif kind == "zero":
+        a = b = poly[draw(st.integers(0, len(poly) - 1))]
+    elif kind == "edge":
+        j = draw(st.integers(0, len(poly) - 1))
+        a, b = poly[j], poly[(j + 1) % len(poly)]
+        if draw(st.booleans()):
+            a, b = b, a
+    else:
+        v = poly[draw(st.integers(0, len(poly) - 1))]
+        angle = rng.uniform(0, 2 * math.pi)
+        ux, uy = math.cos(angle), math.sin(angle)
+        off = draw(st.sampled_from((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)))
+        a = (v[0] - off * CLIP_TOL * uy, v[1] + off * CLIP_TOL * ux)
+        b = (a[0] + ux, a[1] + uy)
+    return poly, a, b
+
+
+@settings(deadline=None, max_examples=300)
+@given(clip_cases())
+def test_clip_halfplane_equals_the_loop_over_signed_edge_distances(case):
+    poly, a, b = case
+    assert hexed_ring(clip_halfplane(poly, a, b)) == \
+        hexed_ring(clip_halfplane_by_distances(poly, a, b))
+
+
+@settings(deadline=None, max_examples=60)
+@given(polygon_cases(), polygon_cases())
+def test_clip_polygon_equals_the_loop_over_signed_edge_distances(subject,
+                                                                 clipper):
+    (subject, _), (clipper, _) = subject, clipper
+    assert hexed_ring(clip_polygon(subject, clipper)) == \
+        hexed_ring(clip_polygon_by_distances(subject, clipper))
+
+
+@settings(deadline=None, max_examples=60)
+@given(polygon_cases())
+def test_point_in_convex_equals_the_loop_over_signed_edge_distances(case):
+    poly, seed = case
+    for p in probe_points(poly, seed):
+        for tol in (0.0, 1e-15, POINT_TOL):
+            assert point_in_convex(poly, p, tol) == \
+                point_in_convex_by_distances(poly, p, tol)
+
+
+def test_point_in_convex_rejects_a_negative_tolerance():
+    # Skipping a zero-length edge is exact only for dist_tol >= 0: its
+    # distance from p is never below -dist_tol.
+    for poly in ((), ((0.0, 0.0),), SQUARE, SQUARE[:1] + SQUARE):
+        with pytest.raises(ValueError):
+            point_in_convex(poly, (0.0, 0.0), -1e-9)
 
 
 def test_clip_halfplane_square():
