@@ -28,8 +28,6 @@ import math
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import codecs
 from .core import ConstraintTuple, Fold, ScenarioSystem, hoeffding_radius
 from .counterexamples import (
@@ -531,6 +529,8 @@ def verify_range_shattering_witness(k: int) -> RangeShatterReport:
     lists and their order (u by binary encoding, then i ascending) are
     those of the subset-by-subset loop; only their entries build u.
     """
+    import numpy as np
+
     if not 1 <= k <= MAX_ARC_FAMILY:
         raise ValueError(f"the witness needs 1 <= k <= {MAX_ARC_FAMILY}")
     members = range(1, k + 1)

@@ -17,9 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import ConstraintDistribution, Fold, ScenarioSystem
 from .geometry import (
@@ -30,6 +28,9 @@ from .geometry import (
     max_x_vertex,
     point_in_convex,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # Arc family: injective encodings of finite subsets into quarter-circle points
@@ -231,6 +232,8 @@ def _decode_mixture(words, n: int, has_half: int,
     double draws.  Returns the values, the number of words read and the
     buffered half after them, or None when rejections read past ``words``.
     """
+    import numpy as np
+
     raw = np.asarray(words, dtype=np.uint64)
     doubles = ((raw >> np.uint64(11)) * 2.0**-53).tolist()
     lows = (raw & np.uint64(_UINT32)).tolist()
@@ -284,6 +287,8 @@ def _mixture_sample(rng: np.random.Generator) -> ConvexConstraint:
 def _mixture_sample_values(rng: np.random.Generator, n: int) -> list:
     # Replays the scalar stream from one block of raw PCG64 words, then moves
     # the generator to exactly where the scalar loop leaves it.
+    import numpy as np
+
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         return [_mixture_value(rng) for _ in range(n)]

@@ -12,9 +12,10 @@ that function returns.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Point = tuple[float, float]
 
@@ -98,6 +99,8 @@ def points_in_convex(poly: Sequence[Point], xs: np.ndarray, ys: np.ndarray,
     scalar distance is a point distance, never below ``-dist_tol``.  Smaller
     polygons go through the scalar predicate.
     """
+    import numpy as np
+
     if dist_tol < 0.0:
         raise ValueError("dist_tol must be >= 0")
     n = len(poly)
@@ -159,11 +162,15 @@ def clip_halfplane(poly: Sequence[Point], a: Point,
 
 
 def _dedupe(points: list[Point]) -> tuple[Point, ...]:
+    """Drop each vertex within ``CLIP_TOL`` of the one kept before it, then
+    the last vertex for as long as it is within ``CLIP_TOL`` of the first.
+    The ring returned is its own ``_dedupe``, which ``convex-vc``'s fold
+    relies on when it skips a polygon it has clipped by."""
     out: list[Point] = []
     for p in points:
         if not out or not points_equal(out[-1], p, CLIP_TOL):
             out.append(p)
-    if len(out) > 1 and points_equal(out[0], out[-1], CLIP_TOL):
+    while len(out) > 1 and points_equal(out[0], out[-1], CLIP_TOL):
         out.pop()
     return tuple(out)
 

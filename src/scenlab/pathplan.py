@@ -19,8 +19,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import neg
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ConstraintDistribution, Fold, ScenarioSystem
 from .geometry import (
@@ -29,6 +28,9 @@ from .geometry import (
     cross,
     segments_conflict,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 START: Point = (-1.0, 0.0)
 TARGET: Point = (1.0, 0.0)
@@ -89,6 +91,8 @@ class Polyline:
         numpy arrays, alpha = ``DEPTH_MARGIN`` / (least vertex radius) and
         the least |cross(A, d)| / max(|d|, 1).  Built on first use and not
         a field, so ``==``, hashing and the repr are those of the vertices."""
+        import numpy as np
+
         ends = [math.atan2(y, x) for x, y in self.vertices]
         radii = [math.hypot(x, y) for x, y in self.vertices]
         if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
@@ -205,6 +209,8 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
       |cross(A, d)| <= tol max(|d|, 1) (1 / |P| + 1) < g max(|d|, 1), which
       the guard excludes.
     """
+    import numpy as np
+
     angles = np.array(thetas, dtype=float)
     if not ((angles > 0.0) & (angles < math.pi)).all():
         raise ValueError("barrier angle must lie strictly in (0, pi)")
@@ -369,6 +375,8 @@ def alg2_binding(scene: Scene,
     tau = 4.0 * (16.0 + 32.0 * length * length / rest) * 2.0 ** -53
     indices = range(len(thetas))
     if tau < 1.0 and len(thetas) >= ALG2_SCAN_BELOW:
+        import numpy as np
+
         angles = np.asarray(thetas, dtype=float)
         c = np.cos(angles)
         approx = length * np.sin(angles) / (1.0 - length * length * c * c)
@@ -467,6 +475,8 @@ def band_shatter_candidates(k: int) -> tuple[BarrierConstraint, ...]:
         raise ValueError("need k >= 1")
     if k == 1:
         return (BarrierConstraint(math.pi / 2.0),)
+    import numpy as np
+
     angles = np.linspace(math.pi / 2.0 - 0.1, math.pi / 2.0 + 0.1, k)
     return tuple(BarrierConstraint(float(a)) for a in angles)
 

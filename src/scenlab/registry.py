@@ -12,9 +12,7 @@ adding a system means adding one row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import analyzers, core
 from .core import ConstraintDistribution, ScenarioSystem
@@ -42,6 +40,9 @@ from .pathplan import (
     uniform_barrier_distribution,
 )
 from .rng import streams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PROBE_TUPLE_LEN = 6
 

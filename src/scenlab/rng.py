@@ -9,16 +9,19 @@ with ``mix64(seed, *indices)``, a new generator per call, so trials on
 produce bit-identical results.  ``streams(seed, *shape)``, which every
 driver uses, yields the same states for a whole grid of indices from one
 batched port of numpy's seeding, resetting one Generator to each state in
-turn: its trials run one at a time.
+turn: its trials run one at a time.  The port's constant arrays are built
+in each call from Python-int tables, and numpy is imported by the functions
+that use it, so ``import scenlab.rng`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -47,6 +50,8 @@ def mix64(*parts: int) -> int:
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for the given (seed, index...) coordinates."""
+    import numpy as np
+
     return np.random.default_rng(mix64(seed, *indices))
 
 
@@ -72,6 +77,8 @@ def _hash_constants(init: int, mult: int, count: int) -> list[int]:
 
 
 def _column(values) -> np.ndarray:
+    import numpy as np
+
     return np.array(values, dtype=np.uint32).reshape(-1, 1)
 
 
@@ -91,15 +98,6 @@ def _mix_steps() -> list[tuple[int, np.ndarray, np.ndarray]]:
     return steps
 
 
-# Each 64-bit entropy fills pool words 0 and 1 (hash calls 0 and 1); numpy
-# takes a value below 2**32 as one word, but it hashes 0 for the pool words
-# that entropy leaves empty either way.
-_IN_X, _IN_M = _column(_A[0:4]), _column(_A[1:5])
-_MIX_STEPS = _mix_steps()
-# generate_state(4, uint64): eight words hashed from the pool cycled twice.
-_OUT_X, _OUT_M = _column(_B[0:8]), _column(_B[1:9])
-
-
 def _hash(words: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
     words = (words ^ x) * m
     return words ^ (words >> 16)
@@ -111,17 +109,25 @@ def _pcg64_seeds(entropies: list[int]) -> Iterator[tuple[int, int]]:
     numpy's ``SeedSequence(e).generate_state(4, uint64)`` in uint32 array
     arithmetic, which wraps like numpy's C code (every constant is a Python
     int below 2**32), then PCG64's ``srandom`` in Python 128-bit ints."""
+    import numpy as np
+
     e = np.array(entropies, dtype=np.uint64)
     pool = np.zeros((4, len(e)), dtype=np.uint32)
     pool[0] = e
     pool[1] = e >> np.uint64(32)
-    pool = _hash(pool, _IN_X, _IN_M)
-    for src, x, m in _MIX_STEPS:
+    # Each 64-bit entropy fills pool words 0 and 1 (hash calls 0 and 1);
+    # numpy takes a value below 2**32 as one word, but it hashes 0 for the
+    # pool words that entropy leaves empty either way.
+    pool = _hash(pool, _column(_A[0:4]), _column(_A[1:5]))
+    for src, x, m in _mix_steps():
         mixed = pool * _MIX_L - _hash(pool[src], x, m) * _MIX_R
         mixed ^= mixed >> 16
         mixed[src] = pool[src]
         pool = mixed
-    words = _hash(np.tile(pool, (2, 1)), _OUT_X, _OUT_M).astype(np.uint64)
+    # generate_state(4, uint64): eight words hashed from the pool cycled
+    # twice.
+    words = _hash(np.tile(pool, (2, 1)), _column(_B[0:8]),
+                  _column(_B[1:9])).astype(np.uint64)
     state_hi, state_lo, inc_hi, inc_lo = (
         words[0::2] | words[1::2] << np.uint64(32)).tolist()
     for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo):
@@ -136,6 +142,8 @@ def streams(seed: int, *shape: int) -> Iterator[np.random.Generator]:
     One Generator is reset for each index, so a yielded generator is valid
     only until the next one is drawn.  Its PCG64 state is set as
     ``default_rng`` sets it, buffered 32-bit half included."""
+    import numpy as np
+
     indices = itertools.product(*map(range, shape))
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)

@@ -768,10 +768,11 @@ def test_module_entry_reads_its_own_argv(capsys):
     assert fresh == report
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy.random"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "numpy.random"])
 def test_cli_import_leaves_package_unloaded(package):
-    # Every command pays for what `import scenlab.cli` loads; numpy.random
-    # alone holds about 6 MB, which only randomized commands need.
+    # Every command pays for what `import scenlab.cli` loads.  numpy takes
+    # about 0.1 s to import and numpy.random alone holds about 6 MB; each
+    # function that computes with numpy imports it when first called.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, scenlab.cli; print(sorted(m for m in sys.modules "
              f"if (m + '.').startswith('{package}.')))")
@@ -780,6 +781,52 @@ def test_cli_import_leaves_package_unloaded(package):
                             capture_output=True, text=True, check=True,
                             timeout=120)
     assert result.stdout.strip() == "[]"
+
+
+# The prelude makes every import of numpy raise ImportError.
+NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+            "from scenlab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def run_without_numpy(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv],
+        env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
+        capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--compression", "1", "--eps", "0.1", "--beta", "0.01"], 0),
+    (["bounds", "--vc", "2", "--eps", "0.1", "--beta", "0.05"], 0),
+    (["-h"], 0), ([], 2), (["no-such-command"], 2),
+    (["bounds", "--vc", "1"], 2),
+    (["demo", "--example", "min-no-map", "--capacity", "4"], 0),
+    (["demo", "--example", "sum-no-scheme", "--k", "5", "--capacity", "2"], 0),
+    (["compression", "--system", "convex-vc", "--capacity", "1", "--base",
+      '[{"polygon": [2, 1]}, {"polygon": [3, 2]}, {"band": 0.5}]'], 0),
+    (["shatter", "--system", "min-no-map", "--candidates",
+      '[{"exclude": 0}, {"exclude": 1}, {"exclude": 2}]'], 0),
+    (["pathplan", "--algo", "2", "--thetas", "0.5,1.5,2.5"], 0),
+])
+def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
+                                               capsys):
+    """These commands never import numpy, so a fresh interpreter in which
+    numpy cannot be imported gives the in-process outcome."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = run_without_numpy(argv)
+    assert fresh.returncode == code
+    assert (re.sub(r'"wall_clock_s": .*', "", fresh.stdout), fresh.stderr,
+            fresh.returncode) == cli_outcome(argv, capsys)
+
+
+def test_sampling_commands_need_numpy():
+    # Shows that the prelude of the test above blocks numpy.
+    fresh = run_without_numpy(["risk-curve", "--system", "min-no-map",
+                               "--eps", "0.1", "--n-list", "3",
+                               "--trials", "2"])
+    assert fresh.returncode != 0
+    assert "import of numpy halted" in fresh.stderr
 
 
 def test_package_exports_resolve():

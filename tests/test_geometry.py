@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenlab.counterexamples import sigma_polygon, tau
@@ -332,6 +332,31 @@ def test_point_in_convex_rejects_a_negative_tolerance():
     for poly in ((), ((0.0, 0.0),), SQUARE, SQUARE[:1] + SQUARE):
         with pytest.raises(ValueError):
             point_in_convex(poly, (0.0, 0.0), -1e-9)
+
+
+@st.composite
+def near_rings(draw):
+    """Points on a ``CLIP_TOL / 2`` grid around the unit square's corners,
+    then a run around the first point: neighbours, and the run's points,
+    within ``CLIP_TOL`` of one another and of the first point or not."""
+    step = CLIP_TOL / 2
+    ring = [(x + k * step, y) for (x, y), k in draw(st.lists(
+        st.tuples(st.sampled_from(SQUARE), st.integers(-2, 2)), max_size=6))]
+    if ring:
+        ring += [(ring[0][0] + k * step, ring[0][1])
+                 for k in draw(st.lists(st.integers(-2, 2), max_size=3))]
+    return ring
+
+
+@settings(deadline=None, max_examples=300)
+@given(near_rings())
+@example([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (-1e-12, 0.0), (1e-12, 0.0)])
+def test_dedupe_returns_its_own_output_unchanged(ring):
+    # A region clipped again by a polygon it was clipped by keeps its
+    # vertices and goes through _dedupe once more (convex-vc's fold skips
+    # that clip), so _dedupe must be idempotent.
+    once = _dedupe(ring)
+    assert _dedupe(list(once)) == once
 
 
 def test_clip_halfplane_square():

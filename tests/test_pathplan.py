@@ -726,16 +726,14 @@ def alg2_cases(draw):
 
 
 class SkewedNumpy:
-    """numpy whose sin and cos are pushed 3 ulp off, up or down by index
-    in the cycle ``signs``.  Where sin and cos are within 1 ulp (glibc's
-    are), that stays within the 4-ulp error the alg2 candidate filter
-    allows."""
+    """numpy's sin and cos pushed 3 ulp off, up or down by index in the
+    cycle ``signs``.  Where sin and cos are within 1 ulp (glibc's are), that
+    stays within the 4-ulp error the alg2 candidate filter allows.  The
+    originals are kept, so ``sin`` and ``cos`` can replace them on numpy."""
 
     def __init__(self, signs):
         self.signs = signs
-
-    def __getattr__(self, name):
-        return getattr(np, name)
+        self.exact_sin, self.exact_cos = np.sin, np.cos
 
     def _skew(self, values):
         signs = np.resize(np.array(self.signs, dtype=float), values.shape)
@@ -744,10 +742,10 @@ class SkewedNumpy:
         return values
 
     def sin(self, x):
-        return self._skew(np.sin(x))
+        return self._skew(self.exact_sin(x))
 
     def cos(self, x):
-        return self._skew(np.cos(x))
+        return self._skew(self.exact_cos(x))
 
 
 SUBNORMAL = 1e-320
@@ -775,7 +773,9 @@ def test_alg2_candidates_match_full_scan(signs, case):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pathplan, "ALG2_SCAN_BELOW", 0)
         if signs is not None:
-            patch.setattr(pathplan, "np", SkewedNumpy(signs))
+            skewed = SkewedNumpy(signs)
+            patch.setattr(np, "sin", skewed.sin)
+            patch.setattr(np, "cos", skewed.cos)
         height = pathplan.alg2_binding(scene, thetas)[1]
         assert (height.hex(), alg2_compression(scene, vz)) \
             == full_scan(length, thetas)
