@@ -88,11 +88,9 @@ class Polyline:
         """None unless the vertex angles fall strictly from pi at I to 0 at
         T and every vertex lies in the closed unit disk; else the vertex
         angles, cross(A, d) and d = (dx, dy) of each edge A -> A + d as
-        numpy arrays, alpha = ``DEPTH_MARGIN`` / (least vertex radius) and
+        Python floats, alpha = ``DEPTH_MARGIN`` / (least vertex radius) and
         the least |cross(A, d)| / max(|d|, 1).  Built on first use and not
         a field, so ``==``, hashing and the repr are those of the vertices."""
-        import numpy as np
-
         ends = [math.atan2(y, x) for x, y in self.vertices]
         radii = [math.hypot(x, y) for x, y in self.vertices]
         if max(radii) > 1.0 or any(b >= a for a, b in zip(ends, ends[1:])):
@@ -103,8 +101,17 @@ class Polyline:
                    for (x, y), (dx, dy) in zip(self.vertices, steps)]
         ratio = min(abs(c) / max(math.hypot(*d), 1.0)
                     for c, d in zip(crosses, steps))
-        return (ends, np.array(crosses), np.array(steps).T,
-                DEPTH_MARGIN / min(radii), ratio)
+        return ends, crosses, steps, DEPTH_MARGIN / min(radii), ratio
+
+    @cached_property
+    def star_arrays(self):
+        """The vertex angles, crosses and steps (dx, dy) of a non-None
+        ``star`` as numpy arrays for ``barrier_satisfied_values``: built
+        once per polyline, on first use, and not a field either."""
+        import numpy as np
+
+        ends, crosses, steps, _, _ = self.star
+        return np.array(ends), np.array(crosses), np.array(steps).T
 
 
 @dataclass(frozen=True)
@@ -219,8 +226,8 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     if star is None:
         return [barrier_satisfied(scene, path, BarrierConstraint(t))
                 for t in thetas]
-    ends, crosses, (dx, dy), alpha, _ = star
-    ends = np.array(ends)
+    alpha = star[3]
+    ends, crosses, (dx, dy) = path.star_arrays
     j = np.searchsorted(-ends, -angles, side="right") - 1
     depth = length - crosses[j] / (np.cos(angles) * dy[j]
                                    - np.sin(angles) * dx[j])

@@ -9,9 +9,10 @@ with ``mix64(seed, *indices)``, a new generator per call, so trials on
 produce bit-identical results.  ``streams(seed, *shape)``, which every
 driver uses, yields the same states for a whole grid of indices from one
 batched port of numpy's seeding, resetting one Generator to each state in
-turn: its trials run one at a time.  The port's constant arrays are built
-in each call from Python-int tables, and numpy is imported by the functions
-that use it, so ``import scenlab.rng`` loads no numpy.
+turn: its trials run one at a time.  The port follows numpy's
+``SeedSequence`` step for step, one numpy row per pool word, and numpy is
+imported by the functions that use it, so ``import scenlab.rng`` loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -67,69 +68,48 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _CHUNK = 4096
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[int]:
-    """The first ``count + 1`` hash constants; hash call ``j`` xors with
-    entry ``j`` and multiplies by entry ``j + 1``."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def _column(values) -> np.ndarray:
-    import numpy as np
-
-    return np.array(values, dtype=np.uint32).reshape(-1, 1)
-
-
-_A = _hash_constants(_INIT_A, _MULT_A, 16)
-_B = _hash_constants(_INIT_B, _MULT_B, 8)
-
-
-def _mix_steps() -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The pool's 12 mixing steps (hash calls 4..15) as one update per
-    source word: the source is hashed with a distinct constant for each of
-    the other three words, which it does not change itself."""
-    steps, calls = [], iter(range(4, 16))
-    for src in range(4):
-        j = [0 if dst == src else next(calls) for dst in range(4)]
-        steps.append((src, _column([_A[i] for i in j]),
-                      _column([_A[i + 1] for i in j])))
-    return steps
-
-
-def _hash(words: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    words = (words ^ x) * m
-    return words ^ (words >> 16)
-
-
 def _pcg64_seeds(entropies: list[int]) -> Iterator[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(e)`` for each entropy ``e``.
 
-    numpy's ``SeedSequence(e).generate_state(4, uint64)`` in uint32 array
-    arithmetic, which wraps like numpy's C code (every constant is a Python
-    int below 2**32), then PCG64's ``srandom`` in Python 128-bit ints."""
+    numpy's ``SeedSequence(e).generate_state(4, uint64)`` as
+    ``numpy/random/bit_generator.pyx`` writes it, each step on one uint32
+    row holding a pool word of every entropy, so the rows wrap like numpy's
+    C code (every constant is a Python int below 2**32); then PCG64's
+    ``srandom`` in Python 128-bit ints."""
     import numpy as np
 
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
     e = np.array(entropies, dtype=np.uint64)
-    pool = np.zeros((4, len(e)), dtype=np.uint32)
-    pool[0] = e
-    pool[1] = e >> np.uint64(32)
-    # Each 64-bit entropy fills pool words 0 and 1 (hash calls 0 and 1);
-    # numpy takes a value below 2**32 as one word, but it hashes 0 for the
-    # pool words that entropy leaves empty either way.
-    pool = _hash(pool, _column(_A[0:4]), _column(_A[1:5]))
-    for src, x, m in _mix_steps():
-        mixed = pool * _MIX_L - _hash(pool[src], x, m) * _MIX_R
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]
-        pool = mixed
+    # Each 64-bit entropy fills pool words 0 and 1; numpy takes a value
+    # below 2**32 as one word, but it hashes 0 for the pool words that
+    # entropy leaves empty either way.
+    low, high = e.astype(np.uint32), (e >> np.uint64(32)).astype(np.uint32)
+    empty = np.zeros(len(e), dtype=np.uint32)
+    pool = [hashmix(word) for word in (low, high, empty, empty)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mixed = pool[dst] * _MIX_L - hashmix(pool[src]) * _MIX_R
+                pool[dst] = mixed ^ mixed >> 16
     # generate_state(4, uint64): eight words hashed from the pool cycled
-    # twice.
-    words = _hash(np.tile(pool, (2, 1)), _column(_B[0:8]),
-                  _column(_B[1:9])).astype(np.uint64)
+    # twice, each pair little-endian.
+    hash_const, words = _INIT_B, []
+    for word in pool * 2:
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const
+        words.append((word ^ word >> 16).astype(np.uint64))
     state_hi, state_lo, inc_hi, inc_lo = (
-        words[0::2] | words[1::2] << np.uint64(32)).tolist()
+        (words[i] | words[i + 1] << np.uint64(32)).tolist()
+        for i in range(0, 8, 2))
     for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo):
         inc = (ih << 65 | il << 1 | 1) & _MASK128
         yield ((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc

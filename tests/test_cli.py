@@ -808,6 +808,13 @@ def run_without_numpy(argv):
     (["shatter", "--system", "min-no-map", "--candidates",
       '[{"exclude": 0}, {"exclude": 1}, {"exclude": 2}]'], 0),
     (["pathplan", "--algo", "2", "--thetas", "0.5,1.5,2.5"], 0),
+    (["pathplan", "--algo", "1", "--thetas", "1.0,2.0"], 0),
+    (["shatter", "--system", "path-alg1", "--candidates",
+      '[{"theta": 1.5}, {"theta": 1.6}]'], 0),
+    (["compression", "--system", "path-alg1", "--capacity", "1", "--tuple",
+      '[{"theta": 1.0}, {"theta": 1.5}, {"theta": 2.0}]'], 0),
+    (["compression", "--system", "path-alg1", "--capacity", "1", "--base",
+      '[{"theta": 1.0}, {"theta": 1.5}, {"theta": 2.0}]'], 0),
 ])
 def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
                                                capsys):

@@ -567,18 +567,24 @@ def test_barrier_satisfied_is_the_all_edges_test(vz, length, seed):
 
 
 def test_the_decided_path_keeps_its_star_across_blocks():
-    """alg1's own check builds its polyline's star once; two blocks of the
-    batch check reuse that object, and the star is no field."""
+    """alg1's own check builds its polyline's star once, of plain floats;
+    the first block of the batch check builds its arrays once, the second
+    reuses both objects, and neither is a field."""
     system = path_system_alg1
     vz = tuple(map(BarrierConstraint, uniform_barrier_distribution
                    .sample_values(stream(53, 0), 50)))
     path = system.decide(vz)
     star = vars(path)["star"]
     assert pathplan._star_edges(path, SCENE.barrier_length) is star
+    assert all(type(v) is float for v in [*star[0], *star[1], *star[3:]])
+    assert all(type(v) is float for step in star[2] for v in step)
+    assert "star_arrays" not in vars(path)
     thetas = stream(61, 0).uniform(0.0, math.pi, 500).tolist()
-    for block in (thetas[:250], thetas[250:]):
-        system.satisfies_values(path, block)
+    system.satisfies_values(path, thetas[:250])
+    arrays = vars(path)["star_arrays"]
+    system.satisfies_values(path, thetas[250:])
     assert path.star is star
+    assert path.star_arrays is arrays
     assert path == Polyline(path.vertices)
     assert hash(path) == hash(Polyline(path.vertices))
     assert repr(path) == f"Polyline(vertices={path.vertices!r})"
