@@ -16,8 +16,12 @@ length in turn, so that its first counterexample and its count of tuples
 checked follow the shortest-first order.  For a system whose ``decide``
 is a ``Fold`` (``convex-vc``, ``sum-no-scheme``, ``min-no-map``,
 ``path-alg1``), or wraps one by ``functools.wraps``, each tuple extends its
-parent's state once, and shattering finishes each distinct state once per
-call; any other system decides each enumerated tuple whole.
+parent's state once, and shattering and the adversarial experiment finish
+each distinct state once per call straight into its satisfied subset of
+the candidates; any other system decides each enumerated tuple whole.  For
+a system without ``coords``, whose decision equality is ``==`` and whose
+decision key is the decision itself, scheme counting and map search call
+neither ``decision_key`` nor ``decisions_equal``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -151,22 +156,27 @@ def _decision_keys(system: ScenarioSystem, base: tuple,
     state of the first half's subsets is doubled over the second half, so
     at most 2^floor(k/2) + 2^ceil(k/2) states are live, where doubling over
     the whole base would hold all 2^k.  The permutation tree is not a
-    product of two halves, so it is walked depth first, by recursion."""
+    product of two halves, so it is walked depth first, by recursion.
+    Without ``coords`` the key is the decision itself, so each finished
+    state goes into the set with no ``decision_key`` call."""
     fold = _walk_fold(system)
-    extend, finish, key = fold.extend, fold.finish, system.decision_key
+    extend, finish = fold.extend, fold.finish
+    key = None if system.coords is None else system.decision_key
     if not permutations:
         half = len(base) // 2
         keys = set()
         for state in _subsets(extend, fold.init, base[:half]):
-            keys.update([key(finish(t))
-                         for t in _subsets(extend, state, base[half:])])
+            decisions = map(finish, _subsets(extend, state, base[half:]))
+            keys.update(decisions if key is None else map(key, decisions))
         return keys
-    keys = {key(finish(fold.init))}
+    x = finish(fold.init)
+    keys = {x if key is None else key(x)}
 
     def walk(state: Any, rest: tuple) -> None:
         for j, z in enumerate(rest):
             child = extend(state, z)
-            keys.add(key(finish(child)))
+            x = finish(child)
+            keys.add(x if key is None else key(x))
             rest_after = rest[:j] + rest[j + 1:]
             if rest_after:
                 walk(child, rest_after)
@@ -225,14 +235,27 @@ def satisfied_subset(system: ScenarioSystem, x: Any,
     return frozenset(z for z in candidates if system.satisfies(x, z))
 
 
-def _satisfied_subsets(system: ScenarioSystem,
-                       candidates: Sequence) -> Callable[[Any], frozenset]:
-    """``satisfied_subset`` over ``candidates`` as a function of the
-    decision, memoized for as long as the caller holds it: each distinct
-    decision is checked against the candidates once.  Decisions are
-    hashable, and equal ones satisfy the same constraints (see
-    ``ScenarioSystem``), so the memo is exact."""
-    return functools.cache(lambda x: satisfied_subset(system, x, candidates))
+def _satisfied_fold(system: ScenarioSystem, candidates: Sequence) -> Fold:
+    """The system's walk fold, but ``finish`` returns the indices of the
+    candidates that the decision satisfies (``satisfied_subset`` by index).
+
+    Each distinct decision is checked against the candidates once for as
+    long as the caller holds the result.  Decisions are hashable, and equal
+    ones satisfy the same constraints (see ``ScenarioSystem``), so the memo
+    is exact.  With a fold, ``finish`` is also memoized by the state: it is
+    a function of the state, so each distinct state is finished once.  A
+    system without a fold keeps only the decision memo: its walk state is
+    the tuple itself, of which a walk may enumerate millions."""
+    satisfies = system.satisfies
+    realize = functools.cache(lambda x: frozenset(
+        i for i, z in enumerate(candidates) if satisfies(x, z)))
+    fold = _fold_of(system)
+    if fold is None:
+        decide = system.decide
+        return Fold((), _append, lambda vz: realize(decide(vz)))
+    finish = fold.finish  # bound here: the replacement calls the original
+    return replace(fold, finish=functools.cache(
+        lambda state: realize(finish(state))))
 
 
 def check_shattered(system: ScenarioSystem,
@@ -246,10 +269,13 @@ def check_shattered(system: ScenarioSystem,
     given), so the reported counterexample is the first in that order.  A
     system that decides by a ``Fold`` walks, per length, the product tree of
     that order depth first, extending each prefix's state once and
-    finishing each distinct state once per call; others decide every
-    tuple.  Each distinct decision is checked against the candidates once
-    per call.  A ``not_shattered`` verdict is sound for the untruncated
-    definition; ``shattered_up_to_L`` is finite-scale evidence only.
+    finishing each distinct state once per call into its satisfied subset
+    (``_satisfied_fold``), so a leaf costs one lookup by its state; others
+    decide every tuple.  Each distinct decision is checked against the
+    candidates once per call, and satisfied subsets are compared as sets of
+    candidate indices.  A ``not_shattered`` verdict is sound for the
+    untruncated definition; ``shattered_up_to_L`` is finite-scale evidence
+    only.
     """
     candidates = tuple(candidates)
     if len(set(candidates)) != len(candidates):
@@ -263,17 +289,14 @@ def check_shattered(system: ScenarioSystem,
 
     checked = 0
     realized = frozenset()
-    realize = _satisfied_subsets(system, candidates)
 
-    def breaks(indices: tuple, x: Any) -> bool:
+    def breaks(indices: tuple, satisfied: frozenset) -> bool:
         nonlocal checked, realized
         checked += 1
-        realized = realize(x)
-        return realized != frozenset(candidates[i] for i in indices)
+        realized = satisfied
+        return satisfied != frozenset(indices)
 
-    fold = _fold_of(system)
-    fold = _walk_fold(system) if fold is None else replace(
-        fold, finish=functools.cache(fold.finish))
+    fold = _satisfied_fold(system, candidates)
     for r in lengths:
         indices = _first_leaf(fold, candidates, r, breaks)
         if indices is not None:
@@ -281,7 +304,8 @@ def check_shattered(system: ScenarioSystem,
             return ShatterCheckReport(
                 system.name, candidates, max_len, include_empty,
                 "not_shattered", checked, counterexample=vz,
-                satisfied_subset=realized, sampled_set=frozenset(vz))
+                satisfied_subset=frozenset(candidates[i] for i in realized),
+                sampled_set=frozenset(vz))
     return ShatterCheckReport(system.name, candidates, max_len, include_empty,
                               "shattered_up_to_L", checked)
 
@@ -357,7 +381,9 @@ def find_compression_subtuple(system: ScenarioSystem,
     check_tuple_budget(subset_counts(n, capacity))
     target = (_fold_of(system) or system.decide)(vz)
     fold = _walk_fold(system)
-    extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
+    extend, finish = fold.extend, fold.finish
+    # Without coords, decisions_equal is ==: compare without the method call.
+    equal = operator.eq if system.coords is None else system.decisions_equal
     best = tuple(range(n)) if capacity >= n else None
     last = n - 1
     bound = min(capacity, last)
@@ -602,8 +628,10 @@ def adversarial_pac_experiment(system: ScenarioSystem,
     the size guard |Z'| >= 2n is enforced here so that shattering forces a
     risk of at least 1/2 on every trial.  Candidates must be distinct and
     at least one, since the risk of a decision is the share of them it
-    violates.  Each distinct decision is checked against the candidates
-    once per call.
+    violates.  Each trial decides through the system's fold, if it has
+    one, whose distinct final states are each finished and checked against
+    the candidates once per call (``_satisfied_fold``); each distinct
+    decision is checked once per call.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -620,11 +648,12 @@ def adversarial_pac_experiment(system: ScenarioSystem,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     risks = []
-    realize = _satisfied_subsets(system, candidates)
+    fold = _satisfied_fold(system, candidates)
+    # Without a fold the walk state is the tuple itself: finish it as drawn.
+    satisfied = fold if _fold_of(system) is not None else fold.finish
     for rng in streams(seed, trials):
         vz = tuple(candidates[int(i)] for i in rng.integers(0, k, size=n))
-        realized = realize(system.decide(vz))
-        risks.append((k - len(realized)) / k)
+        risks.append((k - len(satisfied(vz))) / k)
     exceed = sum(1 for v in risks if v > epsilon)
     return AdversarialPacReport(
         system=system.name, candidate_count=k, n=n, epsilon=epsilon,

@@ -58,7 +58,9 @@ class Fold:
     extends the same prefix; the exhaustive searches in ``analyzers`` extend
     each prefix once (its module docstring gives their walk orders).
     States are hashable, and ``finish`` is a function of the state alone:
-    the shattering walk finishes each distinct state once per call.
+    the shattering walk and the adversarial experiment finish each
+    distinct state once per call, straight into its satisfied subset of
+    their candidates.
     """
 
     init: Any
@@ -88,7 +90,10 @@ class ScenarioSystem:
     systems without ``coords`` into a set.  Floats that compare equal
     differ at most in the sign of a zero, and no shipped ``satisfies``
     reads that sign except through ``abs``, ``hypot``, ``==`` and ordered
-    comparisons.
+    comparisons.  Without ``coords``, scheme counting and compression-map
+    search use the decision and ``==`` directly, with no call of
+    :meth:`decision_key` or :meth:`decisions_equal` per enumerated tuple,
+    so an override of either method does not reach them.
 
     A ``decide`` that is a :class:`Fold`, or wraps one by
     ``functools.wraps``, is walked prefix by prefix in the exhaustive

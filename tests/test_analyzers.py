@@ -1,5 +1,6 @@
 """Tests for shattering search, compression certificates, and bounds."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -35,7 +36,9 @@ from scenlab.counterexamples import (
     BandConstraint,
     ExclusionConstraint,
     MembershipConstraint,
+    PolygonConstraint,
     alg_convex_maxx1,
+    convex_system,
     interval_system,
     min_system,
     sigma_polygon,
@@ -47,6 +50,7 @@ from scenlab.pathplan import (
     BarrierConstraint,
     band_shatter_candidates,
     path_system_alg1,
+    path_system_alg2,
 )
 from scenlab.rng import stream
 
@@ -427,6 +431,12 @@ def loop_adversarial(system, candidates, n, epsilon, trials, seed):
 @pytest.mark.parametrize("system, candidates, n, epsilon", [
     (path_system_alg1, band_shatter_candidates(8), 4, 0.25),
     (min_system, [ExclusionConstraint(a) for a in range(10)], 3, 0.1),
+    # No fold: each trial is decided whole, through the decision memo.
+    (path_system_alg2, band_shatter_candidates(8), 4, 0.25),
+    # A fold whose decisions are compared by coords.
+    (convex_system, [*(PolygonConstraint(m, i) for m in range(1, 4)
+                       for i in range(1, m + 1)),
+                     *(BandConstraint(y) for y in (0.2, 0.5, 0.8))], 3, 0.1),
 ])
 def test_adversarial_pac_equals_the_plain_loop(system, candidates, n,
                                                epsilon):
@@ -434,6 +444,38 @@ def test_adversarial_pac_equals_the_plain_loop(system, candidates, n,
                                         trials=60, seed=3)
     assert report.to_jsonable() == \
         loop_adversarial(system, candidates, n, epsilon, 60, 3)
+
+
+def test_adversarial_pac_finishes_each_distinct_state_once():
+    system, candidates = path_system_alg1, band_shatter_candidates(8)
+    fold = system.decide
+    finished = collections.Counter()
+    calls = 0
+
+    def finish(state):
+        finished[state] += 1
+        return fold.finish(state)
+
+    def counted(x, z):
+        nonlocal calls
+        calls += 1
+        return system.satisfies(x, z)
+
+    counted_system = dataclasses.replace(
+        system, decide=dataclasses.replace(fold, finish=finish),
+        satisfies=counted)
+    report = adversarial_pac_experiment(counted_system, candidates, 4, 0.25,
+                                        trials=60, seed=3)
+    assert report == adversarial_pac_experiment(system, candidates, 4, 0.25,
+                                                trials=60, seed=3)
+    states = {frozenset(candidates[i] for i in
+                        stream(3, trial).integers(0, 8, size=4).tolist())
+              for trial in range(60)}
+    # alg1's state is the set of its barriers: repeated sets are finished,
+    # and their hulls checked against the candidates, once.
+    assert len(states) < 60
+    assert finished == dict.fromkeys(states, 1)
+    assert calls == len(candidates) * len(states)
 
 
 def test_shatter_walk_checks_each_distinct_decision_once():

@@ -101,16 +101,16 @@ def polygon_cases(draw, max_m=10):
     return poly, seed
 
 
-def probe_points(poly, seed):
-    """Random points, arc points, and for a sample of vertices and edges:
-    the vertex, points on the edge, and points just outside its midpoint by
-    fractions and multiples of each nonzero tolerance."""
+def probe_points(poly, seed, edges=8):
+    """Random points, arc points, and for a sample of ``edges`` vertices and
+    edges: the vertex, points on the edge, and points just outside its
+    midpoint by fractions and multiples of each nonzero tolerance."""
     rng = np.random.default_rng(seed)
     pts = list(map(tuple, rng.uniform(-2.5, 2.5, (40, 2)).tolist()))
     pts += [tau(frozenset(i + 1 for i in range(10) if mask >> i & 1))
             for mask in rng.integers(0, 1 << 10, 16).tolist()]
     n = len(poly)
-    for j in rng.permutation(n)[:8].tolist():
+    for j in rng.permutation(n)[:edges].tolist():
         a, b = poly[j], poly[(j + 1) % n]
         dx, dy = b[0] - a[0], b[1] - a[1]
         pts.append(a)
@@ -125,17 +125,43 @@ def probe_points(poly, seed):
     return pts
 
 
-@settings(deadline=None, max_examples=60)
-@given(polygon_cases())
-def test_points_in_convex_matches_scalar(case):
-    poly, seed = case
-    pts = probe_points(poly, seed)
+def assert_points_in_convex_matches_scalar(poly, pts):
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     for tol in (0.0, 1e-15, POINT_TOL):
         got = points_in_convex(poly, xs, ys, tol)
         assert got.dtype == bool and got.shape == (len(pts),)
         assert got.tolist() == [point_in_convex(poly, p, tol) for p in pts]
+
+
+@settings(deadline=None, max_examples=60)
+@given(polygon_cases())
+def test_points_in_convex_matches_scalar(case):
+    poly, seed = case
+    assert_points_in_convex_matches_scalar(poly, probe_points(poly, seed))
+
+
+def regular_polygon(n):
+    return tuple((math.cos(2 * math.pi * j / n), math.sin(2 * math.pi * j / n))
+                 for j in range(n))
+
+
+def repeat_vertex(poly, j):
+    """``poly`` with vertex j doubled: edge j has length zero."""
+    return poly[:j + 1] + poly[j:]
+
+
+@pytest.mark.parametrize("poly", [
+    *(regular_polygon(n) for n in (31, 32, 33, 64, 65)),
+    repeat_vertex(regular_polygon(40), 31),
+    repeat_vertex(regular_polygon(40), 32),
+], ids=["31", "32", "33", "64", "65", "zero-edge-31", "zero-edge-32"])
+def test_points_in_convex_matches_scalar_across_edge_blocks(poly):
+    # points_in_convex takes its edges 32 at a time; hypothesis hulls have at
+    # most 24 vertices, so these polygons put edges on both sides of a block
+    # boundary.  Every edge is probed, so each edge alone rejects some probe.
+    assert_points_in_convex_matches_scalar(
+        poly, probe_points(poly, 0, edges=len(poly)))
 
 
 def own_tolerance_probes(a, b, offsets):
@@ -203,6 +229,14 @@ def test_points_in_convex_edge_cases():
         == [True, True, False, False]
     assert points_in_convex((), xs, ys, 0.0).tolist() == [False] * 4
     assert points_in_convex(SQUARE, np.array([]), np.array([]), 0.0).size == 0
+    # At x = inf the horizontal edges' distances are NaN (0 * inf), which
+    # rejects nothing, while the right edge's is -inf: the point is outside,
+    # as the scalar test says, only if the block minimum skips the NaN.
+    with np.errstate(invalid="ignore"):
+        got = points_in_convex(SQUARE, np.array([math.inf]), np.array([0.5]),
+                               0.0)
+    assert got.tolist() == [point_in_convex(SQUARE, (math.inf, 0.5), 0.0)] \
+        == [False]
     with pytest.raises(ValueError):
         points_in_convex(SQUARE, xs, ys, -1e-9)
 
