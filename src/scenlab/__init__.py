@@ -18,19 +18,31 @@ from .core import (
     satisfies_all,
     violation_probability_mc,
 )
-from .analyzers import (
-    BoundQuery,
-    adversarial_pac_experiment,
-    certify_no_compression_scheme,
-    check_shattered,
-    compression_bound,
-    find_compression_subtuple,
-    vc_sample_bound,
-    verify_range_shattering_witness,
-)
 from .registry import SYSTEMS, get_bundle
 
 __version__ = "0.1.0"
+
+# The certificate and bound names resolve on first access, so that
+# ``import scenlab`` (and every CLI command that estimates) loads no
+# ``analyzers``.
+_ANALYZER_NAMES = frozenset({
+    "BoundQuery",
+    "adversarial_pac_experiment",
+    "certify_no_compression_scheme",
+    "check_shattered",
+    "compression_bound",
+    "find_compression_subtuple",
+    "vc_sample_bound",
+    "verify_range_shattering_witness",
+})
+
+
+def __getattr__(name: str):
+    if name in _ANALYZER_NAMES:
+        from . import analyzers
+
+        return getattr(analyzers, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundQuery",

@@ -34,7 +34,13 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import codecs
-from .core import ConstraintTuple, Fold, ScenarioSystem, hoeffding_radius
+from .core import (
+    BudgetExceededError,
+    ConstraintTuple,
+    Fold,
+    ScenarioSystem,
+    hoeffding_radius,
+)
 from .counterexamples import (
     MAX_ARC_FAMILY,
     BandConstraint,
@@ -60,10 +66,6 @@ MAX_WALK_LENGTH = 500
 # operations, so the slack is compared with the very floats the scalar
 # predicate would compare.
 WITNESS_MEMBERSHIP_TOL = 1e-15
-
-
-class BudgetExceededError(Exception):
-    """Enumeration would exceed ``DEFAULT_TUPLE_BUDGET`` tuples."""
 
 
 def check_tuple_budget(counts: Iterable[int]) -> None:

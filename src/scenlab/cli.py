@@ -18,6 +18,12 @@ and command line alike and later command-line flags win.
 ``--config`` is taken out, and the full tree when ``argv[0]`` is not a
 command (none, ``-h``, an unknown name).  The lean tree lists every command
 name as its subcommand metavar, so its top-level usage is the full tree's.
+
+Only ``core`` and ``registry`` load with this module.  The runners that
+certify or bound (``shatter``, ``compression``, ``bounds``) import
+``analyzers`` when called, and those that decode or encode constraints
+(``shatter``, ``compression``, ``pathplan``) import ``codecs``, so
+``risk-curve``, ``--help`` and the usage errors load neither.
 """
 
 from __future__ import annotations
@@ -29,8 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import analyzers, codecs, core
-from .analyzers import BoundQuery
+from . import core
 from .pathplan import Scene, alg1_shortest_path, alg2_shortest_parabola
 from .registry import SYSTEMS, get_bundle
 
@@ -232,6 +237,8 @@ def _run_risk_curve(args) -> tuple[dict, bool]:
 def _decode_constraints(bundle, objs) -> list:
     """Decode a JSON list of constraint encodings, rejecting any other JSON
     value and kinds foreign to the system."""
+    from . import codecs
+
     if not isinstance(objs, list):
         raise ValueError(f"expected a JSON list of constraint encodings, "
                          f"got {objs!r}")
@@ -244,6 +251,8 @@ def _decode_constraints(bundle, objs) -> list:
 
 
 def _run_shatter(args) -> tuple[dict, bool]:
+    from . import analyzers
+
     bundle = get_bundle(args.system)
     candidates = _decode_constraints(bundle, args.candidates)
     report = analyzers.check_shattered(
@@ -253,6 +262,8 @@ def _run_shatter(args) -> tuple[dict, bool]:
 
 
 def _run_compression(args) -> tuple[dict, bool]:
+    from . import analyzers
+
     bundle = get_bundle(args.system)
     if args.tuple_json is not None:
         if args.permutations:
@@ -268,19 +279,23 @@ def _run_compression(args) -> tuple[dict, bool]:
 
 
 def _run_bounds(args) -> tuple[dict, bool]:
+    from . import analyzers
+
     if args.N is not None:
         if args.vc is not None:
             raise ValueError("--N applies to --compression only")
         return {"compression_beta": analyzers.compression_beta(
             args.N, args.compression, args.eps)}, True
     if args.vc is not None:
-        query = BoundQuery(args.eps, args.beta, args.vc)
+        query = analyzers.BoundQuery(args.eps, args.beta, args.vc)
         return {"vc_sample_bound": analyzers.vc_sample_bound(query)}, True
-    query = BoundQuery(args.eps, args.beta, args.compression)
+    query = analyzers.BoundQuery(args.eps, args.beta, args.compression)
     return {"compression_min_samples": analyzers.compression_bound(query)}, True
 
 
 def _run_pathplan(args) -> tuple[dict, bool]:
+    from . import codecs
+
     scene = Scene(barrier_length=args.length)
     vz = tuple(codecs.decode_constraint({"theta": t}) for t in args.thetas)
     if args.algo == 1:
@@ -340,7 +355,7 @@ def main(argv=None) -> int:
                     Path(args.out).unlink()
             raise
     except (OSError, ValueError, KeyError, OverflowError, MemoryError,
-            analyzers.BudgetExceededError) as exc:
+            core.BudgetExceededError) as exc:
         getattr(args, "subparser", parser).error(str(exc))
 
     echo = {k: v for k, v in vars(args).items()

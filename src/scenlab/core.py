@@ -41,6 +41,15 @@ HOEFFDING_DELTA = 0.05
 NESTED_MC_SAMPLES = 2000
 
 
+class BudgetExceededError(Exception):
+    """Enumeration would exceed ``analyzers.DEFAULT_TUPLE_BUDGET`` tuples.
+
+    ``analyzers`` raises it and re-exports it.  It lives here so that the
+    CLI, which reports it as a usage error on every command, can catch it
+    without loading ``analyzers``.
+    """
+
+
 def hoeffding_radius(n: int) -> float:
     """Two-sided radius sqrt(ln(2/delta) / (2n)), delta = HOEFFDING_DELTA."""
     if n < 1:

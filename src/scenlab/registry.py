@@ -6,7 +6,8 @@ Systems and distributions are module values of ``counterexamples`` and
 accepts for it), its default distribution, its random probe generator (the
 distribution's ``sample``, for the property suites) and its ``demo`` (run by
 ``scenlab demo --example <key>``).  The CLI and the tests read them here, so
-adding a system means adding one row.
+adding a system means adding one row.  The demos that certify import
+``analyzers`` when called, so loading the table does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
-from . import analyzers, core
+from . import core
 from .core import ConstraintDistribution, ScenarioSystem
 from .counterexamples import (
     BandConstraint,
@@ -69,12 +70,16 @@ class SystemBundle:
 
 def _demo_convex(bundle: SystemBundle, seed: int, *,
                  k: int = 4) -> tuple[dict, bool]:
+    from . import analyzers
+
     report = analyzers.verify_range_shattering_witness(k)
     return {"range_shattering": report.to_jsonable()}, report.passed
 
 
 def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
               capacity: int = 1) -> tuple[dict, bool]:
+    from . import analyzers
+
     if k < 1:
         raise ValueError("k must be >= 1")
     # Every subset is decided: refuse before building k big-integer weights.
@@ -87,6 +92,8 @@ def _demo_sum(bundle: SystemBundle, seed: int, *, k: int = 4,
 
 def _demo_min(bundle: SystemBundle, seed: int, *,
               capacity: int = 1) -> tuple[dict, bool]:
+    from . import analyzers
+
     # Refuse an oversized search before building its capacity + 1 constraints.
     analyzers.check_tuple_budget(analyzers.subset_counts(capacity + 1,
                                                          capacity))
@@ -107,6 +114,8 @@ def _demo_interval(bundle: SystemBundle, seed: int, *, eps: float = 0.25,
 def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
                     eps: float = 0.25, trials: int = 200) -> tuple[dict, bool]:
     """Adversarial experiment (which checks eps, trials), then shattering."""
+    from . import analyzers
+
     # Refuse an oversized walk before building its 3k band constraints.
     analyzers.check_tuple_budget(k ** r for r in range(k + 1))
     adversarial = analyzers.adversarial_pac_experiment(

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import scenlab
-from scenlab import analyzers, cli, registry
+from scenlab import analyzers, cli, core, registry
 from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
 from scenlab.registry import SYSTEMS, get_bundle
@@ -768,11 +768,15 @@ def test_module_entry_reads_its_own_argv(capsys):
     assert fresh == report
 
 
-@pytest.mark.parametrize("package", ["scipy", "numpy", "numpy.random"])
+@pytest.mark.parametrize("package", ["scipy", "numpy", "numpy.random",
+                                     "scenlab.analyzers", "scenlab.codecs"])
 def test_cli_import_leaves_package_unloaded(package):
     # Every command pays for what `import scenlab.cli` loads.  numpy takes
     # about 0.1 s to import and numpy.random alone holds about 6 MB; each
-    # function that computes with numpy imports it when first called.
+    # function that computes with numpy imports it when first called.  The
+    # certificate machinery (analyzers, and the codecs that decode its
+    # inputs) takes a fifth of the CLI's own import; only the runners and
+    # demos that certify, bound, decode or encode import it.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys, scenlab.cli; print(sorted(m for m in sys.modules "
              f"if (m + '.').startswith('{package}.')))")
@@ -783,15 +787,18 @@ def test_cli_import_leaves_package_unloaded(package):
     assert result.stdout.strip() == "[]"
 
 
-# The prelude makes every import of numpy raise ImportError.
+# Each prelude makes every import of the modules it names raise ImportError.
 NO_NUMPY = ("import sys; sys.modules['numpy'] = None; "
             "from scenlab.cli import main; sys.exit(main(sys.argv[1:]))")
+NO_ANALYZERS = ("import sys; sys.modules['scenlab.analyzers'] = None; "
+                "sys.modules['scenlab.codecs'] = None; "
+                "from scenlab.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-def run_without_numpy(argv):
+def run_fresh(prelude, argv):
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, *argv],
+        [sys.executable, "-c", prelude, *argv],
         env={**os.environ, "PYTHONPATH": str(src), "COLUMNS": "80"},
         capture_output=True, text=True, timeout=120)
 
@@ -821,7 +828,7 @@ def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
     """These commands never import numpy, so a fresh interpreter in which
     numpy cannot be imported gives the in-process outcome."""
     monkeypatch.setenv("COLUMNS", "80")
-    fresh = run_without_numpy(argv)
+    fresh = run_fresh(NO_NUMPY, argv)
     assert fresh.returncode == code
     assert (re.sub(r'"wall_clock_s": .*', "", fresh.stdout), fresh.stderr,
             fresh.returncode) == cli_outcome(argv, capsys)
@@ -829,11 +836,36 @@ def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
 
 def test_sampling_commands_need_numpy():
     # Shows that the prelude of the test above blocks numpy.
-    fresh = run_without_numpy(["risk-curve", "--system", "min-no-map",
-                               "--eps", "0.1", "--n-list", "3",
-                               "--trials", "2"])
+    fresh = run_fresh(NO_NUMPY, ["risk-curve", "--system", "min-no-map",
+                                 "--eps", "0.1", "--n-list", "3",
+                                 "--trials", "2"])
     assert fresh.returncode != 0
     assert "import of numpy halted" in fresh.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    *(["risk-curve", "--system", key, "--eps", "0.1", "--n-list", "3",
+       "--trials", "2"] for key in SYSTEMS),
+    ["demo", "--example", "path-alg2"],
+    ["demo", "--example", "interval-not-pac"],
+    ["-h"], ["bounds", "--vc", "1"],
+])
+def test_estimate_commands_run_without_analyzers(argv, monkeypatch, capsys):
+    """These commands never import analyzers or codecs, so a fresh
+    interpreter in which neither can be imported gives the in-process
+    outcome."""
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = run_fresh(NO_ANALYZERS, argv)
+    assert (re.sub(r'"wall_clock_s": .*', "", fresh.stdout), fresh.stderr,
+            fresh.returncode) == cli_outcome(argv, capsys)
+
+
+def test_bounds_needs_analyzers():
+    # Shows that the prelude of the test above blocks analyzers.
+    fresh = run_fresh(NO_ANALYZERS, ["bounds", "--vc", "1", "--eps", "0.1",
+                                     "--beta", "0.05"])
+    assert fresh.returncode != 0
+    assert "import of scenlab.analyzers halted" in fresh.stderr
 
 
 def test_package_exports_resolve():
@@ -841,3 +873,12 @@ def test_package_exports_resolve():
     assert len(set(scenlab.__all__)) == len(scenlab.__all__)
     missing = [name for name in scenlab.__all__ if not hasattr(scenlab, name)]
     assert missing == []
+    # The analyzer names resolve on first access, to analyzers' own objects.
+    for name in scenlab._ANALYZER_NAMES:
+        assert getattr(scenlab, name) is getattr(analyzers, name)
+    namespace: dict = {}
+    exec("from scenlab import *", namespace)
+    assert set(scenlab.__all__) <= set(namespace)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        scenlab.no_such_name
+    assert analyzers.BudgetExceededError is core.BudgetExceededError
