@@ -331,11 +331,18 @@ def check_stability(system: ScenarioSystem, tuple_generator: Draw,
                   trials, seed)
 
 
+def _dominated(system: ScenarioSystem,
+               dist: ConstraintDistribution) -> Callable[[Any], bool]:
+    """Whether a decision satisfies every constraint of ``dist.dominating``."""
+    return lambda x: all(system.satisfies(x, z) for z in dist.dominating)
+
+
 def _violation_rate(system: ScenarioSystem,
                     x: Any,
                     dist: ConstraintDistribution,
                     rng: np.random.Generator,
                     samples: int,
+                    dominated: Callable[[Any], bool],
                     stop: Optional[int] = None) -> float:
     """Risk of ``x``: exact when ``dist`` is analytic, else the fraction of
     ``samples`` fresh draws from ``rng`` that ``x`` violates, checked on the
@@ -344,7 +351,8 @@ def _violation_rate(system: ScenarioSystem,
 
     A decision that satisfies all of ``dist.dominating`` violates no draw,
     so its fraction, 0, is returned without drawing (no caller reads ``rng``
-    again).
+    again).  ``dominated`` answers that question: ``_dominated(system,
+    dist)``, which ``pac_curve`` caches by decision.
 
     The draws come in blocks of ``NESTED_MC_SAMPLES // 8``, which together
     draw the values of one call (the ``sample_values`` and ``sample_tuple``
@@ -358,8 +366,7 @@ def _violation_rate(system: ScenarioSystem,
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"analytic violation {v} outside [0, 1]")
         return v
-    if dist.dominating and all(system.satisfies(x, z)
-                               for z in dist.dominating):
+    if dist.dominating and dominated(x):
         return 0.0
     on_values = (dist.constraint_class is not None
                  and system.satisfies_values is not None)
@@ -395,7 +402,8 @@ def violation_probability_mc(system: ScenarioSystem,
         raise ValueError("samples must be >= 1")
     analytic = dist.analytic_violation is not None
     rng, = streams(seed, 1)
-    risk = _violation_rate(system, x, dist, rng, samples)
+    risk = _violation_rate(system, x, dist, rng, samples,
+                           _dominated(system, dist))
     radius = 0.0 if analytic else hoeffding_radius(samples)
     return RiskEstimate(risk, radius, samples, seed, analytic=analytic)
 
@@ -420,7 +428,13 @@ def pac_curve(system: ScenarioSystem,
 
     When ``dist`` carries a ``constraint_class`` and ``system`` carries
     ``decide_values``, each decision is taken on the sampled values, which
-    by both contracts changes no row.
+    by both contracts changes no row.  Every registry system does, so no
+    constraint object is built for a trial's tuple.
+
+    Each distinct decision is checked against ``dist.dominating`` once per
+    call: the answers are cached by decision, which is exact because
+    decisions are hashable and ``==``-equal decisions satisfy the same
+    constraints (the :class:`ScenarioSystem` contract).
 
     The stream of a row's trial is ``stream(seed, index of N in the sorted
     distinct n_list, trial)``, so adding an N shifts the streams, and the
@@ -444,6 +458,7 @@ def pac_curve(system: ScenarioSystem,
 
     on_values = (dist.constraint_class is not None
                  and system.decide_values is not None)
+    dominated = functools.cache(_dominated(system, dist))
     # The least violation count whose fraction exceeds epsilon.
     stop = bisect.bisect_right(range(NESTED_MC_SAMPLES + 1), epsilon,
                                key=lambda v: v / NESTED_MC_SAMPLES)
@@ -457,7 +472,7 @@ def pac_curve(system: ScenarioSystem,
             else:
                 x = system.decide(dist.sample_tuple(rng, n))
             if _violation_rate(system, x, dist, rng, NESTED_MC_SAMPLES,
-                               stop) > epsilon:
+                               dominated, stop) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
     return PacCurve(epsilon, trials, seed, tuple(rows),

@@ -113,8 +113,20 @@ class BandConstraint:
     y: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.y <= 1.0:
-            raise ValueError("band level must lie in [0, 1]")
+        _check_level(self.y)
+
+
+def _check_level(y: float) -> float:
+    """``y``, or ``ValueError`` if it is no band level in [0, 1]."""
+    if not 0.0 <= y <= 1.0:
+        raise ValueError("band level must lie in [0, 1]")
+    return y
+
+
+def _raise_level(y_min: float | None, y: float) -> float:
+    """max(y_min, y) for the band level ``y_min`` so far (None before any
+    band): a tie keeps the earlier level, as max() does."""
+    return y if y_min is None or y > y_min else y_min
 
 
 ConvexConstraint = PolygonConstraint | BandConstraint
@@ -137,9 +149,7 @@ def _convex_extend(state: tuple, z) -> tuple:
         return (z.vertices if region is None
                 else clip_polygon(region, z.vertices), y_min, clipped | {z})
     if isinstance(z, BandConstraint):
-        # max(y_min, z.y): a tie keeps the earlier level, as max() does.
-        return (region, z.y if y_min is None or z.y > y_min else y_min,
-                clipped)
+        return (region, _raise_level(y_min, z.y), clipped)
     # Not ValueError, which the compression-map search reads as undecidable.
     raise TypeError(f"not a polygon or band constraint: {type(z).__name__}")
 
@@ -207,12 +217,28 @@ def convex_satisfies_values(x: Point, values: list) -> list[bool]:
     return out
 
 
+def alg_convex_values(values: list) -> Point:
+    """``alg_convex_maxx1`` on convex-mixture values, with no band built:
+    a polygon goes through ``_convex_extend`` and a level raises the band
+    level as its band would.  A level outside [0, 1] raises
+    ``ValueError``, as :func:`convex_constraint` does."""
+    state, level = alg_convex_maxx1.init, None
+    for v in values:
+        if isinstance(v, PolygonConstraint):
+            state = _convex_extend(state, v)
+        else:
+            level = _raise_level(level, _check_level(v))
+    region, _, clipped = state
+    return _convex_finish((region, level, clipped))
+
+
 convex_system = ScenarioSystem(
     name="convex-vc",
     decide=alg_convex_maxx1,
     satisfies=convex_satisfies,
     coords=tuple,  # a decision is a point, its own coordinate vector
     satisfies_values=convex_satisfies_values,
+    decide_values=alg_convex_values,
 )
 
 

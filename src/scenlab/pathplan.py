@@ -279,7 +279,18 @@ def _edges_conflict(vertices: tuple[Point, ...], star, tip: Point) -> bool:
 
 
 def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
-    """Shortest path from I to T avoiding all sampled barriers.
+    """Shortest path from I to T avoiding all sampled barriers:
+    ``alg1_shortest_path_values`` on the barriers' angles.
+
+    ``vz`` is a tuple, or alg1's fold state, a frozenset.  The planner, its
+    error included, depends on the set of angles only, so it is invariant
+    under reordering and duplicating ``vz``.
+    """
+    return alg1_shortest_path_values(scene, [z.theta for z in vz])
+
+
+def alg1_shortest_path_values(scene: Scene, thetas: list[float]) -> Polyline:
+    """alg1's path for barriers at the angles ``thetas``.
 
     A feasible path and the segment I-T together enclose every barrier, so
     the shortest one bounds the region of least perimeter that holds them
@@ -291,18 +302,19 @@ def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
     exists: ``ValueError`` names the barrier with the lowest tip, the
     smallest angle among tied ones.
 
-    The hull depends on the set of tips only and the named barrier on the
-    set of barriers, so the planner, its error included, is invariant
-    under reordering and duplicating ``vz`` (a tuple, or alg1's fold state,
-    a frozenset).
+    The hull depends on the set of tips only, the check on each tip alone
+    (``barrier_satisfied`` on a polyline, with no barrier built) and the
+    named barrier on the set of angles, so the planner, its error
+    included, is invariant under reordering and duplicating ``thetas``.
     """
-    tips = [barrier_tip(z, scene.barrier_length) for z in vz]
+    length = scene.barrier_length
+    tips = [(length * math.cos(t), length * math.sin(t)) for t in thetas]
     path = Polyline(_alg1_hull(tuple(sorted(set(tips)))))
-    if not all(barrier_satisfied(scene, path, z) for z in vz):
-        z, tip = min(zip(vz, tips),
-                     key=lambda pair: (pair[1][1], pair[0].theta))
-        raise ValueError(f"no path clears barrier theta={z.theta!r}, nearest "
-                         f"the I-T axis (tip height {tip[1]:.3g})")
+    star = _star_edges(path, length)
+    if any(_edges_conflict(path.vertices, star, tip) for tip in tips):
+        height, theta = min((tip[1], t) for t, tip in zip(thetas, tips))
+        raise ValueError(f"no path clears barrier theta={theta!r}, nearest "
+                         f"the I-T axis (tip height {height:.3g})")
     return path
 
 
@@ -500,7 +512,8 @@ def _polyline_coords(x: Polyline) -> tuple[float, ...]:
 
 
 # Fields look planners up as module globals at call time (no partials), so
-# a rebound global reaches them.  alg1's fold state is its set of barriers.
+# a rebound global reaches them.  alg1's fold state is its set of barriers;
+# on drawn angles it plans from the list, with no set built.
 path_system_alg1 = ScenarioSystem(
     name="path-alg1",
     decide=Fold(frozenset(), lambda s, z: s | {z},
@@ -509,6 +522,7 @@ path_system_alg1 = ScenarioSystem(
     coords=_polyline_coords,
     satisfies_values=lambda x, thetas: barrier_satisfied_values(
         SCENE, x, thetas),
+    decide_values=lambda thetas: alg1_shortest_path_values(SCENE, thetas),
 )
 
 path_system_alg2 = ScenarioSystem(

@@ -19,6 +19,7 @@ import scenlab
 from scenlab import analyzers, cli, core, registry
 from scenlab.cli import build_parser, load_config, main
 from scenlab.codecs import decode_constraint, encode_constraint
+from scenlab.pathplan import ALG2_SCAN_BELOW
 from scenlab.registry import SYSTEMS, get_bundle
 
 
@@ -816,6 +817,10 @@ def run_fresh(prelude, argv):
       '[{"exclude": 0}, {"exclude": 1}, {"exclude": 2}]'], 0),
     (["pathplan", "--algo", "2", "--thetas", "0.5,1.5,2.5"], 0),
     (["pathplan", "--algo", "1", "--thetas", "1.0,2.0"], 0),
+    # alg1's hull check is scalar at every angle count, also from the
+    # count up which alg2 filters with numpy.
+    (["pathplan", "--algo", "1", "--thetas", ",".join(
+        str(0.05 + 0.06 * i) for i in range(ALG2_SCAN_BELOW + 10))], 0),
     (["shatter", "--system", "path-alg1", "--candidates",
       '[{"theta": 1.5}, {"theta": 1.6}]'], 0),
     (["compression", "--system", "path-alg1", "--capacity", "1", "--tuple",

@@ -15,6 +15,7 @@ from scenlab.core import (
     PacRow,
     PropertyReport,
     RiskEstimate,
+    _dominated,
     _violation_rate,
     check_consistency,
     check_stability,
@@ -157,7 +158,7 @@ def loop_pac_rows(system, dist, epsilon, ns, trials, seed):
             else:
                 x = system.decide(dist.sample_tuple(rng, n))
             if _violation_rate(system, x, dist, rng, NESTED_MC_SAMPLES,
-                               stop) > epsilon:
+                               _dominated(system, dist), stop) > epsilon:
                 exceed += 1
         rows.append(PacRow(n, exceed / trials, hoeffding_radius(trials)))
     return tuple(rows)
