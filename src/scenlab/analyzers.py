@@ -372,10 +372,12 @@ def find_compression_subtuple(system: ScenarioSystem,
     The pass decides every subtuple that a walk of each length in turn
     would decide before it stopped, and may decide longer ones in earlier
     subtrees, never more than the budget admits.  Only the states on the
-    recursion stack are live: at most ``bound`` + 1.  The budget counts vz
-    among the subtuples, although it is not decided again.  It keeps the
-    recursion shallow: it admits sum_{r <= d} C(n, r) >= 2^d subtuples
-    (d <= n), so d <= 20.
+    recursion stack are live: at most ``bound`` + 1.  The walked path is
+    one list of indices, pushed and popped around each descent, so a node
+    builds no tuple of its indices; only a match copies the list into one.
+    The budget counts vz among the subtuples, although it is not decided
+    again.  It keeps the recursion shallow: it admits
+    sum_{r <= d} C(n, r) >= 2^d subtuples (d <= n), so d <= 20.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
@@ -397,7 +399,10 @@ def find_compression_subtuple(system: ScenarioSystem,
     except ValueError:  # undecidable, so no match (see above)
         pass
 
-    def walk(state: Any, path: tuple, start: int, depth: int) -> None:
+    path = []  # the indices of the node's ancestors, root first
+    push, pop = path.append, path.pop
+
+    def walk(state: Any, start: int, depth: int) -> None:
         nonlocal best, bound
         for i in range(start, n):
             child = extend(state, vz[i])
@@ -407,13 +412,15 @@ def find_compression_subtuple(system: ScenarioSystem,
                 match = False
             if match:
                 # The siblings left are as long as this match.
-                best, bound = path + (i,), depth - 1
+                best, bound = (*path, i), depth - 1
                 return
             if depth < bound and i < last:  # the last index has no children
-                walk(child, path + (i,), i + 1, depth + 1)
+                push(i)
+                walk(child, i + 1, depth + 1)
+                pop()
 
     if bound:
-        walk(fold.init, (), 0, 1)
+        walk(fold.init, 0, 1)
     return best
 
 

@@ -364,6 +364,9 @@ class ExclusionConstraint:
     a: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.a, int) or isinstance(self.a, bool):
+            raise ValueError(
+                f"excluded natural must be an int, got {self.a!r}")
         if self.a < 0:
             raise ValueError("excluded natural must be >= 0")
 
@@ -376,37 +379,53 @@ def _sum_extend(total: int, z: ExclusionConstraint) -> int:
     return total + z.a
 
 
-def _sum_finish(total: int) -> int:
-    return 1 + total
+# ``alg_min``'s state is ``(bits, large)``: bit a of the int ``bits`` is set
+# iff a < _MIN_BITS is excluded, and the frozenset ``large`` holds the
+# excluded values >= _MIN_BITS.
+_MIN_BITS = 64
 
 
-def _min_extend(excluded: frozenset, z: ExclusionConstraint) -> frozenset:
-    return excluded if z.a in excluded else excluded | {z.a}
+def _min_extend(state: tuple, z: ExclusionConstraint) -> tuple:
+    a = z.a
+    bits, large = state
+    if a < _MIN_BITS:
+        grown = bits | 1 << a
+        return state if grown == bits else (grown, large)
+    return state if a in large else (bits, large | {a})
 
 
-def _min_finish(excluded: frozenset) -> int:
-    x = 0
+def _mex(excluded: frozenset, x: int = 0) -> int:
+    """The least natural >= x not in ``excluded``."""
     while x in excluded:
         x += 1
     return x
 
 
+def _min_finish(state: tuple) -> int:
+    bits, large = state
+    x = (bits ^ (bits + 1)).bit_length() - 1  # the lowest clear bit
+    return x if x < _MIN_BITS else _mex(large, x)
+
+
 # Decision 1 + sum of excluded values; order-insensitive but
 # multiplicity-sensitive, and never equal to any single excluded value.
-alg_sum = Fold(0, _sum_extend, _sum_finish)
+# The total starts at 1, so it is the decision: ``operator.pos`` is an
+# identity on ints that runs no Python frame.
+alg_sum = Fold(1, _sum_extend, operator.pos)
 
 # Least natural number not excluded by the sample.
-alg_min = Fold(frozenset(), _min_extend, _min_finish)
+alg_min = Fold((0, frozenset()), _min_extend, _min_finish)
 
 
 def alg_sum_values(values: Iterable[int]) -> int:
     """``alg_sum`` on the excluded values themselves."""
-    return _sum_finish(sum(values))
+    return sum(values, 1)
 
 
 def alg_min_values(values: Iterable[int]) -> int:
-    """``alg_min`` on the excluded values themselves."""
-    return _min_finish(frozenset(values))
+    """``alg_min`` on the excluded values themselves, through one set:
+    folding many drawn values bit by bit costs more."""
+    return _mex(frozenset(values))
 
 
 sum_system = ScenarioSystem("sum-no-scheme", alg_sum, exclusion_satisfies,

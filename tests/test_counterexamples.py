@@ -273,6 +273,13 @@ def test_exclusion_validation():
         ExclusionConstraint(-1)
 
 
+@pytest.mark.parametrize("a", [2.5, 2.0, True, False, "3", None,
+                               np.int64(3)])
+def test_exclusion_refuses_values_other_than_an_int(a):
+    with pytest.raises(ValueError, match="must be an int"):
+        ExclusionConstraint(a)
+
+
 def test_alg_sum_values():
     assert alg_sum(()) == 1
     assert alg_sum((ExclusionConstraint(2), ExclusionConstraint(5))) == 8

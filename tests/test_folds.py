@@ -102,7 +102,11 @@ POLYGONS = [PolygonConstraint(m, i) for m in range(1, 5)
 LEVELS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
                    st.floats(min_value=0.0, max_value=1.0))
 CONVEX = st.one_of(st.sampled_from(POLYGONS), st.builds(BandConstraint, LEVELS))
-EXCLUSION = st.builds(ExclusionConstraint, st.integers(min_value=0, max_value=6))
+# Small values, values at both sides of alg_min's 64-bit mask, and values
+# past 2**64.
+EXCLUSION = st.builds(ExclusionConstraint, st.one_of(
+    st.integers(min_value=0, max_value=6), st.sampled_from([63, 64, 65]),
+    st.integers(min_value=2**64, max_value=2**64 + 6)))
 BARRIER = st.builds(BarrierConstraint, st.floats(min_value=1e-3,
                                                  max_value=math.pi - 1e-3))
 CONSTRAINTS = {"convex-vc": CONVEX, "sum-no-scheme": EXCLUSION,
@@ -182,10 +186,15 @@ def test_exclusion_folds_equal_the_list_forms(values):
 
 
 def test_extend_returns_a_new_state():
+    # alg_min's state is (bits of the values below 64, set of the others).
     state = alg_min.extend(alg_min.init, ExclusionConstraint(0))
     grown = alg_min.extend(state, ExclusionConstraint(3))
-    assert state == frozenset({0}) and grown == frozenset({0, 3})
+    assert state == (0b1, frozenset()) and grown == (0b1001, frozenset())
     assert alg_min.extend(grown, ExclusionConstraint(3)) is grown
+    large = alg_min.extend(grown, ExclusionConstraint(64))
+    assert large == (0b1001, frozenset({64}))
+    assert alg_min.extend(large, ExclusionConstraint(64)) is large
+    assert alg_min.extend(large, ExclusionConstraint(0)) is large
     first = alg_convex_maxx1.extend(alg_convex_maxx1.init, POLYGONS[1])
     second = alg_convex_maxx1.extend(first, POLYGONS[2])
     assert first == (sigma_polygon(2, 1), None, frozenset({POLYGONS[1]}))
@@ -193,6 +202,34 @@ def test_extend_returns_a_new_state():
     assert second[2] == frozenset(POLYGONS[1:3])
     # A polygon already clipped by leaves the state as it is.
     assert alg_convex_maxx1.extend(second, POLYGONS[1]) is second
+
+
+def test_min_fold_excluding_all_of_0_to_63_decides_64():
+    values = [*range(64), 5, 63, 0, 17]
+    np.random.default_rng(0).shuffle(values)
+    vz = tuple(ExclusionConstraint(a) for a in values)
+    assert alg_min(vz) == min_by_lists(vz) == 64
+
+
+def test_min_fold_scans_the_large_values_from_64():
+    vz = tuple(ExclusionConstraint(a) for a in (65, *range(64), 64, 67))
+    assert alg_min(vz) == min_by_lists(vz) == 66
+
+
+@given(st.lists(st.sampled_from([0, 1, 5, 63, 64, 65, 2**64, 2**64 + 1]),
+                max_size=10))
+def test_min_fold_states_of_equal_excluded_sets_are_equal(values):
+    """The shatter walk memoizes ``finish`` by the state, so equal excluded
+    sets must give equal, equal-hash states in any order."""
+    def state_of(order):
+        state = alg_min.init
+        for a in order:
+            state = alg_min.extend(state, ExclusionConstraint(a))
+        return state
+
+    forward = state_of(values)
+    backward = state_of(sorted(set(values), reverse=True))
+    assert forward == backward and hash(forward) == hash(backward)
 
 
 def test_fold_decides_by_folding_extend_from_init():
