@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
+from .core import is_real
 from .counterexamples import (
     BandConstraint,
     ExclusionConstraint,
@@ -59,7 +60,7 @@ def _integral(value: Any) -> int:
 def _real(value: Any) -> float:
     """A finite JSON number as a float; booleans, non-numbers, NaN and
     infinities are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if is_real(value):
         try:
             real = float(value)
         except OverflowError:  # an int beyond the float range

@@ -50,6 +50,12 @@ class BudgetExceededError(Exception):
     """
 
 
+def is_real(value: Any) -> bool:
+    """Whether ``value`` is an int or a float that is not a ``bool`` (numpy
+    float scalars subclass ``float``): the numbers a constraint may hold."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def hoeffding_radius(n: int) -> float:
     """Two-sided radius sqrt(ln(2/delta) / (2n)), delta = HOEFFDING_DELTA."""
     if n < 1:
@@ -110,8 +116,10 @@ class ScenarioSystem:
     ``decide`` is decided whole.
 
     Two optional hooks work on the plain values that a distribution's
-    ``sample_values`` draws, so the caller builds no constraint objects; for
-    the distribution's ``constraint_class`` ``cls``:
+    ``sample_values`` draws, so the caller builds no constraint objects.
+    Each takes what its paired sampler returns, a list or a 1-D numpy
+    array (see :class:`ConstraintDistribution`); for the distribution's
+    ``constraint_class`` ``cls``:
 
     * ``decide_values(values)`` must equal ``decide(tuple(map(cls,
       values)))``, so PAC curves do not depend on it;
@@ -124,8 +132,9 @@ class ScenarioSystem:
     decide: Callable[[ConstraintTuple], Any]
     satisfies: Callable[[Any, Any], bool]
     coords: Optional[Callable[[Any], Sequence[float]]] = None
-    satisfies_values: Optional[Callable[[Any, list], Sequence[bool]]] = None
-    decide_values: Optional[Callable[[list], Any]] = None
+    satisfies_values: Optional[Callable[[Any, list | np.ndarray],
+                                        Sequence[bool]]] = None
+    decide_values: Optional[Callable[[list | np.ndarray], Any]] = None
 
     def decisions_equal(self, a: Any, b: Any) -> bool:
         """The system's decision equality."""
@@ -149,7 +158,11 @@ class ConstraintDistribution:
 
     ``sample_values`` and ``constraint_class``, set together or not at all,
     are a batch sampler: ``sample_values(rng, n)`` draws plain values and
-    ``constraint_class`` builds a value's constraint.  The constraints of
+    ``constraint_class`` builds a value's constraint.  The values come as a
+    list, or as a 1-D numpy array when numpy draws them as numbers (the
+    barrier angles), so they reach a system's ``decide_values`` and
+    ``satisfies_values`` as drawn; ``sample_tuple`` builds its constraints
+    from Python numbers either way, as ``sample`` does.  The constraints of
     the values must be exactly those of ``n`` calls of ``sample``, and
     ``rng`` must be left at exactly their stream position, so seeded outputs
     do not depend on whether a tuple was drawn in batch.
@@ -164,7 +177,8 @@ class ConstraintDistribution:
 
     sample: Callable[[np.random.Generator], Any]
     analytic_violation: Optional[Callable[[Any], float]] = None
-    sample_values: Optional[Callable[[np.random.Generator, int], list]] = None
+    sample_values: Optional[Callable[[np.random.Generator, int],
+                                     list | np.ndarray]] = None
     constraint_class: Optional[Callable[[Any], Any]] = None
     dominating: tuple = ()
 
@@ -177,7 +191,10 @@ class ConstraintDistribution:
             raise ValueError("tuple length must be >= 0")
         if self.sample_values is None:
             return tuple(self.sample(rng) for _ in range(n))
-        return tuple(map(self.constraint_class, self.sample_values(rng, n)))
+        values = self.sample_values(rng, n)
+        if not isinstance(values, list):  # a numpy array: its Python numbers
+            values = values.tolist()
+        return tuple(map(self.constraint_class, values))
 
 
 @dataclass(frozen=True)

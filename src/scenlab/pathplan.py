@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import neg
 from typing import TYPE_CHECKING
 
-from .core import ConstraintDistribution, Fold, ScenarioSystem
+from .core import ConstraintDistribution, Fold, ScenarioSystem, is_real
 from .geometry import (
     POINT_TOL,
     Point,
@@ -54,11 +54,15 @@ class Scene:
 @dataclass(frozen=True)
 class BarrierConstraint:
     """Barrier at angle theta: paths must not cross the segment from O to
-    the tip (grazing the tip itself is allowed)."""
+    the tip (grazing the tip itself is allowed).  ``theta`` is a real number
+    that is not a ``bool`` (numpy float scalars are floats)."""
 
     theta: float
 
     def __post_init__(self) -> None:
+        if not is_real(self.theta):
+            raise ValueError(
+                f"barrier angle must be a real number, got {self.theta!r}")
         if not 0.0 < self.theta < math.pi:
             raise ValueError("barrier angle must lie strictly in (0, pi)")
 
@@ -155,9 +159,10 @@ def barrier_satisfied(scene: Scene, path: PathDecision,
 
 
 def barrier_satisfied_values(scene: Scene, path: PathDecision,
-                             thetas: list[float]) -> list[bool]:
+                             thetas: list[float] | np.ndarray) -> list[bool]:
     """``[barrier_satisfied(scene, path, BarrierConstraint(t)) for t in
-    thetas]``.  An angle outside (0, pi) raises ``ValueError``, as
+    thetas]`` for a list or a float64 array of angles (an array is read in
+    place).  An angle outside (0, pi) raises ``ValueError``, as
     :class:`BarrierConstraint` does.
 
     A polyline that ``_star_edges`` accepts (every alg1 hull but the
@@ -218,14 +223,14 @@ def barrier_satisfied_values(scene: Scene, path: PathDecision,
     """
     import numpy as np
 
-    angles = np.array(thetas, dtype=float)
+    angles = np.asarray(thetas, dtype=float)
     if not ((angles > 0.0) & (angles < math.pi)).all():
         raise ValueError("barrier angle must lie strictly in (0, pi)")
     length = scene.barrier_length
     star = None if isinstance(path, Parabola) else _star_edges(path, length)
     if star is None:
         return [barrier_satisfied(scene, path, BarrierConstraint(t))
-                for t in thetas]
+                for t in angles.tolist()]
     alpha = star[3]
     ends, crosses, (dx, dy) = path.star_arrays
     j = np.searchsorted(-ends, -angles, side="right") - 1
@@ -289,8 +294,10 @@ def alg1_shortest_path(scene: Scene, vz: tuple | frozenset) -> Polyline:
     return alg1_shortest_path_values(scene, [z.theta for z in vz])
 
 
-def alg1_shortest_path_values(scene: Scene, thetas: list[float]) -> Polyline:
-    """alg1's path for barriers at the angles ``thetas``.
+def alg1_shortest_path_values(scene: Scene,
+                              thetas: list[float] | np.ndarray) -> Polyline:
+    """alg1's path for barriers at the angles ``thetas``, a list or a
+    float64 array.
 
     A feasible path and the segment I-T together enclose every barrier, so
     the shortest one bounds the region of least perimeter that holds them
@@ -300,7 +307,7 @@ def alg1_shortest_path_values(scene: Scene, thetas: list[float]) -> Polyline:
     and no higher tip to pass over, the hull edge from its tip down to I
     or T runs along it, so the hull fails ``barrier_satisfied`` and no path
     exists: ``ValueError`` names the barrier with the lowest tip, the
-    smallest angle among tied ones.
+    smallest angle among tied ones, as a Python float.
 
     The hull depends on the set of tips only, the check on each tip alone
     (``barrier_satisfied`` on a polyline, with no barrier built) and the
@@ -313,8 +320,8 @@ def alg1_shortest_path_values(scene: Scene, thetas: list[float]) -> Polyline:
     star = _star_edges(path, length)
     if any(_edges_conflict(path.vertices, star, tip) for tip in tips):
         height, theta = min((tip[1], t) for t, tip in zip(thetas, tips))
-        raise ValueError(f"no path clears barrier theta={theta!r}, nearest "
-                         f"the I-T axis (tip height {height:.3g})")
+        raise ValueError(f"no path clears barrier theta={float(theta)!r}, "
+                         f"nearest the I-T axis (tip height {height:.3g})")
     return path
 
 
@@ -345,11 +352,13 @@ def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...]:
 # ---------------------------------------------------------------------------
 
 
-def alg2_binding(scene: Scene,
-                 thetas: list[float]) -> tuple[int | None, float]:
+def alg2_binding(scene: Scene, thetas: list[float] | np.ndarray
+                 ) -> tuple[int | None, float]:
     """alg2's binding barrier: the first index of ``thetas`` attaining the
     largest ``math`` clearance, and that clearance (``(None, 0.0)`` for no
     barrier), with the bytes of a ``clearance_height`` scan of every angle.
+    ``thetas`` is a list or a float64 array, which the numpy pass reads in
+    place; the clearance is a Python float either way.
 
     One numpy pass estimates every clearance a_i with the same formula;
     only the candidates, a_i >= (1 - tau) max a in index order, get the
@@ -387,7 +396,7 @@ def alg2_binding(scene: Scene,
       numpy pass, about 6 us whatever the length, costs more than the
       ``math`` scan of about 0.4 us an angle.
     """
-    if not thetas:
+    if len(thetas) == 0:
         return None, 0.0
     length = scene.barrier_length
     rest = 1.0 - length * length
@@ -541,13 +550,17 @@ def _barrier_sample(rng: np.random.Generator) -> BarrierConstraint:
     return BarrierConstraint(theta)
 
 
-def _barrier_sample_values(rng: np.random.Generator, n: int) -> list[float]:
-    # The scalar loop draws at least one angle per barrier, so drawing only
-    # the shortfall each round never reads past its stream position.
-    thetas: list[float] = []
-    while len(thetas) < n:
-        draws = rng.uniform(0.0, math.pi, size=n - len(thetas))
-        thetas.extend(draws[(draws > 0.0) & (draws < math.pi)].tolist())
+def _barrier_sample_values(rng: np.random.Generator, n: int) -> np.ndarray:
+    # The float64 array of the angles, as numpy draws them.  The scalar loop
+    # draws at least one angle per barrier, so keeping the accepted draws
+    # and drawing only the shortfall never reads past its stream position.
+    thetas = rng.uniform(0.0, math.pi, size=n)
+    while n and not (thetas.min() > 0.0 and thetas.max() < math.pi):
+        import numpy as np
+
+        kept = thetas[(thetas > 0.0) & (thetas < math.pi)]
+        thetas = np.concatenate(
+            (kept, rng.uniform(0.0, math.pi, size=n - len(kept))))
     return thetas
 
 

@@ -132,7 +132,8 @@ def _demo_path_alg1(bundle: SystemBundle, seed: int, *, k: int = 4,
 def _demo_path_alg2(bundle: SystemBundle, seed: int, *, trials: int = 200,
                     max_n: int = 20) -> tuple[dict, bool]:
     """The binding angle alone decides every sampled tuple's parabola (the
-    angles are ``sample_tuple``'s draws, by the ``sample_values`` contract)."""
+    angles are ``sample_tuple``'s draws, by the ``sample_values`` contract).
+    The angles stay the float64 array that numpy drew."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_n < 0:

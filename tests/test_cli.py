@@ -827,6 +827,11 @@ def run_fresh(prelude, argv):
       '[{"theta": 1.0}, {"theta": 1.5}, {"theta": 2.0}]'], 0),
     (["compression", "--system", "path-alg1", "--capacity", "1", "--base",
       '[{"theta": 1.0}, {"theta": 1.5}, {"theta": 2.0}]'], 0),
+    # The interval decision sorts short tuples without numpy.
+    (["shatter", "--system", "interval-not-pac", "--candidates",
+      '[{"member": 0.0}, {"member": 0.5}, {"member": 1.0}]'], 0),
+    (["compression", "--system", "interval-not-pac", "--capacity", "1",
+      "--base", '[{"member": 0.0}, {"member": 0.5}, {"member": 1.0}]'], 0),
 ])
 def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
                                                capsys):
@@ -837,6 +842,20 @@ def test_numpy_free_commands_run_without_numpy(argv, code, monkeypatch,
     assert fresh.returncode == code
     assert (re.sub(r'"wall_clock_s": .*', "", fresh.stdout), fresh.stderr,
             fresh.returncode) == cli_outcome(argv, capsys)
+
+
+def test_interval_curve_leaves_numpy_ma_unloaded():
+    """From ``_NUMPY_SORT_FROM`` points up, the interval decision sorts with
+    ``np.sort``; ``np.unique`` would import ``numpy.ma`` (about 1.3 MB)."""
+    prelude = ("import sys; from scenlab.cli import main; main(sys.argv[1:]); "
+               "print(sorted(m for m in sys.modules "
+               "if (m + '.').startswith('numpy.ma.')))")
+    fresh = run_fresh(prelude, ["risk-curve", "--system", "interval-not-pac",
+                                "--eps", "0.1", "--n-list", "1000",
+                                "--trials", "20"])
+    assert fresh.returncode == 0, fresh.stderr
+    assert '"q_hat": ' in fresh.stdout
+    assert fresh.stdout.splitlines()[-1] == "[]"
 
 
 def test_sampling_commands_need_numpy():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from scenlab import codecs
 from scenlab.counterexamples import (
+    _NUMPY_SORT_FROM,
     MAX_ARC_FAMILY,
     BandConstraint,
     ExclusionConstraint,
@@ -19,6 +21,7 @@ from scenlab.counterexamples import (
     PolygonConstraint,
     alg_convex_maxx1,
     alg_interval,
+    alg_interval_values,
     alg_min,
     alg_sum,
     analytic_risk_interval,
@@ -115,6 +118,55 @@ def test_constraint_validation():
         PolygonConstraint(2, 3)
     with pytest.raises(ValueError):
         BandConstraint(1.5)
+
+
+@pytest.mark.parametrize("m, i", [(True, True), (2.0, 1), (2, 1.0),
+                                  (np.int64(2), 1), ("2", 1), (2, None)])
+def test_polygon_refuses_indices_other_than_an_int(m, i):
+    with pytest.raises(ValueError, match="must be ints"):
+        PolygonConstraint(m, i)
+
+
+REAL_VALUED = [(MembershipConstraint, "membership point"),
+               (BandConstraint, "band level"),
+               (BarrierConstraint, "barrier angle")]
+
+
+@pytest.mark.parametrize("cls, what", REAL_VALUED)
+@pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j,
+                                   np.float32(0.5), [0.5]])
+def test_constraints_refuse_values_other_than_a_real_number(cls, what, value):
+    """The numbers ``codecs`` decodes: a bool, a string or a numpy float32
+    would encode to what ``decode_constraint`` refuses."""
+    with pytest.raises(ValueError, match=f"{what} must be a real number"):
+        cls(value)
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _ in REAL_VALUED])
+@pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5)])
+def test_constraints_take_ints_and_floats_and_round_trip(cls, value):
+    z = cls(value)
+    assert codecs.decode_constraint(codecs.encode_constraint(z)) == z
+
+
+@pytest.mark.parametrize("level", [True, False, "0.5"])
+def test_convex_values_refuse_a_level_that_no_band_takes(level):
+    """The value hooks refuse what ``BandConstraint`` refuses, as their
+    contracts with ``convex_constraint`` require; ints 0 and 1 are
+    levels."""
+    with pytest.raises(ValueError):
+        convex_satisfies_values((1.0, 0.0), [0.5, level])
+    with pytest.raises(ValueError):
+        convex_system.decide_values([0.5, level])
+    for y in (0, 1):
+        assert convex_satisfies_values((1.0, 0.0), [y]) == \
+            [convex_satisfies((1.0, 0.0), BandConstraint(y))]
+
+
+def test_interval_refuses_a_false_point_before_deciding():
+    # False == 0.0, so the decision would be {"finite_set": [false]}.
+    with pytest.raises(ValueError, match="must be a real number"):
+        alg_interval((MembershipConstraint(False),))
 
 
 def test_polygon_constraint_carries_sigma_but_compares_by_its_indices():
@@ -378,6 +430,78 @@ def test_alg_interval_branches():
     decision = alg_interval(vz_with_atom)
     assert decision.points == (0.0, 0.3, 0.7)
     assert alg_interval(()) is OPEN_UNIT_INTERVAL
+
+
+def hex_and_type(decision):
+    """Each point's ``float.hex`` and type, or None for (0, 1]."""
+    if decision.points is None:
+        return None
+    return [(float.hex(p), type(p)) for p in decision.points]
+
+
+def interval_outcome(decide, values):
+    try:
+        return hex_and_type(decide(values))
+    except ValueError as error:
+        return str(error)
+
+
+def sorted_set_decision(values):
+    """The interval decision below the threshold: ``sorted(set(values))``."""
+    if 0.0 in values:
+        return IntervalDecision(tuple(sorted(set(values))))
+    return OPEN_UNIT_INTERVAL
+
+
+unit_points = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), above=st.booleans(), outside=st.booleans())
+def test_interval_values_decide_as_sorted_set_on_both_sides(data, above,
+                                                            outside):
+    """Below ``_NUMPY_SORT_FROM`` points and above it (``np.sort``), the same
+    points with the same bits and types, the same zero among 0.0 and -0.0,
+    or, with points drawn from all floats, the same ``ValueError`` for a
+    point outside [0, 1]."""
+    low, high = ((_NUMPY_SORT_FROM, 3 * _NUMPY_SORT_FROM) if above
+                 else (0, _NUMPY_SORT_FROM - 1))
+    points = unit_points | st.floats(allow_nan=False) if outside \
+        else unit_points
+    values = data.draw(st.lists(points, min_size=low, max_size=high))
+    if values:  # repeat some points, then shuffle
+        values += data.draw(st.lists(st.sampled_from(values),
+                                     max_size=high - len(values)))
+        values = data.draw(st.permutations(values))
+    assert interval_outcome(alg_interval_values, values) == \
+        interval_outcome(sorted_set_decision, values)
+
+
+@pytest.mark.parametrize("n", [_NUMPY_SORT_FROM - 1, _NUMPY_SORT_FROM, 1000])
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+                                   (0.0,)])
+@pytest.mark.parametrize("at", [0, 1, -1])
+def test_interval_values_keep_the_first_zero(n, zeros, at):
+    """Repeated positive points, and the first zero whichever sign it has,
+    placed first, second or last."""
+    rng = stream(n)
+    # Many repeats, and no zero: 0.01 to 1.0 in steps of 0.01.
+    fill = (0.01 + 0.99 * rng.random(n - len(zeros))).round(2).tolist()
+    values = fill[:at % (len(fill) + 1)] + list(zeros) \
+        + fill[at % (len(fill) + 1):]
+    values.append(values[-1])
+    decision = alg_interval_values(values)
+    assert hex_and_type(decision) == \
+        hex_and_type(sorted_set_decision(values))
+    assert float.hex(decision.points[0]) == float.hex(zeros[0])
+
+
+@pytest.mark.parametrize("point", [1.5, -0.5, math.inf, -math.inf])
+def test_interval_values_refuse_a_point_outside_the_unit_interval(point):
+    for n in (3, _NUMPY_SORT_FROM, 500):
+        values = [0.0, point, *[0.25] * (n - 2)]
+        with pytest.raises(ValueError, match="must lie in \\[0, 1\\]"):
+            alg_interval_values(values)
 
 
 def test_interval_satisfies():

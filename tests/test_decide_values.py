@@ -4,7 +4,9 @@ so PAC curves do not depend on whether a decision was taken on values."""
 
 import dataclasses
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -205,3 +207,44 @@ def test_pac_curve_checks_each_distinct_decision_against_dominating_once():
     assert len(set(decisions)) < len(decisions) // 2
     assert len(checked) == len(set(checked))
     assert {x for x, _ in checked} == set(decisions)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 0), (1, 1), (2, 7), (3, 39),
+                                     (4, 40), (5, 300), (19, 1000)])
+def test_path_systems_decide_the_drawn_array_as_its_list(seed, n):
+    """alg1 and alg2 decide the barrier sampler's float64 array as they
+    decide its list: the same path, parabola or error text, on both sides
+    of ``ALG2_SCAN_BELOW``.  At seed 19 alg1 refuses the tuple although a
+    path exists (ROADMAP item 33), naming a plain float."""
+    thetas = get_bundle("path-alg1").distribution.sample_values(stream(seed),
+                                                                n)
+    assert isinstance(thetas, np.ndarray)
+    outcomes = {}
+    for key in ("path-alg1", "path-alg2"):
+        decide_values = get_bundle(key).system.decide_values
+        outcomes[key] = outcome(decide_values, thetas.tolist())
+        assert repr(outcome(decide_values, thetas)) == repr(outcomes[key])
+    assert isinstance(outcomes["path-alg1"], str) is (seed == 19)
+    if seed == 19:
+        assert re.fullmatch(r"no path clears barrier theta=[0-9.]+, nearest "
+                            r"the I-T axis \(tip height .*\)",
+                            outcomes["path-alg1"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_barrier_satisfied_values_reads_an_array_as_its_list(seed):
+    """On alg1's path of a few angles (the numpy lane), on a parabola and
+    on the straight path (no star, so the scalar lane: it crosses every
+    barrier)."""
+    dist = get_bundle("path-alg1").distribution
+    thetas = dist.sample_values(stream(seed, 1), 500)
+    hull = get_bundle("path-alg1").system.decide_values(
+        dist.sample_values(stream(seed), 4))
+    straight = pathplan.Polyline((pathplan.START, pathplan.TARGET))
+    for path in (hull, pathplan.Parabola(0.3), straight):
+        on_list = pathplan.barrier_satisfied_values(pathplan.SCENE, path,
+                                                    thetas.tolist())
+        assert pathplan.barrier_satisfied_values(pathplan.SCENE, path,
+                                                 thetas) == on_list
+        assert type(on_list) is list and len(on_list) == len(thetas)
+        assert any(on_list) is (path is not straight) and not all(on_list)

@@ -682,7 +682,7 @@ def test_alg2_demo_reports_a_wrong_binding_index(monkeypatch):
     """With the last angle passed off as the binding one, the demo names
     exactly the trials whose last angle does not bind."""
     def last(scene, thetas):
-        return (len(thetas) - 1 if thetas else None), \
+        return (len(thetas) - 1 if len(thetas) else None), \
             pathplan.alg2_binding(scene, thetas)[1]
     monkeypatch.setattr(registry, "alg2_binding", last)
     bundle = get_bundle("path-alg2")
@@ -691,8 +691,8 @@ def test_alg2_demo_reports_a_wrong_binding_index(monkeypatch):
         rng = stream(3, trial)
         thetas = bundle.distribution.sample_values(
             rng, int(rng.integers(0, 9)))
-        if thetas and clearance_height(thetas[-1], SCENE.barrier_length) \
-                != pathplan.alg2_binding(SCENE, thetas)[1]:
+        if len(thetas) and pathplan.alg2_binding(SCENE, thetas)[1] \
+                != clearance_height(thetas[-1], SCENE.barrier_length):
             expected.append(trial)
     verdicts, passed = bundle.demo(bundle, 3, trials=40, max_n=8)
     assert expected and not passed

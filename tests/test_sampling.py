@@ -39,6 +39,12 @@ def plain(state):
     return state.tolist() if isinstance(state, np.ndarray) else state
 
 
+def as_list(values):
+    """A sampler's values as a list: the barrier sampler returns the float64
+    array numpy drew, which ``+`` would add element by element."""
+    return values if isinstance(values, list) else values.tolist()
+
+
 def assert_same_stream_position(batch_rng, scalar_rng):
     """Equal bit-generator state, including a buffered 32-bit half, and the
     same next bounded integer (which reads that half)."""
@@ -110,8 +116,9 @@ def test_consecutive_sample_values_calls_concatenate(name, seed, a, b, primed,
     if primed:
         split_rng.integers(0, 7)
         joint_rng.integers(0, 7)
-    split = dist.sample_values(split_rng, a) + dist.sample_values(split_rng, b)
-    assert split == dist.sample_values(joint_rng, a + b)
+    split = as_list(dist.sample_values(split_rng, a)) \
+        + as_list(dist.sample_values(split_rng, b))
+    assert split == as_list(dist.sample_values(joint_rng, a + b))
     assert_same_stream_position(split_rng, joint_rng)
 
 
@@ -251,9 +258,39 @@ def test_barrier_values_concatenate_across_refills(data, script):
     b = data.draw(st.integers(min_value=0, max_value=accepted - a))
     dist = BATCHED["barrier"]
     split_rng, joint_rng = ScriptedUniform(script), ScriptedUniform(script)
-    split = dist.sample_values(split_rng, a) + dist.sample_values(split_rng, b)
-    assert split == dist.sample_values(joint_rng, a + b)
+    split = as_list(dist.sample_values(split_rng, a)) \
+        + as_list(dist.sample_values(split_rng, b))
+    assert split == as_list(dist.sample_values(joint_rng, a + b))
     assert split_rng.values == joint_rng.values
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_barrier_sampler_returns_a_float64_array(n):
+    values = uniform_barrier_distribution.sample_values(stream(n), n)
+    assert type(values) is np.ndarray
+    assert values.dtype == np.float64 and values.shape == (n,)
+
+
+def test_barrier_sampler_refill_returns_a_float64_array():
+    script = [0.0, 1.0, math.pi, 2.0, 0.5, 0.7, 3.0]
+    rng = ScriptedUniform(script)
+    values = uniform_barrier_distribution.sample_values(rng, 4)
+    assert type(values) is np.ndarray and values.dtype == np.float64
+    assert values.tolist() == [1.0, 2.0, 0.5, 0.7]
+    assert rng.values == [3.0]
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_sample_tuple_constraints_hold_python_numbers(name):
+    """As ``sample`` builds them, whatever ``sample_values`` returns: ints
+    for the excluded naturals and polygon indices, floats for the rest."""
+    number = int if name == "geometric" else float
+    for z in BATCHED[name].sample_tuple(stream(2), 60):
+        if isinstance(z, PolygonConstraint):
+            assert type(z.m) is int and type(z.i) is int
+        else:
+            value, = dataclasses.astuple(z)
+            assert type(value) is number
 
 
 def test_sample_tuple_rejects_negative_length():
