@@ -118,8 +118,10 @@ class ScenarioSystem:
     Two optional hooks work on the plain values that a distribution's
     ``sample_values`` draws, so the caller builds no constraint objects.
     Each takes what its paired sampler returns, a list or a 1-D numpy
-    array (see :class:`ConstraintDistribution`); for the distribution's
-    ``constraint_class`` ``cls``:
+    array, and one sampler may return either at different tuple lengths
+    (see :class:`ConstraintDistribution`).  For the distribution's
+    ``constraint_class`` ``cls``, with ``values`` read as Python numbers
+    (``values.tolist()`` for an array):
 
     * ``decide_values(values)`` must equal ``decide(tuple(map(cls,
       values)))``, so PAC curves do not depend on it;
@@ -159,13 +161,16 @@ class ConstraintDistribution:
     ``sample_values`` and ``constraint_class``, set together or not at all,
     are a batch sampler: ``sample_values(rng, n)`` draws plain values and
     ``constraint_class`` builds a value's constraint.  The values come as a
-    list, or as a 1-D numpy array when numpy draws them as numbers (the
-    barrier angles), so they reach a system's ``decide_values`` and
-    ``satisfies_values`` as drawn; ``sample_tuple`` builds its constraints
-    from Python numbers either way, as ``sample`` does.  The constraints of
-    the values must be exactly those of ``n`` calls of ``sample``, and
-    ``rng`` must be left at exactly their stream position, so seeded outputs
-    do not depend on whether a tuple was drawn in batch.
+    list, or as a 1-D numpy array when numpy draws them as numbers: the
+    barrier angles, and from a crossover size up the atom-plus-uniform
+    points and the geometric naturals.  They reach a system's
+    ``decide_values`` and ``satisfies_values`` as drawn, and a list or an
+    array may come from the same sampler at different ``n``;
+    ``sample_tuple`` builds its constraints from Python numbers either way,
+    as ``sample`` does (``ExclusionConstraint`` refuses a numpy integer).
+    The constraints of the values must be exactly those of ``n`` calls of
+    ``sample``, and ``rng`` must be left at exactly their stream position,
+    so seeded outputs do not depend on whether a tuple was drawn in batch.
 
     ``dominating`` is a tuple of constraints that dominate the measure: under
     the satisfaction relation of the systems the distribution is paired

@@ -428,15 +428,25 @@ alg_sum = Fold(1, _sum_extend, operator.pos)
 alg_min = Fold((0, frozenset()), _min_extend, _min_finish)
 
 
-def alg_sum_values(values: Iterable[int]) -> int:
-    """``alg_sum`` on the excluded values themselves."""
-    return sum(values, 1)
+def alg_sum_values(values: list[int] | np.ndarray) -> int:
+    """``alg_sum`` on the excluded values themselves: a list, or an int
+    array whose sum int64 holds (the geometric sampler's is at most 52 n)."""
+    if isinstance(values, list):
+        return sum(values, 1)
+    return int(values.sum()) + 1
 
 
-def alg_min_values(values: Iterable[int]) -> int:
-    """``alg_min`` on the excluded values themselves, through one set:
-    folding many drawn values bit by bit costs more."""
-    return _mex(frozenset(values))
+def alg_min_values(values: list[int] | np.ndarray) -> int:
+    """``alg_min`` on the excluded values themselves: a list through one
+    set (folding many drawn values bit by bit costs more), an int array as
+    the lowest clear bit of the OR of ``1 << a``, or through the set when
+    it holds an ``a >= 63``, which int64 cannot shift."""
+    if isinstance(values, list) or values.size and values.max() >= 63:
+        return _mex(frozenset(values))
+    import numpy as np
+
+    bits = int(np.bitwise_or.reduce(np.left_shift(1, values, dtype=np.int64)))
+    return (bits ^ (bits + 1)).bit_length() - 1
 
 
 sum_system = ScenarioSystem("sum-no-scheme", alg_sum, exclusion_satisfies,
@@ -456,10 +466,27 @@ def _geometric_sample(rng: np.random.Generator) -> ExclusionConstraint:
     return ExclusionConstraint(int(rng.geometric(0.5)) - 1)
 
 
-def _geometric_sample_values(rng: np.random.Generator, n: int) -> list[int]:
-    # For p >= 1/3 numpy draws each geometric variate from one double, in
-    # batch as in scalar calls.
-    return (rng.geometric(0.5, size=n) - 1).tolist()
+# Value count from which ``_geometric_sample_values`` maps one ``random``
+# block itself: below it, numpy's ``geometric`` and ``tolist`` are faster
+# to draw and decide on (they break even near 120 values on a 2-CPU host).
+_GEOMETRIC_ARRAY_FROM = 128
+
+
+def _geometric_sample_values(rng: np.random.Generator,
+                             n: int) -> list[int] | np.ndarray:
+    # For p >= 1/3 numpy draws a geometric variate X from one double U by
+    # its search loop, in batch as in scalar calls: the least k >= 1 with
+    # U <= p (1 + q + ... + q^(k-1)).  At p = 1/2 those partial sums are
+    # exactly 1 - 2^-k up to k = 53, then 1.0, and U <= 1 - 2^-53, so X is
+    # the least k >= 1 with 2^-k <= 1 - U.  1 - U is exact, and
+    # frexp(1 - U) = (m, e) puts it in [2^(e-1), 2^e), so X - 1 =
+    # max(0, -e) <= 52: a sum of n values cannot overflow int64.
+    if n < _GEOMETRIC_ARRAY_FROM:
+        return (rng.geometric(0.5, size=n) - 1).tolist()
+    import numpy as np
+
+    values = np.subtract(0, np.frexp(1.0 - rng.random(n))[1], dtype=np.int64)
+    return np.maximum(values, 0, out=values)
 
 
 # Geometric measure on exclusion constraints, p(U(a)) = 2^-(a+1).
@@ -523,33 +550,41 @@ def alg_interval(vz: tuple) -> IntervalDecision:
     return alg_interval_values([z.a for z in vz])
 
 
-# Point count from which ``alg_interval_values`` sorts with numpy: below it,
-# ``sorted(set(values))`` is faster (fresh sampled lists break even near 80
-# to 100 points on a 2-CPU host) and loads no numpy.
+# Point count from which ``alg_interval_values`` sorts a list with numpy:
+# below it, ``sorted(set(values))`` is faster (fresh sampled lists break even
+# near 80 to 100 points on a 2-CPU host) and loads no numpy.
 _NUMPY_SORT_FROM = 100
 
 
-def alg_interval_values(values: list[float]) -> IntervalDecision:
-    """``alg_interval`` on the sampled points themselves.
+def alg_interval_values(values: list[float] | np.ndarray) -> IntervalDecision:
+    """``alg_interval`` on the sampled points themselves, a list or a float
+    array.
 
-    From ``_NUMPY_SORT_FROM`` points up, one ``np.sort`` and a mask of
-    adjacent repeats give the sorted distinct points as Python floats
-    (points given as ints or numpy scalars come back as floats there).
-    ``set`` keeps the first of equal points: for a point other than zero
-    that is the same float, and the zero written back is ``values``' first
-    zero, 0.0 or -0.0.  ``np.unique`` would import ``numpy.ma``, about
-    1.3 MB.
+    An array, and a list from ``_NUMPY_SORT_FROM`` points up, is sorted by
+    one ``np.sort``, and a mask of adjacent repeats gives the sorted
+    distinct points as Python floats (points given as ints or numpy scalars
+    come back as floats there).  ``set`` keeps the first of equal points:
+    for a point other than zero that is the same float, and the zero
+    written back is ``values``' first zero, 0.0 or -0.0 (a float for an
+    array).  ``np.unique`` would import ``numpy.ma``, about 1.3 MB.
     """
-    if 0.0 not in values:
-        return OPEN_UNIT_INTERVAL
-    if len(values) < _NUMPY_SORT_FROM:
-        return IntervalDecision(tuple(sorted(set(values))))
+    if isinstance(values, list):
+        if 0.0 not in values:
+            return OPEN_UNIT_INTERVAL
+        if len(values) < _NUMPY_SORT_FROM:
+            return IntervalDecision(tuple(sorted(set(values))))
+        zero = values[values.index(0.0)]
+    else:
+        zeros = (values == 0.0).nonzero()[0]
+        if not len(zeros):
+            return OPEN_UNIT_INTERVAL
+        zero = float(values[zeros[0]])
     import numpy as np
 
     ordered = np.array(values, dtype=float)
     ordered.sort()
     points = ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist()
-    points[points.index(0.0)] = values[values.index(0.0)]
+    points[points.index(0.0)] = zero
     return IntervalDecision(tuple(points))
 
 
@@ -585,22 +620,51 @@ def _atom_sample(rng: np.random.Generator) -> MembershipConstraint:
     return MembershipConstraint(1.0 - rng.random())  # uniform on (0, 1]
 
 
-def _atom_sample_values(rng: np.random.Generator, n: int) -> list[float]:
+# Value count from which ``_atom_sample_values`` replays the scalar stream
+# in one numpy pass: below it, the Python loop is faster (the two break even
+# near 250 values on a 2-CPU host) and loads no numpy.
+_ATOM_ARRAY_FROM = 256
+
+
+def _atom_sample_values(rng: np.random.Generator,
+                        n: int) -> list[float] | np.ndarray:
     # Replays the scalar stream: each double is a coin or, after a coin of
-    # 1/2 or more, the point.  Every unfinished constraint needs at least one
-    # more double, so drawing that many never overdraws.
-    out: list[float] = []
-    coin_pending = True
-    while len(out) < n:
-        for u in rng.random(n - len(out)).tolist():
-            if not coin_pending:
-                out.append(1.0 - u)
-                coin_pending = True
-            elif u < 0.5:
-                out.append(0.0)
-            else:
-                coin_pending = False
-    return out
+    # 1/2 or more, the point.
+    if n < _ATOM_ARRAY_FROM:
+        # Every unfinished constraint needs at least one more double, so
+        # drawing that many never overdraws.
+        out: list[float] = []
+        coin_pending = True
+        while len(out) < n:
+            for u in rng.random(n - len(out)).tolist():
+                if not coin_pending:
+                    out.append(1.0 - u)
+                    coin_pending = True
+                elif u < 0.5:
+                    out.append(0.0)
+                else:
+                    coin_pending = False
+        return out
+    import numpy as np
+
+    # A constraint takes at most two doubles, so 2n of them hold n
+    # constraints.  Index 0 and every index after a double below 1/2 hold a
+    # coin, and in a run of doubles of 1/2 or more coins and points
+    # alternate from there: index j + 1 holds a point iff u[j] >= 1/2 and
+    # j minus the last index <= j of a double below 1/2 (-1 for none) is
+    # odd.  A coin below 1/2 or a point ends a constraint.
+    saved = rng.bit_generator.state
+    u = rng.random(2 * n)
+    low = u < 0.5
+    index = np.arange(2 * n)
+    odd = (index - np.maximum.accumulate(np.where(low, index, -1))) & 1
+    point = np.append(False, odd[:-1].astype(bool))
+    ends = np.flatnonzero(point | low)[:n]
+    # Redraw the doubles the n constraints read, so the generator stops
+    # where n scalar calls stop.
+    rng.bit_generator.state = saved
+    rng.random(ends[-1] + 1)
+    return np.where(point[ends], 1.0 - u[ends], 0.0)  # a coin's zero is +0.0
 
 
 # Mass 1/2 on the atom U(0), and the other 1/2 spread uniformly over

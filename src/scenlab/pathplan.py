@@ -411,6 +411,8 @@ def alg2_binding(scene: Scene, thetas: list[float] | np.ndarray
         top = float(approx.max())
         if top * rest >= 2.0 ** -1020:
             indices = np.flatnonzero(approx >= (1.0 - tau) * top).tolist()
+    if isinstance(indices, range) and not isinstance(thetas, list):
+        thetas = thetas.tolist()  # Python floats for the full scan
     heights = [clearance_height(thetas[i], length) for i in indices]
     height = max(heights)  # max([0.0, *heights]): clearances are >= +0.0
     return indices[heights.index(height)], height

@@ -8,16 +8,16 @@ with ``mix64(seed, *indices)``, a new generator per call, so trials on
 ``stream`` generators can run in any order (or in parallel) and still
 produce bit-identical results.  ``streams(seed, *shape)``, which every
 driver uses, yields the same states for a whole grid of indices from one
-batched port of numpy's seeding, resetting one Generator to each state in
-turn: its trials run one at a time.  The port follows numpy's
-``SeedSequence`` step for step, one numpy row per pool word, and numpy is
-imported by the functions that use it, so ``import scenlab.rng`` loads no
-numpy.
+batched ``mix64`` and one batched port of numpy's seeding, resetting one
+Generator to each state in turn: its trials run one at a time.  The port
+follows numpy's ``SeedSequence`` step for step, one numpy row per pool
+word, and numpy is imported by the functions that use it, so
+``import scenlab.rng`` loads no numpy.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import operator
 from typing import TYPE_CHECKING, Iterator
 
@@ -68,7 +68,8 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _CHUNK = 4096
 
 
-def _pcg64_seeds(entropies: list[int]) -> Iterator[tuple[int, int]]:
+def _pcg64_seeds(entropies: list[int] | np.ndarray
+                 ) -> Iterator[tuple[int, int]]:
     """PCG64 ``(state, inc)`` of ``default_rng(e)`` for each entropy ``e``.
 
     numpy's ``SeedSequence(e).generate_state(4, uint64)`` as
@@ -87,7 +88,7 @@ def _pcg64_seeds(entropies: list[int]) -> Iterator[tuple[int, int]]:
         value = value * hash_const
         return value ^ value >> 16
 
-    e = np.array(entropies, dtype=np.uint64)
+    e = np.asarray(entropies, dtype=np.uint64)
     # Each 64-bit entropy fills pool words 0 and 1; numpy takes a value
     # below 2**32 as one word, but it hashes 0 for the pool words that
     # entropy leaves empty either way.
@@ -115,21 +116,50 @@ def _pcg64_seeds(entropies: list[int]) -> Iterator[tuple[int, int]]:
         yield ((inc + (sh << 64 | sl)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
+def _mix64_rows(parts: list, count: int) -> np.ndarray:
+    """``mix64(*parts)`` for ``count`` rows, each part an int that
+    ``mix64`` accepts, shared by every row, or a uint64 array holding one
+    coordinate per row.  uint64 numpy arithmetic wraps as ``& _MASK``
+    does."""
+    import numpy as np
+
+    acc = np.full(count, _GOLDEN, dtype=np.uint64)
+    for p in parts:
+        acc = (acc ^ p) * 0xBF58476D1CE4E5B9
+        acc ^= acc >> 27
+    z = acc + _GOLDEN
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
+    return z ^ z >> 31
+
+
 def streams(seed: int, *shape: int) -> Iterator[np.random.Generator]:
     """For every index of ``shape`` in row-major order, a generator whose
     state equals that of ``stream(seed, *index)``.
 
     One Generator is reset for each index, so a yielded generator is valid
     only until the next one is drawn.  Its PCG64 state is set as
-    ``default_rng`` sets it, buffered 32-bit half included."""
+    ``default_rng`` sets it, buffered 32-bit half included.  Each chunk of
+    ``_CHUNK`` indices is mixed in one ``_mix64_rows`` pass.  A seed that
+    ``mix64`` refuses raises its error on the first draw, and an empty
+    ``shape`` draws nothing."""
     import numpy as np
 
-    indices = itertools.product(*map(range, shape))
+    sizes = [len(range(size)) for size in shape]
+    count = math.prod(sizes)
+    if count:
+        mix64(seed)  # its TypeError or ValueError for a seed it refuses
+        seed = operator.index(seed)
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    while chunk := [mix64(seed, *index)
-                    for index in itertools.islice(indices, _CHUNK)]:
-        for state, inc in _pcg64_seeds(chunk):
+    for start in range(0, count, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, count), dtype=np.uint64)
+        columns = []
+        for size in reversed(sizes):  # row-major: the last axis varies fastest
+            flat, column = np.divmod(flat, np.uint64(size))
+            columns.append(column)
+        words = _mix64_rows([seed, *reversed(columns)], len(flat))
+        for state, inc in _pcg64_seeds(words):
             bitgen.state = {"bit_generator": "PCG64",
                             "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}

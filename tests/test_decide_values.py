@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from scenlab import pathplan
 from scenlab.core import pac_curve
-from scenlab.counterexamples import BandConstraint, PolygonConstraint
+from scenlab.counterexamples import (
+    BandConstraint,
+    PolygonConstraint,
+    alg_interval_values,
+    alg_min_values,
+    alg_sum_values,
+)
 from scenlab.pathplan import Scene, clearance_height
 from scenlab.registry import SYSTEMS, get_bundle
 from scenlab.rng import stream
@@ -36,11 +42,17 @@ def outcome(decide, arg):
 
 
 def assert_same_decision(key, values):
-    """Equal decisions, or the same ``ValueError`` text from both."""
+    """Equal decisions, or the same ``ValueError`` text from both.
+
+    ``values`` is a list or a sampler's numpy array, which ``decide_values``
+    takes as drawn; the constraints are built from its Python numbers, as
+    ``sample_tuple`` builds them (``ExclusionConstraint`` refuses a numpy
+    integer)."""
     bundle = get_bundle(key)
     cls = bundle.distribution.constraint_class
-    expected = outcome(bundle.system.decide, tuple(map(cls, values)))
-    assert outcome(bundle.system.decide_values, list(values)) == expected
+    numbers = values if isinstance(values, list) else values.tolist()
+    expected = outcome(bundle.system.decide, tuple(map(cls, numbers)))
+    assert outcome(bundle.system.decide_values, values) == expected
 
 
 @pytest.mark.parametrize("key", VALUE_SYSTEMS)
@@ -248,3 +260,32 @@ def test_barrier_satisfied_values_reads_an_array_as_its_list(seed):
                                                  thetas) == on_list
         assert type(on_list) is list and len(on_list) == len(thetas)
         assert any(on_list) is (path is not straight) and not all(on_list)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("values", [
+    [], [0], [5, 0, 1], [62, 62, 0], list(range(62)), list(range(63)),
+    list(range(1, 200)),
+    # 63 or more: alg_min_values goes through the set.
+    [63], list(range(64)), [0, 1, 2, 70], [100_000, 0]])
+def test_exclusion_deciders_read_an_int_array_as_its_list(values, dtype):
+    array = np.array(values, dtype=dtype)
+    for decide_values in (alg_sum_values, alg_min_values):
+        decision = decide_values(array)
+        assert type(decision) is int
+        assert decision == decide_values(values)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.5, 0.25], [0.0], [1.0, 0.0, 1.0], [-0.0, 0.5, 0.0],
+    [0.5, 0.0, -0.0, 0.5], [k / 200 for k in range(200, 0, -1)],
+    [0.5, -0.0, *[k / 200 for k in range(1, 150)], 0.0]])
+def test_interval_decides_a_float_array_as_its_list(values):
+    """The same points, by ``float.hex``: the zero kept is the first zero
+    given, 0.0 or -0.0, in the numpy lane of a list too."""
+    on_array = alg_interval_values(np.array(values, dtype=float))
+    on_list = alg_interval_values(values)
+    assert on_array == on_list
+    if on_list.points is not None:
+        assert list(map(float.hex, on_array.points)) == \
+            list(map(float.hex, on_list.points))

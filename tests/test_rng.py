@@ -4,12 +4,14 @@ per-index ``stream`` it reproduces, and its callers against the per-trial
 
 import bisect
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenlab import rng as rng_module
 from scenlab.core import (
     NESTED_MC_SAMPLES,
     PacRow,
@@ -114,6 +116,41 @@ def test_streams_run_past_one_kernel_pass():
     got = [rng.random() for rng in streams(11, count)]
     assert got[-4:] == [stream(11, i).random()
                         for i in range(count - 4, count)]
+
+
+MIX_SHAPES = [(), (0,), (5,), (3, 150), (2, 3, 4), (3, _CHUNK // 3 + 5)]
+
+
+@pytest.mark.parametrize("shape", MIX_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_streams_mix_each_chunk_as_mix64(monkeypatch, seed, shape):
+    """Each chunk's entropies are the ``mix64(seed, *index)`` words of its
+    indices in row-major order, and its states those of ``stream``; the
+    last shape crosses the ``_CHUNK`` boundary."""
+    chunks = []
+
+    def recording(entropies):
+        chunks.append(np.array(entropies, dtype=np.uint64).tolist())
+        return _pcg64_seeds(entropies)
+
+    monkeypatch.setattr(rng_module, "_pcg64_seeds", recording)
+    states = [rng.bit_generator.state for rng in streams(seed, *shape)]
+    indices = list(np.ndindex(*shape))
+    words = [mix64(seed, *index) for index in indices]
+    assert chunks == [words[i:i + _CHUNK]
+                      for i in range(0, len(words), _CHUNK)]
+    assert states == [stream(seed, *index).bit_generator.state
+                      for index in indices]
+
+
+@pytest.mark.parametrize("seed", [True, -1, 2**64, 1.5])
+def test_streams_refuse_a_seed_as_mix64_does(seed):
+    with pytest.raises((TypeError, ValueError)) as refused:
+        mix64(seed, 0)
+    for shape in [(3,), (3, 150), ()]:
+        with pytest.raises(refused.type, match=re.escape(str(refused.value))):
+            next(streams(seed, *shape))
+    assert list(streams(seed, 0)) == []  # draws nothing, so checks nothing
 
 
 # ---------------------------------------------------------------------------

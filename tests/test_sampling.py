@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from scenlab import counterexamples
 from scenlab.core import violation_probability_mc
 from scenlab.counterexamples import (
+    _ATOM_ARRAY_FROM,
+    _GEOMETRIC_ARRAY_FROM,
     BandConstraint,
     PolygonConstraint,
+    _atom_sample,
+    _atom_sample_values,
     _decode_mixture,
+    _geometric_sample_values,
     atom_plus_uniform,
     convex_mixture_distribution,
     geometric_exclusion_distribution,
@@ -40,8 +45,10 @@ def plain(state):
 
 
 def as_list(values):
-    """A sampler's values as a list: the barrier sampler returns the float64
-    array numpy drew, which ``+`` would add element by element."""
+    """A sampler's values as a list of Python numbers: the barrier, atom and
+    geometric samplers return the arrays numpy drew, which ``+`` would add
+    element by element and ``ExclusionConstraint`` refuses (a numpy
+    integer is not an ``int``)."""
     return values if isinstance(values, list) else values.tolist()
 
 
@@ -93,7 +100,7 @@ def test_sample_values_match_scalar_loop_and_stream_position(name, seed, n,
         scalar_rng.integers(0, 7)
     values = dist.sample_values(values_rng, n)
     scalar = tuple(dist.sample(scalar_rng) for _ in range(n))
-    assert tuple(map(dist.constraint_class, values)) == scalar
+    assert tuple(map(dist.constraint_class, as_list(values))) == scalar
     assert_same_stream_position(values_rng, scalar_rng)
 
 
@@ -280,17 +287,108 @@ def test_barrier_sampler_refill_returns_a_float64_array():
     assert rng.values == [3.0]
 
 
+# ---------------------------------------------------------------------------
+# The atom replay and the geometric mapping, each side of its crossover
+# ---------------------------------------------------------------------------
+
+
+def crossover_sizes(threshold):
+    return [0, 1, threshold - 1, threshold, threshold + 1, 1000]
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+       n=st.sampled_from(crossover_sizes(_ATOM_ARRAY_FROM)),
+       primed=st.booleans(),
+       bit_generator=st.sampled_from([np.random.PCG64, np.random.MT19937]))
+def test_atom_replay_is_the_scalar_loop(seed, n, primed, bit_generator):
+    """Every value by ``float.hex`` (so each zero is +0.0), the state with
+    its buffered 32-bit half, and the next draws, against ``n`` scalar
+    ``_atom_sample`` calls, on PCG64 and on MT19937."""
+    values_rng, scalar_rng = (np.random.Generator(bit_generator(seed))
+                              for _ in range(2))
+    if primed:
+        values_rng.integers(0, 5)
+        scalar_rng.integers(0, 5)
+    values = _atom_sample_values(values_rng, n)
+    assert isinstance(values, list) == (n < _ATOM_ARRAY_FROM)
+    scalar = [_atom_sample(scalar_rng).a for _ in range(n)]
+    assert list(map(float.hex, as_list(values))) == \
+        list(map(float.hex, scalar))
+    assert values_rng.random() == scalar_rng.random()
+    assert_same_stream_position(values_rng, scalar_rng)
+
+
+def numpy_geometric_search(u, p=0.5):
+    """numpy's ``random_geometric_search``, which ``geometric`` runs for
+    p >= 1/3, on the double ``u`` it draws."""
+    x, total, prod, q = 1, p, p, 1.0 - p
+    while u > total:
+        prod *= q
+        total += prod
+        x += 1
+    return x
+
+
+def generator_drawing(u):
+    """A PCG64 generator whose next double is ``u``.  Its next state has
+    high word 0, so the output word, rotated by 0, is the low word."""
+    inc = stream(0).bit_generator.state["state"]["inc"]
+    word = int(u * 2**53) << 11
+    state = ((word - inc) * pow(PCG64_MULT, -1, 1 << 128)) & MASK128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("u", [
+    0.0, 2.0**-53, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0 - 2.0**-53])
+def test_geometric_mapping_is_numpys_search_loop(u):
+    assert generator_drawing(u).random() == u
+    x = numpy_geometric_search(u)
+    assert generator_drawing(u).geometric(0.5) == x
+    assert x - 1 == max(0, -math.frexp(1.0 - u)[1])
+    values_rng, scalar_rng = generator_drawing(u), generator_drawing(u)
+    n = _GEOMETRIC_ARRAY_FROM
+    values = _geometric_sample_values(values_rng, n)
+    assert values[0] == x - 1
+    assert values.tolist() == [int(scalar_rng.geometric(0.5)) - 1
+                               for _ in range(n)]
+    assert_same_stream_position(values_rng, scalar_rng)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1),
+       n=st.sampled_from(crossover_sizes(_GEOMETRIC_ARRAY_FROM)),
+       primed=st.booleans())
+def test_geometric_sampler_is_scalar_geometric_calls(seed, n, primed):
+    values_rng, scalar_rng = stream(seed), stream(seed)
+    if primed:
+        values_rng.integers(0, 5)
+        scalar_rng.integers(0, 5)
+    values = _geometric_sample_values(values_rng, n)
+    assert isinstance(values, list) == (n < _GEOMETRIC_ARRAY_FROM)
+    assert as_list(values) == [int(scalar_rng.geometric(0.5)) - 1
+                               for _ in range(n)]
+    assert values_rng.random() == scalar_rng.random()
+    assert_same_stream_position(values_rng, scalar_rng)
+
+
 @pytest.mark.parametrize("name", BATCHED)
 def test_sample_tuple_constraints_hold_python_numbers(name):
     """As ``sample`` builds them, whatever ``sample_values`` returns: ints
     for the excluded naturals and polygon indices, floats for the rest."""
     number = int if name == "geometric" else float
-    for z in BATCHED[name].sample_tuple(stream(2), 60):
-        if isinstance(z, PolygonConstraint):
-            assert type(z.m) is int and type(z.i) is int
-        else:
-            value, = dataclasses.astuple(z)
-            assert type(value) is number
+    # 1000 values come as an array from the atom and geometric samplers.
+    for n in (60, 1000):
+        for z in BATCHED[name].sample_tuple(stream(2), n):
+            if isinstance(z, PolygonConstraint):
+                assert type(z.m) is int and type(z.i) is int
+            else:
+                value, = dataclasses.astuple(z)
+                assert type(value) is number
 
 
 def test_sample_tuple_rejects_negative_length():
