@@ -22,6 +22,17 @@ the candidates; any other system decides each enumerated tuple whole.  For
 a system without ``coords``, whose decision equality is ``==`` and whose
 decision key is the decision itself, scheme counting and map search call
 neither ``decision_key`` nor ``decisions_equal``.
+
+Scheme counting over subsets and map search have an int64 array lane for
+a fold with an :class:`~scenlab.core.ArrayFold` (``sum-no-scheme`` and
+``min-no-map``): they build the states of all 2^n subsets as one numpy
+array by doubling over each half of the tuple, and read the count or the
+subtuple off it, with no Python frame per subset.  ``_array_lane`` takes
+it only from ``_ARRAY_LANE_FROM`` constraints up, for a system without
+``coords``, when every subset's state fits an int64 and, for the map
+search, when 2^n is within ``DEFAULT_TUPLE_BUDGET``; otherwise the
+searches walk.  The lane is chosen after the budget check and before any
+subset is decided, and gives the verdicts, counts and indices of the walk.
 """
 
 from __future__ import annotations
@@ -31,10 +42,11 @@ import inspect
 import math
 import operator
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
 from . import codecs
 from .core import (
+    ArrayFold,
     BudgetExceededError,
     ConstraintTuple,
     Fold,
@@ -51,6 +63,9 @@ from .counterexamples import (
 from .geometry import points_equal, points_in_convex
 from .rng import streams
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TUPLE_BUDGET = 2_000_000
 
 # The walks recurse once per tuple element; Python's stack holds 1,000 frames.
@@ -66,6 +81,13 @@ MAX_WALK_LENGTH = 500
 # operations, so the slack is compared with the very floats the scalar
 # predicate would compare.
 WITNESS_MEMBERSHIP_TOL = 1e-15
+
+# Tuple length from which scheme counting and map search enumerate a fold
+# with an array form in numpy (``_array_lane``).  With numpy loaded, the
+# lane and the walk break even at 6 to 7 constraints on a 2-CPU host; a
+# process that has not loaded numpy pays its import (0.1 to 0.15 s) at
+# its first lane.  Shorter tuples load no numpy.
+_ARRAY_LANE_FROM = 7
 
 
 def check_tuple_budget(counts: Iterable[int]) -> None:
@@ -187,6 +209,83 @@ def _decision_keys(system: ScenarioSystem, base: tuple,
     return keys
 
 
+def _array_lane(system: ScenarioSystem,
+                items: Sequence) -> Optional[tuple[ArrayFold, list[int]]]:
+    """The array form of the system's fold and the int64 operands of
+    ``items``, when scheme counting or map search over ``items`` may
+    enumerate their subsets in numpy; else ``None``, and they walk.
+
+    That needs a fold with an :class:`ArrayFold`, a system without
+    ``coords`` (its decisions are compared by ``==``), at least
+    ``_ARRAY_LANE_FROM`` items, and operands whose every subset state fits
+    an int64 (``ArrayFold.operands``: for ``sum-no-scheme`` 1 + the sum of
+    the values is below 2^62, for ``min-no-map`` every value is below 63).
+    """
+    fold = _fold_of(system)
+    form = None if fold is None else fold.array
+    if (form is None or system.coords is not None
+            or len(items) < _ARRAY_LANE_FROM):
+        return None
+    operands = form.operands(items)
+    return None if operands is None else (form, operands)
+
+
+def _subset_table(init: int, extend: Callable[[Any, Any], Any],
+                  operands: Sequence[int]) -> np.ndarray:
+    """``init`` extended by the operands of every subset, as an int64 array
+    indexed by mask: bit i of the index stands for operand i.
+
+    Each half of the operands is doubled, the first half's subsets from
+    ``init`` and the second half's from 0, the identity of ``extend``; one
+    broadcast ``extend`` then combines every pair, the second half's masks
+    as the high bits."""
+    import numpy as np
+
+    def doubled(start: int, ops: Sequence[int]) -> np.ndarray:
+        table = np.array([start], dtype=np.int64)
+        for x in ops:
+            table = np.concatenate([table, extend(table, x)])
+        return table
+
+    half = len(operands) // 2
+    low = doubled(init, operands[:half])
+    high = doubled(0, operands[half:])
+    return extend(high[:, None], low[None, :]).ravel()
+
+
+def _count_array_decisions(form: ArrayFold, operands: Sequence[int]) -> int:
+    """The number of distinct decisions over every subset of the operands:
+    the finished subset table, sorted, counts one decision per run."""
+    import numpy as np
+
+    decisions = form.finish(_subset_table(form.init, form.extend, operands))
+    decisions.sort()
+    return 1 + int(np.count_nonzero(decisions[1:] != decisions[:-1]))
+
+
+def _array_subtuple(form: ArrayFold, operands: Sequence[int], target: int,
+                    capacity: int) -> Optional[tuple[int, ...]]:
+    """The shortest, then lexicographically first, ascending index tuple of
+    length <= ``capacity`` whose subset decides ``target``, or ``None``.
+
+    Masks index the subset table, bit i standing for index i.  Among the
+    ascending index tuples of one length, t precedes u exactly when the
+    least element of t xor u is in t, so the first of the shortest
+    matches is the one whose mask, read with its bits reversed, is the
+    largest."""
+    n = len(operands)
+    decisions = form.finish(_subset_table(form.init, form.extend, operands))
+    lengths = _subset_table(0, operator.add, [1] * n)
+    masks = ((lengths <= capacity) & (decisions == target)).nonzero()[0]
+    if not masks.size:
+        return None
+    shortest = masks[lengths[masks] == lengths[masks].min()]
+    reversed_masks = _subset_table(0, operator.add,
+                                   [1 << (n - 1 - i) for i in range(n)])
+    mask = int(shortest[reversed_masks[shortest].argmax()])
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 # ---------------------------------------------------------------------------
 # Shattering (dVC) search
 # ---------------------------------------------------------------------------
@@ -256,7 +355,7 @@ def _satisfied_fold(system: ScenarioSystem, candidates: Sequence) -> Fold:
         decide = system.decide
         return Fold((), _append, lambda vz: realize(decide(vz)))
     finish = fold.finish  # bound here: the replacement calls the original
-    return replace(fold, finish=functools.cache(
+    return replace(fold, array=None, finish=functools.cache(
         lambda state: realize(finish(state))))
 
 
@@ -378,12 +477,27 @@ def find_compression_subtuple(system: ScenarioSystem,
     The budget counts vz among the subtuples, although it is not decided
     again.  It keeps the recursion shallow: it admits
     sum_{r <= d} C(n, r) >= 2^d subtuples (d <= n), so d <= 20.
+
+    A fold with an array form takes the int64 lane instead when
+    ``_array_lane`` admits vz and 2^n is within the budget (so a
+    200-constraint tuple at capacity 2 is still walked).  It finishes the
+    states of all 2^n subsets, indexed by mask with bit i for index i,
+    and keeps the masks of at most ``capacity`` bits whose decision equals
+    the target; vz's own mask is among them when capacity >= n.  The
+    result is the shortest of them, then the lexicographically first: of
+    two ascending index tuples t and u of one length, t comes first
+    exactly when the least element of t xor u is in t, that is, when t's
+    mask with its n bits reversed is the larger.  The indices are Python
+    ints.
     """
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     n = len(vz)
     check_tuple_budget(subset_counts(n, capacity))
+    lane = _array_lane(system, vz) if 1 << n <= DEFAULT_TUPLE_BUDGET else None
     target = (_fold_of(system) or system.decide)(vz)
+    if lane is not None:
+        return _array_subtuple(*lane, target, capacity)
     fold = _walk_fold(system)
     extend, finish = fold.extend, fold.finish
     # Without coords, decisions_equal is ==: compare without the method call.
@@ -499,6 +613,13 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     deciding several tuples raises, which error surfaces depends on that
     order.  More tuples than ``DEFAULT_TUPLE_BUDGET`` raise
     ``BudgetExceededError`` before any is decided.
+
+    Without ``permutations``, a fold with an array form whose base
+    ``_array_lane`` admits builds the states of all 2^k subsets as one
+    int64 array (doubling over each half, then one broadcast ``extend``),
+    finishes it, sorts it with ``np.sort`` and counts one decision per
+    run of equal values.  ``np.unique`` is not used: it is slower here and
+    imports ``numpy.ma``.
     """
     base = tuple(base_set)
     if len(set(base)) != len(base):
@@ -507,14 +628,18 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     check_tuple_budget(subset_counts(k, k, permutations))
+    lane = None if permutations else _array_lane(system, base)
 
-    decisions = _decision_keys(system, base, permutations)
+    if lane is None:
+        distinct = len(_decision_keys(system, base, permutations))
+    else:
+        distinct = _count_array_decisions(*lane)
 
     bound = sum(subset_counts(k, capacity, permutations))
     return CompressionSchemeReport(
         system=system.name, base_set=base, tuple_length_bound=k,
-        capacity=capacity, distinct_decisions=len(decisions),
-        compressed_input_bound=bound, impossible=len(decisions) > bound,
+        capacity=capacity, distinct_decisions=distinct,
+        compressed_input_bound=bound, impossible=distinct > bound,
         permutations=permutations)
 
 

@@ -22,7 +22,7 @@ import io
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .geometry import coords_equal, coords_key
 from .rng import streams
@@ -63,6 +63,32 @@ def hoeffding_radius(n: int) -> float:
     return math.sqrt(math.log(2.0 / HOEFFDING_DELTA) / (2.0 * n))
 
 
+class ArrayFold(NamedTuple):
+    """The int64 array form of a :class:`Fold` whose decision is a function
+    of an int state that each constraint extends by an int operand.
+
+    The state of a subset of a tuple is ``init`` extended by the operands
+    of its constraints.  ``extend`` is ``operator.add`` or
+    ``operator.or_``, which on int64 arrays are the ufuncs ``add`` and
+    ``bitwise_or``: associative and commutative with identity 0, so the
+    subsets of a tuple can be built from those of its two halves, in any
+    order.  ``operands(vz)`` is the list of the constraints' int operands,
+    or ``None`` when the state of some subset of ``vz`` might not fit an
+    int64; then the searches walk the fold.  ``finish`` maps an int64
+    array of states to an int array of the decisions of their subsets,
+    which the fold itself decides on them.  ``operands`` and ``init`` are
+    Python ints, and nothing here imports numpy until ``finish`` runs.
+
+    It is a ``NamedTuple`` because ``import scenlab.cli`` creates the
+    class, which takes about 0.5 ms less than for a frozen dataclass.
+    """
+
+    init: int
+    extend: Callable[[Any, Any], Any]
+    operands: Callable[[Sequence], Optional[list[int]]]
+    finish: Callable[["np.ndarray"], "np.ndarray"]
+
+
 @dataclass(frozen=True)
 class Fold:
     """A decision declared as a left fold over the constraint tuple.
@@ -76,11 +102,18 @@ class Fold:
     the shattering walk and the adversarial experiment finish each
     distinct state once per call, straight into its satisfied subset of
     their candidates.
+
+    ``array`` is an optional :class:`ArrayFold`, which only ``alg_sum`` and
+    ``alg_min`` set: it lets scheme counting and compression-map search
+    build the states of every subset as one int64 array.  A fold without
+    one, or a new ``Fold`` built from another's ``init``, ``extend`` and
+    ``finish``, is walked node by node.
     """
 
     init: Any
     extend: Callable[[Any, Any], Any]
     finish: Callable[[Any], Any]
+    array: Optional[ArrayFold] = None
 
     def __call__(self, vz: ConstraintTuple) -> Any:
         state, extend = self.init, self.extend
@@ -121,13 +154,17 @@ class ScenarioSystem:
     array, and one sampler may return either at different tuple lengths
     (see :class:`ConstraintDistribution`).  For the distribution's
     ``constraint_class`` ``cls``, with ``values`` read as Python numbers
-    (``values.tolist()`` for an array):
+    (``values.tolist()`` for an array), each of which ``cls`` accepts:
 
     * ``decide_values(values)`` must equal ``decide(tuple(map(cls,
       values)))``, so PAC curves do not depend on it;
     * ``satisfies_values(x, values)`` must equal ``[satisfies(x, cls(v))
       for v in values]`` element for element, so nested Monte Carlo risk
       estimates do not depend on it.
+
+    The paired sampler draws only values that ``cls`` accepts.  On a value
+    it refuses a hook need not raise: ``alg_sum_values([-1])`` returns 0,
+    while ``ExclusionConstraint(-1)`` raises ``ValueError``.
     """
 
     name: str

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .core import ConstraintDistribution, Fold, ScenarioSystem, is_real
+from .core import (
+    ArrayFold,
+    ConstraintDistribution,
+    Fold,
+    ScenarioSystem,
+    is_real,
+)
 from .geometry import (
     Point,
     POINT_TOL,
@@ -418,14 +424,41 @@ def _min_finish(state: tuple) -> int:
     return x if x < _MIN_BITS else _mex(large, x)
 
 
+def _sum_operands(vz: Iterable[ExclusionConstraint]) -> Optional[list[int]]:
+    """The excluded values, while 1 + their sum, the largest subset total,
+    is below 2^62; else ``None``."""
+    values = [z.a for z in vz]
+    return values if sum(values, 1) < 1 << 62 else None
+
+
+def _min_operands(vz: Iterable[ExclusionConstraint]) -> Optional[list[int]]:
+    """``1 << a`` for each excluded value, while every a is below 63, so
+    that their OR fits an int64; else ``None``."""
+    values = [z.a for z in vz]
+    return [1 << a for a in values] if all(a < 63 for a in values) else None
+
+
+def _min_finish_array(bits: np.ndarray) -> np.ndarray:
+    """The lowest clear bit of each int64 mask: ``~b & (b + 1)`` isolates
+    it as a power of two, and ``frexp`` reads its exponent."""
+    import numpy as np
+
+    return np.frexp(~bits & (bits + 1))[1] - 1
+
+
 # Decision 1 + sum of excluded values; order-insensitive but
 # multiplicity-sensitive, and never equal to any single excluded value.
 # The total starts at 1, so it is the decision: ``operator.pos`` is an
-# identity on ints that runs no Python frame.
-alg_sum = Fold(1, _sum_extend, operator.pos)
+# identity on ints that runs no Python frame.  The array form adds the
+# excluded values to int64 totals.
+alg_sum = Fold(1, _sum_extend, operator.pos,
+               ArrayFold(1, operator.add, _sum_operands, operator.pos))
 
-# Least natural number not excluded by the sample.
-alg_min = Fold((0, frozenset()), _min_extend, _min_finish)
+# Least natural number not excluded by the sample.  The array form ORs
+# ``1 << a`` into an int64 mask, the ``bits`` of the state when every
+# excluded value is below 63.
+alg_min = Fold((0, frozenset()), _min_extend, _min_finish,
+               ArrayFold(0, operator.or_, _min_operands, _min_finish_array))
 
 
 def alg_sum_values(values: list[int] | np.ndarray) -> int:

@@ -858,6 +858,24 @@ def test_interval_curve_leaves_numpy_ma_unloaded():
     assert fresh.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "--example", "sum-no-scheme", "--k", "18", "--capacity", "3"],
+    ["demo", "--example", "min-no-map", "--capacity", "16"],
+])
+def test_exclusion_certificates_leave_numpy_ma_unloaded(argv):
+    """The array lane counts distinct decisions with ``np.sort`` and picks
+    the map search's subtuple by masks; ``np.unique`` would import
+    ``numpy.ma``."""
+    prelude = ("import sys; from scenlab.cli import main; main(sys.argv[1:]); "
+               "print(sorted(m for m in sys.modules "
+               "if (m + '.').startswith('numpy.ma.')), "
+               "'numpy' in sys.modules)")
+    fresh = run_fresh(prelude, argv)
+    assert fresh.returncode == 0, fresh.stderr
+    assert '"passed": true' in fresh.stdout
+    assert fresh.stdout.splitlines()[-1] == "[] True"
+
+
 def test_sampling_commands_need_numpy():
     # Shows that the prelude of the test above blocks numpy.
     fresh = run_fresh(NO_NUMPY, ["risk-curve", "--system", "min-no-map",

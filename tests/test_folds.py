@@ -8,6 +8,7 @@ shattering counterexample after the same number of tuples."""
 import dataclasses
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -603,3 +604,151 @@ def test_a_decide_that_does_not_wrap_the_fold_is_certified_itself(key):
     assert report.distinct_decisions == len(loop_keys(replaced, base, False))
     assert report.to_jsonable() != \
         certify_no_compression_scheme(system, base, 2).to_jsonable()
+
+
+# ---------------------------------------------------------------------------
+# The int64 array lane of the exclusion folds
+# ---------------------------------------------------------------------------
+
+EXCLUSION_FOLDS = ("sum-no-scheme", "min-no-map")
+# Small values, and up to two at either side of the lane's limits:
+# alg_min's 63, alg_sum's 2^62 (for 1 + the total), and values past 2^64.
+LIMIT_VALUES = [0, 1, 61, 62, 63, 64, 2**62 - 2, 2**62 - 1, 2**64 + 1]
+
+
+def lane_values(max_size):
+    return st.tuples(
+        st.lists(st.integers(min_value=0, max_value=6), max_size=max_size - 2),
+        st.lists(st.sampled_from(LIMIT_VALUES), max_size=2),
+    ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+def walked(system):
+    """The system deciding by a fold of the same ``init``, ``extend`` and
+    ``finish`` but no array form, which the searches walk."""
+    fold = system.decide
+    return dataclasses.replace(
+        system, decide=Fold(fold.init, fold.extend, fold.finish))
+
+
+def lane_fits(key, values):
+    if key == "sum-no-scheme":
+        return 1 + sum(values) < 2**62
+    return all(a < 63 for a in values)
+
+
+@pytest.mark.parametrize("key", EXCLUSION_FOLDS)
+@settings(deadline=None, max_examples=150)
+@given(values=lane_values(10))
+@example(values=[])
+@example(values=[0, 1, 61, 62])
+@example(values=[62, 63])
+@example(values=[2**62 - 2])
+@example(values=[2**62 - 1])
+def test_array_lane_counts_the_walk_keys(key, values):
+    """The lane called directly, so that bases below ``_ARRAY_LANE_FROM``
+    are covered too; it refuses exactly the bases past its limits."""
+    system = FOLD_SYSTEMS[key]
+    base = tuple(dict.fromkeys(map(ExclusionConstraint, values)))
+    form = system.decide.array
+    operands = form.operands(base)
+    assert (operands is not None) == lane_fits(key, [z.a for z in base])
+    if operands is not None:
+        assert analyzers._count_array_decisions(form, operands) == \
+            len(analyzers._decision_keys(system, base, False))
+
+
+@pytest.mark.parametrize("key", EXCLUSION_FOLDS)
+@settings(deadline=None, max_examples=150)
+@given(values=lane_values(9))
+@example(values=[])
+@example(values=[1, 1, 0, 0])
+@example(values=[0, 61, 62, 2, 1])
+@example(values=[63, 0])
+def test_array_lane_finds_the_walk_subtuple(key, values):
+    """Duplicates included, at capacity 0, n - 1, n and n + 1."""
+    system = FOLD_SYSTEMS[key]
+    vz = tuple(map(ExclusionConstraint, values))
+    form = system.decide.array
+    operands = form.operands(vz)
+    assert (operands is not None) == lane_fits(key, values)
+    if operands is None:
+        return
+    n = len(vz)
+    for capacity in sorted({0, max(n - 1, 0), n, n + 1}):
+        found = analyzers._array_subtuple(form, operands, system.decide(vz),
+                                          capacity)
+        assert found == find_compression_subtuple(walked(system), vz,
+                                                  capacity)
+        assert found is None or all(type(i) is int for i in found)
+
+
+def recording_subset_tables(monkeypatch):
+    """Record each call of ``_subset_table``, which only the lane makes."""
+    tables = []
+    build = analyzers._subset_table
+
+    def recording(*args):
+        tables.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(analyzers, "_subset_table", recording)
+    return tables
+
+
+def test_a_long_map_search_tuple_keeps_the_walk(monkeypatch):
+    """2^200 masks are far past the budget, although the search itself
+    decides only the C(200, r <= 2) subtuples."""
+    vz = tuple(ExclusionConstraint(i * 37 % 200) for i in range(200))
+    expected = find_compression_subtuple(walked(min_system), vz, 2)
+    tables = recording_subset_tables(monkeypatch)
+    assert find_compression_subtuple(min_system, vz, 2) == expected is None
+    assert tables == []
+
+
+@pytest.mark.parametrize("key, last, lane", [
+    ("sum-no-scheme", 2**62 - 23, True),  # 1 + 21 + last = 2^62 - 1
+    ("sum-no-scheme", 2**62 - 22, False),
+    ("min-no-map", 62, True),
+    ("min-no-map", 63, False),
+])
+def test_lane_choice_at_the_int64_limits(key, last, lane, monkeypatch):
+    system = FOLD_SYSTEMS[key]
+    items = tuple(ExclusionConstraint(a) for a in [*range(7), last])
+    assert len(items) >= analyzers._ARRAY_LANE_FROM
+    walk = walked(system)
+    expected = (certify_no_compression_scheme(walk, items, 2).to_jsonable(),
+                find_compression_subtuple(walk, items, 7),
+                find_compression_subtuple(walk, items[1:], 6))
+    tables = recording_subset_tables(monkeypatch)
+    assert (certify_no_compression_scheme(system, items, 2).to_jsonable(),
+            find_compression_subtuple(system, items, 7),
+            find_compression_subtuple(system, items[1:], 6)) == expected
+    assert bool(tables) == lane
+
+
+def test_a_system_with_coords_keeps_the_walk():
+    """Its decisions compare by ``coords``, not by ``==``."""
+    system = dataclasses.replace(FOLD_SYSTEMS["sum-no-scheme"],
+                                 coords=lambda x: (float(x),))
+    base = tuple(ExclusionConstraint(1 << j) for j in range(10))
+    assert analyzers._array_lane(FOLD_SYSTEMS["sum-no-scheme"], base)
+    assert analyzers._array_lane(system, base) is None
+
+
+def test_array_lane_reports_hold_python_ints(monkeypatch):
+    tables = recording_subset_tables(monkeypatch)
+    base = [ExclusionConstraint(1 << j) for j in range(10)]
+    scheme = certify_no_compression_scheme(FOLD_SYSTEMS["sum-no-scheme"],
+                                           base, 3)
+    assert type(scheme.distinct_decisions) is int
+    assert scheme.distinct_decisions == 1 << 10
+    vz = tuple(ExclusionConstraint(a) for a in [4, 0, 1, 0, 2, 1, 5, 6])
+    found = analyzers.search_compression_map(min_system, vz, 3)
+    none = analyzers.search_compression_map(min_system, vz, 2)
+    assert tables
+    assert found.subtuple_indices == (1, 2, 4)
+    assert all(type(i) is int for i in found.subtuple_indices)
+    assert none.subtuple_indices is None
+    for report in (scheme, found, none):
+        json.dumps(report.to_jsonable())

@@ -104,6 +104,20 @@ def test_sample_values_match_scalar_loop_and_stream_position(name, seed, n,
     assert_same_stream_position(values_rng, scalar_rng)
 
 
+@pytest.mark.parametrize("n", [0, 1, 1000])
+@pytest.mark.parametrize("name", VALUE_SAMPLED)
+def test_sample_values_are_values_the_constraint_class_accepts(name, n):
+    """``decide_values`` and ``satisfies_values`` answer as the constraints
+    of their values only where ``constraint_class`` accepts each value (see
+    ``ScenarioSystem``), so a sampler draws no other."""
+    dist = BATCHED[name]
+    for seed in range(4):
+        values = as_list(dist.sample_values(stream(seed), n))
+        assert len(values) == n
+        for v in values:
+            dist.constraint_class(v)  # raises ValueError on a refused value
+
+
 @pytest.mark.parametrize("name", VALUE_SAMPLED)
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
