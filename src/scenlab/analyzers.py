@@ -18,10 +18,7 @@ is a ``Fold`` (``convex-vc``, ``sum-no-scheme``, ``min-no-map``,
 ``path-alg1``), or wraps one by ``functools.wraps``, each tuple extends its
 parent's state once, and shattering and the adversarial experiment finish
 each distinct state once per call straight into its satisfied subset of
-the candidates; any other system decides each enumerated tuple whole.  For
-a system without ``coords``, whose decision equality is ``==`` and whose
-decision key is the decision itself, scheme counting and map search call
-neither ``decision_key`` nor ``decisions_equal``.
+the candidates; any other system decides each enumerated tuple whole.
 
 Scheme counting over subsets and map search have an int64 array lane for
 a fold with an :class:`~scenlab.core.ArrayFold` (``sum-no-scheme`` and
@@ -31,8 +28,10 @@ subtuple off it, with no Python frame per subset.  ``_array_lane`` takes
 it only from ``_ARRAY_LANE_FROM`` constraints up, for a system without
 ``coords``, when every subset's state fits an int64 and, for the map
 search, when 2^n is within ``DEFAULT_TUPLE_BUDGET``; otherwise the
-searches walk.  The lane is chosen after the budget check and before any
-subset is decided, and gives the verdicts, counts and indices of the walk.
+searches walk.  The lane compares decisions with ``==``, calling neither
+``decision_key`` nor ``decisions_equal``.  It is chosen after the budget
+check and before any subset is decided, and gives the verdicts, counts
+and indices of the walk.
 """
 
 from __future__ import annotations
@@ -180,27 +179,22 @@ def _decision_keys(system: ScenarioSystem, base: tuple,
     state of the first half's subsets is doubled over the second half, so
     at most 2^floor(k/2) + 2^ceil(k/2) states are live, where doubling over
     the whole base would hold all 2^k.  The permutation tree is not a
-    product of two halves, so it is walked depth first, by recursion.
-    Without ``coords`` the key is the decision itself, so each finished
-    state goes into the set with no ``decision_key`` call."""
+    product of two halves, so it is walked depth first, by recursion."""
     fold = _walk_fold(system)
-    extend, finish = fold.extend, fold.finish
-    key = None if system.coords is None else system.decision_key
+    extend, finish, key = fold.extend, fold.finish, system.decision_key
     if not permutations:
         half = len(base) // 2
         keys = set()
         for state in _subsets(extend, fold.init, base[:half]):
-            decisions = map(finish, _subsets(extend, state, base[half:]))
-            keys.update(decisions if key is None else map(key, decisions))
+            keys.update([key(finish(t))
+                         for t in _subsets(extend, state, base[half:])])
         return keys
-    x = finish(fold.init)
-    keys = {x if key is None else key(x)}
+    keys = {key(finish(fold.init))}
 
     def walk(state: Any, rest: tuple) -> None:
         for j, z in enumerate(rest):
             child = extend(state, z)
-            x = finish(child)
-            keys.add(x if key is None else key(x))
+            keys.add(key(finish(child)))
             rest_after = rest[:j] + rest[j + 1:]
             if rest_after:
                 walk(child, rest_after)
@@ -471,12 +465,10 @@ def find_compression_subtuple(system: ScenarioSystem,
     The pass decides every subtuple that a walk of each length in turn
     would decide before it stopped, and may decide longer ones in earlier
     subtrees, never more than the budget admits.  Only the states on the
-    recursion stack are live: at most ``bound`` + 1.  The walked path is
-    one list of indices, pushed and popped around each descent, so a node
-    builds no tuple of its indices; only a match copies the list into one.
-    The budget counts vz among the subtuples, although it is not decided
-    again.  It keeps the recursion shallow: it admits
-    sum_{r <= d} C(n, r) >= 2^d subtuples (d <= n), so d <= 20.
+    recursion stack are live: at most ``bound`` + 1.  The budget counts vz
+    among the subtuples, although it is not decided again.  It keeps the
+    recursion shallow: it admits sum_{r <= d} C(n, r) >= 2^d subtuples
+    (d <= n), so d <= 20.
 
     A fold with an array form takes the int64 lane instead when
     ``_array_lane`` admits vz and 2^n is within the budget (so a
@@ -499,9 +491,7 @@ def find_compression_subtuple(system: ScenarioSystem,
     if lane is not None:
         return _array_subtuple(*lane, target, capacity)
     fold = _walk_fold(system)
-    extend, finish = fold.extend, fold.finish
-    # Without coords, decisions_equal is ==: compare without the method call.
-    equal = operator.eq if system.coords is None else system.decisions_equal
+    extend, finish, equal = fold.extend, fold.finish, system.decisions_equal
     best = tuple(range(n)) if capacity >= n else None
     last = n - 1
     bound = min(capacity, last)
@@ -513,10 +503,7 @@ def find_compression_subtuple(system: ScenarioSystem,
     except ValueError:  # undecidable, so no match (see above)
         pass
 
-    path = []  # the indices of the node's ancestors, root first
-    push, pop = path.append, path.pop
-
-    def walk(state: Any, start: int, depth: int) -> None:
+    def walk(state: Any, path: tuple, start: int, depth: int) -> None:
         nonlocal best, bound
         for i in range(start, n):
             child = extend(state, vz[i])
@@ -526,15 +513,13 @@ def find_compression_subtuple(system: ScenarioSystem,
                 match = False
             if match:
                 # The siblings left are as long as this match.
-                best, bound = (*path, i), depth - 1
+                best, bound = path + (i,), depth - 1
                 return
             if depth < bound and i < last:  # the last index has no children
-                push(i)
-                walk(child, i + 1, depth + 1)
-                pop()
+                walk(child, path + (i,), i + 1, depth + 1)
 
     if bound:
-        walk(fold.init, 0, 1)
+        walk(fold.init, (), 0, 1)
     return best
 
 

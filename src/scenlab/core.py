@@ -138,10 +138,7 @@ class ScenarioSystem:
     systems without ``coords`` into a set.  Floats that compare equal
     differ at most in the sign of a zero, and no shipped ``satisfies``
     reads that sign except through ``abs``, ``hypot``, ``==`` and ordered
-    comparisons.  Without ``coords``, scheme counting and compression-map
-    search use the decision and ``==`` directly, with no call of
-    :meth:`decision_key` or :meth:`decisions_equal` per enumerated tuple,
-    so an override of either method does not reach them.
+    comparisons.
 
     A ``decide`` that is a :class:`Fold`, or wraps one by
     ``functools.wraps``, is walked prefix by prefix in the exhaustive

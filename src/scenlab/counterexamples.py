@@ -396,32 +396,16 @@ def _sum_extend(total: int, z: ExclusionConstraint) -> int:
     return total + z.a
 
 
-# ``alg_min``'s state is ``(bits, large)``: bit a of the int ``bits`` is set
-# iff a < _MIN_BITS is excluded, and the frozenset ``large`` holds the
-# excluded values >= _MIN_BITS.
-_MIN_BITS = 64
+def _min_extend(excluded: frozenset, z: ExclusionConstraint) -> frozenset:
+    return excluded if z.a in excluded else excluded | {z.a}
 
 
-def _min_extend(state: tuple, z: ExclusionConstraint) -> tuple:
-    a = z.a
-    bits, large = state
-    if a < _MIN_BITS:
-        grown = bits | 1 << a
-        return state if grown == bits else (grown, large)
-    return state if a in large else (bits, large | {a})
-
-
-def _mex(excluded: frozenset, x: int = 0) -> int:
-    """The least natural >= x not in ``excluded``."""
+def _mex(excluded: frozenset) -> int:
+    """The least natural not in ``excluded``."""
+    x = 0
     while x in excluded:
         x += 1
     return x
-
-
-def _min_finish(state: tuple) -> int:
-    bits, large = state
-    x = (bits ^ (bits + 1)).bit_length() - 1  # the lowest clear bit
-    return x if x < _MIN_BITS else _mex(large, x)
 
 
 def _sum_operands(vz: Iterable[ExclusionConstraint]) -> Optional[list[int]]:
@@ -455,9 +439,8 @@ alg_sum = Fold(1, _sum_extend, operator.pos,
                ArrayFold(1, operator.add, _sum_operands, operator.pos))
 
 # Least natural number not excluded by the sample.  The array form ORs
-# ``1 << a`` into an int64 mask, the ``bits`` of the state when every
-# excluded value is below 63.
-alg_min = Fold((0, frozenset()), _min_extend, _min_finish,
+# ``1 << a`` into an int64 mask when every excluded value is below 63.
+alg_min = Fold(frozenset(), _min_extend, _mex,
                ArrayFold(0, operator.or_, _min_operands, _min_finish_array))
 
 
@@ -470,10 +453,10 @@ def alg_sum_values(values: list[int] | np.ndarray) -> int:
 
 
 def alg_min_values(values: list[int] | np.ndarray) -> int:
-    """``alg_min`` on the excluded values themselves: a list through one
-    set (folding many drawn values bit by bit costs more), an int array as
-    the lowest clear bit of the OR of ``1 << a``, or through the set when
-    it holds an ``a >= 63``, which int64 cannot shift."""
+    """``alg_min`` on the excluded values themselves: a list through the
+    set of its values, as the fold finishes, an int array as the lowest
+    clear bit of the OR of ``1 << a``, or through the set when it holds an
+    ``a >= 63``, which int64 cannot shift."""
     if isinstance(values, list) or values.size and values.max() >= 63:
         return _mex(frozenset(values))
     import numpy as np

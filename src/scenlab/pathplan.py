@@ -303,26 +303,30 @@ def alg1_shortest_path_values(scene: Scene,
     the shortest one bounds the region of least perimeter that holds them
     all: the convex hull of {I, T, tips} (each barrier's base O lies on
     I-T).  The path is the upper hull of {I, T, tips}, built by
-    ``_alg1_hull``.  With a barrier within ``POINT_TOL`` of the I-T axis
-    and no higher tip to pass over, the hull edge from its tip down to I
-    or T runs along it, so the hull fails ``barrier_satisfied`` and no path
-    exists: ``ValueError`` names the barrier with the lowest tip, the
-    smallest angle among tied ones, as a Python float.
+    ``_alg1_hull``; where two grazing pops in a row leave a tip above the
+    final chord and the hull fails ``barrier_satisfied``, it is the strict
+    hull of ``_alg1_strict_hull``.  With a barrier within ``POINT_TOL`` of
+    the I-T axis and no higher tip to pass over, the hull edge from its tip
+    down to I or T runs along it, so both hulls fail and no path exists:
+    ``ValueError`` names the barrier with the lowest tip, the smallest
+    angle among tied ones, as a Python float.
 
-    The hull depends on the set of tips only, the check on each tip alone
+    The hulls depend on the set of tips only, the check on each tip alone
     (``barrier_satisfied`` on a polyline, with no barrier built) and the
     named barrier on the set of angles, so the planner, its error
     included, is invariant under reordering and duplicating ``thetas``.
     """
     length = scene.barrier_length
     tips = [(length * math.cos(t), length * math.sin(t)) for t in thetas]
-    path = Polyline(_alg1_hull(tuple(sorted(set(tips)))))
-    star = _star_edges(path, length)
-    if any(_edges_conflict(path.vertices, star, tip) for tip in tips):
-        height, theta = min((tip[1], t) for t, tip in zip(thetas, tips))
-        raise ValueError(f"no path clears barrier theta={float(theta)!r}, "
-                         f"nearest the I-T axis (tip height {height:.3g})")
-    return path
+    distinct = tuple(sorted(set(tips)))
+    for hull in (_alg1_hull, _alg1_strict_hull):
+        path = Polyline(hull(distinct))
+        star = _star_edges(path, length)
+        if not any(_edges_conflict(path.vertices, star, tip) for tip in tips):
+            return path
+    height, theta = min((tip[1], t) for t, tip in zip(thetas, tips))
+    raise ValueError(f"no path clears barrier theta={float(theta)!r}, "
+                     f"nearest the I-T axis (tip height {height:.3g})")
 
 
 def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -342,6 +346,17 @@ def _alg1_hull(tips: tuple[Point, ...]) -> tuple[Point, ...]:
         while len(hull) > 1 and (cross(hull[-2], hull[-1], p) >= 0.0
                                  or not segments_conflict(hull[-2], p,
                                                           hull[-1])):
+            hull.pop()
+        hull.append(p)
+    return tuple(hull)
+
+
+def _alg1_strict_hull(tips: tuple[Point, ...]) -> tuple[Point, ...]:
+    """``_alg1_hull`` without its grazing pops: a tip strictly above the
+    chord of its neighbours stays a vertex, even where the chord grazes it."""
+    hull = [START]
+    for p in (*tips, TARGET):
+        while len(hull) > 1 and cross(hull[-2], hull[-1], p) >= 0.0:
             hull.pop()
         hull.append(p)
     return tuple(hull)

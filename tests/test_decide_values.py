@@ -4,7 +4,6 @@ so PAC curves do not depend on whether a decision was taken on values."""
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -59,10 +58,10 @@ def assert_same_decision(key, values):
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1),
        n=st.sampled_from([0, 1, 2, 7, 1000]))
-# alg1 raises on this draw although a path exists: of three tips within
-# 1.3e-5 rad near theta = 1.1719, the hull chain pops the first two as
-# grazed, one after the other, and the final chord passes 1.7e-9 below the
-# first.  decide raises the same error.
+# Of three tips within 1.3e-5 rad near theta = 1.1719, alg1's hull chain
+# pops the first two as grazed, one after the other, and the final chord
+# passes 1.7e-9 below the first: the check refuses that hull, and both
+# deciders plan the strict hull instead.
 @example(seed=19, n=1000)
 def test_decide_values_matches_decide_on_sampled_values(key, seed, n):
     values = get_bundle(key).distribution.sample_values(stream(seed), n)
@@ -164,16 +163,30 @@ def test_convex_decide_values_on_repeated_polygons_and_tied_bands(values):
 def test_alg1_returns_only_paths_that_clear_every_barrier(seed):
     """Checked by the numpy batch test, which alg1 does not use.  At seeds
     19 and 49 the hull leaves a grazed tip above its final chord, so
-    alg1's own check must refuse the hull (ROADMAP item 33)."""
+    alg1's own check refuses it and the path is the strict hull."""
     bundle = get_bundle("path-alg1")
     thetas = bundle.distribution.sample_values(stream(seed), 1000)
-    try:
-        path = bundle.system.decide_values(thetas)
-    except ValueError:
-        assert seed in (19, 49)
-        return
+    path = bundle.system.decide_values(thetas)
     assert all(pathplan.barrier_satisfied_values(pathplan.SCENE, path,
                                                  thetas))
+
+
+@pytest.mark.parametrize("seed", [19, 49])
+def test_alg1_plans_the_strict_hull_where_grazing_pops_fail(seed):
+    """Where the grazing hull fails its check, ``decide`` and
+    ``decide_values`` plan the same strict hull, and testing every edge
+    against every tip (no star) finds no crossing."""
+    bundle = get_bundle("path-alg1")
+    thetas = bundle.distribution.sample_values(stream(seed), 1000).tolist()
+    barriers = tuple(map(pathplan.BarrierConstraint, thetas))
+    path = bundle.system.decide_values(thetas)
+    assert path == bundle.system.decide(barriers)
+    length = pathplan.SCENE.barrier_length
+    tips = sorted({pathplan.barrier_tip(z, length) for z in barriers})
+    assert path.vertices == pathplan._alg1_strict_hull(tuple(tips))
+    assert pathplan._alg1_hull(tuple(tips)) != path.vertices
+    assert not any(pathplan._edges_conflict(path.vertices, None, tip)
+                   for tip in tips)
 
 
 @pytest.mark.parametrize("values, point", [
@@ -226,8 +239,8 @@ def test_pac_curve_checks_each_distinct_decision_against_dominating_once():
 def test_path_systems_decide_the_drawn_array_as_its_list(seed, n):
     """alg1 and alg2 decide the barrier sampler's float64 array as they
     decide its list: the same path, parabola or error text, on both sides
-    of ``ALG2_SCAN_BELOW``.  At seed 19 alg1 refuses the tuple although a
-    path exists (ROADMAP item 33), naming a plain float."""
+    of ``ALG2_SCAN_BELOW``.  At seed 19 alg1 plans the strict hull, as
+    its grazing hull fails the check."""
     thetas = get_bundle("path-alg1").distribution.sample_values(stream(seed),
                                                                 n)
     assert isinstance(thetas, np.ndarray)
@@ -236,11 +249,7 @@ def test_path_systems_decide_the_drawn_array_as_its_list(seed, n):
         decide_values = get_bundle(key).system.decide_values
         outcomes[key] = outcome(decide_values, thetas.tolist())
         assert repr(outcome(decide_values, thetas)) == repr(outcomes[key])
-    assert isinstance(outcomes["path-alg1"], str) is (seed == 19)
-    if seed == 19:
-        assert re.fullmatch(r"no path clears barrier theta=[0-9.]+, nearest "
-                            r"the I-T axis \(tip height .*\)",
-                            outcomes["path-alg1"])
+    assert isinstance(outcomes["path-alg1"], pathplan.Polyline)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -186,18 +186,21 @@ def test_alg1_two_barriers_routes_over_both_tips():
 def reference_hull(tips) -> tuple | None:
     """alg1's hull with its former final check: the monotone chain of
     ``_alg1_hull`` on the sorted distinct ``tips``, then every hull edge,
-    left endpoint first, tested against every tip."""
-    hull = [START]
-    for p in (*tips, TARGET):
-        while len(hull) > 1 and (cross(hull[-2], hull[-1], p) >= 0.0
-                                 or not segments_conflict(hull[-2], p,
-                                                          hull[-1])):
-            hull.pop()
-        hull.append(p)
-    if any(segments_conflict(a, b, tip)
-           for a, b in zip(hull, hull[1:]) for tip in tips):
-        return None
-    return tuple(hull)
+    left endpoint first, tested against every tip; where that check fails,
+    the same for the strict chain, which pops on ``cross >= 0`` only."""
+    for grazing in (True, False):
+        hull = [START]
+        for p in (*tips, TARGET):
+            while len(hull) > 1 and (
+                    cross(hull[-2], hull[-1], p) >= 0.0
+                    or grazing and not segments_conflict(hull[-2], p,
+                                                         hull[-1])):
+                hull.pop()
+            hull.append(p)
+        if not any(segments_conflict(a, b, tip)
+                   for a, b in zip(hull, hull[1:]) for tip in tips):
+            return tuple(hull)
+    return None
 
 
 def test_alg1_matches_exhaustive_oracle():
