@@ -18,7 +18,10 @@ is a ``Fold`` (``convex-vc``, ``sum-no-scheme``, ``min-no-map``,
 ``path-alg1``), or wraps one by ``functools.wraps``, each tuple extends its
 parent's state once, and shattering and the adversarial experiment finish
 each distinct state once per call straight into its satisfied subset of
-the candidates; any other system decides each enumerated tuple whole.
+the candidates; scheme counting over subsets finishes and keys each
+distinct state once per group that one first-half state doubles into
+(``_decision_keys``).  Any other system decides each enumerated tuple
+whole.
 
 Scheme counting over subsets and map search have an int64 array lane for
 a fold with an :class:`~scenlab.core.ArrayFold` (``sum-no-scheme`` and
@@ -173,21 +176,36 @@ def _decision_keys(system: ScenarioSystem, base: tuple,
                    permutations: bool) -> set:
     """Decision keys of every tuple of distinct base elements: each subset
     in base order, or with ``permutations`` in every order.  Each tuple
-    extends its parent's state once.
+    walked extends its parent's state once.
 
     Subsets are enumerated by doubling over two halves of the base: every
     state of the first half's subsets is doubled over the second half, so
     at most 2^floor(k/2) + 2^ceil(k/2) states are live, where doubling over
     the whole base would hold all 2^k.  The permutation tree is not a
-    product of two halves, so it is walked depth first, by recursion."""
+    product of two halves, so it is walked depth first, by recursion.
+
+    With a fold, the subset walk drops repeated states from each half's
+    list, keeping the first of each in enumeration order
+    (``dict.fromkeys``): states are hashable and ``finish`` is a function
+    of the state, so a repeated first-half state would double into the
+    same group again, and a state repeated within a group would give the
+    same key.  ``convex-vc`` states repeat wherever a band lies below the
+    level already reached.  A system without a fold keeps plain lists: its
+    states are the subset tuples, all distinct, so hashing them would only
+    cost.  Permutations are not deduplicated: the depth-first walk holds no
+    list, and a memo over the call would hold the state of nearly every
+    tuple of an order-dependent fold (``convex-vc`` clips in tuple order;
+    986,410 tuples at k = 9)."""
     fold = _walk_fold(system)
     extend, finish, key = fold.extend, fold.finish, system.decision_key
     if not permutations:
         half = len(base) // 2
+        distinct = (dict.fromkeys if _fold_of(system) is not None
+                    else lambda states: states)
         keys = set()
-        for state in _subsets(extend, fold.init, base[:half]):
-            keys.update([key(finish(t))
-                         for t in _subsets(extend, state, base[half:])])
+        for state in distinct(_subsets(extend, fold.init, base[:half])):
+            keys.update([key(finish(t)) for t in
+                         distinct(_subsets(extend, state, base[half:]))])
         return keys
     keys = {key(finish(fold.init))}
 
@@ -591,9 +609,10 @@ def certify_no_compression_scheme(system: ScenarioSystem,
     (input) order -- exact for order-insensitive systems.  The
     ``permutations`` flag decides all orderings of each subset instead, for
     order-sensitive systems.  A system that decides by a ``Fold`` extends
-    each tuple from its parent, so each tuple costs one ``extend`` and one
-    ``finish``; others decide every tuple whole.  Subsets are enumerated by
-    doubling over the two halves of the base, which keeps about 2^(k/2)
+    each tuple from its parent; over subsets it finishes each distinct
+    state of a group once (see ``_decision_keys``), and over permutations
+    each tuple.  Others decide every tuple whole.  Subsets are enumerated
+    by doubling over the two halves of the base, which keeps about 2^(k/2)
     states live instead of 2^k; permutations are walked depth first.  If
     deciding several tuples raises, which error surfaces depends on that
     order.  More tuples than ``DEFAULT_TUPLE_BUDGET`` raise

@@ -101,7 +101,8 @@ class Fold:
     States are hashable, and ``finish`` is a function of the state alone:
     the shattering walk and the adversarial experiment finish each
     distinct state once per call, straight into its satisfied subset of
-    their candidates.
+    their candidates, and scheme counting over subsets finishes each
+    distinct state of a doubling group once.
 
     ``array`` is an optional :class:`ArrayFold`, which only ``alg_sum`` and
     ``alg_min`` set: it lets scheme counting and compression-map search

@@ -367,6 +367,23 @@ def test_range_shattering_witness_disagreements_match_scalar_loop(
         == report_bytes(scalar_range_shattering_witness(k))
 
 
+@pytest.mark.parametrize("k, missed", [(7, 0), (8, 42), (9, 282)])
+def test_witness_patterns_under_the_systems_own_relation(k, missed):
+    """The witness passes under its slack ``WITNESS_MEMBERSHIP_TOL``, but
+    under ``convex_satisfies`` (slack ``POINT_TOL``) the decision for tau(u)
+    satisfies a set of sigma(k, i) other than u for ``missed`` subsets."""
+    assert verify_range_shattering_witness(k).passed
+    polygons = [PolygonConstraint(k, i) for i in range(1, k + 1)]
+    patterns = []
+    for mask in range(1 << k):
+        u = frozenset(i for i in range(1, k + 1) if mask >> (i - 1) & 1)
+        decision = alg_convex_maxx1((BandConstraint(tau(u)[1]),))
+        patterns.append(sum(1 << j for j, z in enumerate(polygons)
+                            if convex_system.satisfies(decision, z)))
+    assert sum(pattern != mask for mask, pattern in enumerate(patterns)) \
+        == missed
+
+
 def test_range_shattering_witness_mismatches_match_scalar_loop(monkeypatch):
     # A negative decision tolerance rejects every decision.
     monkeypatch.setattr(analyzers, "points_equal",

@@ -5,6 +5,7 @@ and every walk must give what deciding each enumerated tuple whole gives:
 the same decision keys, the same first subtuple and the same first
 shattering counterexample after the same number of tuples."""
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -363,6 +364,128 @@ def test_subset_walk_extends_each_subset_once_with_two_halves_live():
     # 2^6 - 1 that one of them grows over the second half: 127 at most.
     assert Counted.peak <= 2 ** 6 + 2 ** 6 + 2
     assert Counted.live == 1  # only the fold's init state is left
+
+
+# The mixed base that the benchmark's certify workload counts at seed 0:
+# eight polygons, then four bands.
+CERTIFY_POLYGONS = tuple(PolygonConstraint(m, i) for m, i in (
+    (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (4, 4)))
+CERTIFY_BANDS = tuple(BandConstraint(y) for y in (
+    0.14406210066427516, 0.3429471211113503, 0.5361441759649896,
+    0.7105858635431219))
+CERTIFY_BASE = CERTIFY_POLYGONS + CERTIFY_BANDS
+
+
+def counting_convex_system():
+    """``convex-vc`` with a fold and ``coords`` that count their calls."""
+    system = FOLD_SYSTEMS["convex-vc"]
+    fold = system.decide
+    counts = collections.Counter()
+
+    def extend(state, z):
+        counts["extend"] += 1
+        return fold.extend(state, z)
+
+    def finish(state):
+        counts["finish"] += 1
+        return fold.finish(state)
+
+    def coords(x):
+        counts["coords"] += 1
+        return system.coords(x)
+
+    counted = dataclasses.replace(system, coords=coords,
+                                  decide=Fold(fold.init, extend, finish))
+    return counted, counts
+
+
+def test_subset_walk_finishes_each_distinct_state_of_a_group_once():
+    """The first half's 64 polygon sets are distinct states, so each is
+    doubled over the second half.  There, 4 polygon sets times 5 band
+    levels (none, or one of the four) give 20 distinct states per group,
+    where 2^6 = 64 subsets reach them: 1,280 finishes, not 4,096."""
+    system, counts = counting_convex_system()
+    keys = analyzers._decision_keys(system, CERTIFY_BASE, False)
+    assert counts == {"extend": 2 ** 12 - 1, "finish": 64 * 20,
+                      "coords": 64 * 20}
+    assert len(keys) == 17
+    assert keys == loop_keys(by_list_form(FOLD_SYSTEMS["convex-vc"]),
+                             CERTIFY_BASE, False)
+
+
+def fold_over(fold, state, vz):
+    return functools.reduce(fold.extend, vz, state)
+
+
+def subsets_of(items):
+    return [subset for r in range(len(items) + 1)
+            for subset in itertools.combinations(items, r)]
+
+
+@pytest.mark.parametrize("base", [
+    CERTIFY_BANDS + CERTIFY_POLYGONS,
+    tuple(z for pair in zip(CERTIFY_POLYGONS, reversed(CERTIFY_BANDS))
+          for z in pair) + CERTIFY_POLYGONS[4:],
+    CERTIFY_BASE,
+], ids=["bands-first", "interleaved", "bands-last"])
+def test_subset_walk_finishes_the_distinct_states_of_each_group(base):
+    """Bands below the level reached repeat states: in the first half
+    (bands first), within each group (bands last), or in both
+    (interleaved, the highest band first).  Each distinct first-half
+    state is doubled over the second half once, and each distinct state
+    of its group is finished once."""
+    system, counts = counting_convex_system()
+    fold = FOLD_SYSTEMS["convex-vc"].decide
+    half = len(base) // 2
+    firsts = {fold_over(fold, fold.init, subset)
+              for subset in subsets_of(base[:half])}
+    seconds = subsets_of(base[half:])
+    group_sizes = [len({fold_over(fold, first, subset) for subset in seconds})
+                   for first in firsts]
+    keys = analyzers._decision_keys(system, base, False)
+    assert counts["finish"] == counts["coords"] == sum(group_sizes)
+    assert counts["extend"] == (2 ** half - 1) + len(firsts) * (
+        len(seconds) - 1)
+    assert sum(group_sizes) < 2 ** len(base)
+    assert keys == loop_keys(by_list_form(FOLD_SYSTEMS["convex-vc"]), base,
+                             False)
+
+
+def test_subset_walk_without_a_fold_decides_each_subset_once():
+    """A system without a fold walks the subset tuples themselves, which
+    are distinct even where their fold states repeat."""
+    decide = FOLD_SYSTEMS["convex-vc"].decide
+    decided = collections.Counter()
+
+    def counted(vz):
+        decided[vz] += 1
+        return decide(vz)
+
+    system = dataclasses.replace(FOLD_SYSTEMS["convex-vc"], decide=counted)
+    base = CERTIFY_BANDS + CERTIFY_POLYGONS[:4]
+    keys = analyzers._decision_keys(system, base, False)
+    assert keys == loop_keys(by_list_form(system), base, False)
+    assert decided == dict.fromkeys(subsets_of(base), 1)
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("convex-vc", (PolygonConstraint(2, 1), BandConstraint(0.5),
+                   BandConstraint(0.25)),
+     (PolygonConstraint(2, 1), BandConstraint(0.5))),
+    ("path-alg1", (BarrierConstraint(1.0), BarrierConstraint(2.0)),
+     (BarrierConstraint(2.0), BarrierConstraint(1.0))),
+    ("convex-vc", (BandConstraint(-0.0),), (BandConstraint(0.0),)),
+], ids=["band-below-the-level", "barriers-in-another-order", "signed-zero"])
+def test_equal_fold_states_give_equal_decision_keys(key, first, second):
+    """The subset walk keys one of each run of equal states, the first in
+    enumeration order; any of them would give the same key."""
+    system = FOLD_SYSTEMS[key]
+    fold = system.decide
+    states = [fold_over(fold, fold.init, vz) for vz in (first, second)]
+    assert states[0] == states[1] and len(set(states)) == 1
+    assert system.decision_key(fold.finish(states[0])) \
+        == system.decision_key(fold.finish(states[1])) \
+        == system.decision_key(system.decide(first))
 
 
 @pytest.mark.parametrize("key", sorted(SYSTEMS))
